@@ -3,7 +3,8 @@
 Every subcommand emits a header-bearing CSV table (default) or a single JSON
 object with a schema_version field, to stdout or to --output. All quantities
 are emitted as dimensionless combinations (beta^4 * densities, beta^3 *
-entropy). Exit codes: 0 success, 1 computational error, 2 usage error.
+entropy). Exit codes: 0 success, 1 computational or output error, 2 usage
+error.
 """
 
 from __future__ import annotations
@@ -12,16 +13,17 @@ import argparse
 import csv
 import json
 import math
+import os
 import re
+import shutil
 import sys
 from fractions import Fraction
 from typing import Iterable
 
 from . import fractal, identities, rotor, thermo
 from .errors import DomainError
-from .numerics import ordered_map
 from .occupation import Family, NinionParams, occupation_number
-from .rationals import StatAngle, thomae
+from .rationals import StatAngle, parse_turns, thomae
 from .thermo import GasSpec
 
 SCHEMA_VERSION = "1"
@@ -103,48 +105,67 @@ def _angle_list(text: str) -> list[float]:
     return [parse_angle(p) for p in text.split(",") if p.strip()]
 
 
-def _stat_angle(args: argparse.Namespace) -> StatAngle:
-    return StatAngle.parse(args.chi, q_max=args.q_max)
+def _turns(text: str) -> Fraction | float:
+    """Turns as written; StatAngle.from_turns approximates a decimal with --q-max."""
+    try:
+        return parse_turns(text)
+    except ValueError as exc:  # DomainError (p/0) is a ValueError too
+        raise argparse.ArgumentTypeError(f"cannot parse turns {text!r}") from exc
+
+
+def _write(args: argparse.Namespace, out, fieldnames: list[str],
+           rows: Iterable[tuple], extras: dict) -> None:
+    if args.format == "csv":
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(fieldnames)
+        writer.writerows(rows)
+    else:
+        payload: dict = {"schema_version": SCHEMA_VERSION, "command": args.command}
+        payload.update(extras)
+        payload["rows"] = [dict(zip(fieldnames, row)) for row in rows]
+        json.dump(payload, out, indent=2)
+        out.write("\n")
 
 
 def _emit(args: argparse.Namespace, fieldnames: list[str],
-          rows: Iterable[dict], extras: dict | None = None) -> None:
-    out = open(args.output, "w", newline="") if args.output else sys.stdout
+          rows: Iterable[tuple], extras: dict) -> None:
+    """Write the table to stdout or --output. A new or regular file is written beside
+    itself and renamed on success, so a failed streamed scan leaves the old file or
+    none; anything else, such as /dev/null or a FIFO, is written in place."""
+    if not args.output:
+        _write(args, sys.stdout, fieldnames, rows, extras)
+        return
+    target = os.path.realpath(args.output)  # a symlink is written through
+    renamable = os.path.isfile(target) or not os.path.exists(args.output)
+    if not (renamable and os.access(os.path.dirname(target), os.W_OK)):
+        with open(args.output, "w", newline="") as out:
+            _write(args, out, fieldnames, rows, extras)
+        return
+    tmp = f"{target}.{os.getpid()}.tmp"
+    out = open(tmp, "x", newline="")
     try:
-        if args.format == "csv":
-            writer = csv.DictWriter(out, fieldnames=fieldnames, lineterminator="\n")
-            writer.writeheader()
-            for row in rows:
-                writer.writerow(row)
-        else:
-            payload: dict = {"schema_version": SCHEMA_VERSION, "command": args.command}
-            if extras:
-                payload.update(extras)
-            payload["rows"] = list(rows)
-            json.dump(payload, out, indent=2)
-            out.write("\n")
-    finally:
-        if args.output:
-            out.close()
+        with out:
+            _write(args, out, fieldnames, rows, extras)
+        if os.path.isfile(target):
+            shutil.copymode(target, tmp)
+        os.replace(tmp, target)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
 # ---------------------------------------------------------------- subcommands
 
-def _cmd_thomae(args) -> tuple[list[str], list[dict], dict]:
-    angle = _stat_angle(args)
-    value = thomae(angle.turns)
-    row = {
-        "chi_num": angle.turns.numerator,
-        "chi_den": angle.turns.denominator,
-        "q": angle.turns.denominator,
-        "thomae_num": value.numerator,
-        "thomae_den": value.denominator,
-        "thomae_value": float(value),
-    }
-    return list(row), [row], {}
+def _cmd_thomae(args) -> tuple[list[str], list[tuple], dict]:
+    turns = StatAngle.from_turns(args.chi, args.q_max).turns
+    value = thomae(turns)
+    fields = ["chi_num", "chi_den", "q", "thomae_num", "thomae_den", "thomae_value"]
+    row = (turns.numerator, turns.denominator, turns.denominator,
+           value.numerator, value.denominator, float(value))
+    return fields, [row], {}
 
 
-def _cmd_identity(args) -> tuple[list[str], list[dict], dict]:
+def _cmd_identity(args) -> tuple[list[str], list[tuple], dict]:
     if args.p is not None or args.q is not None:
         if args.p is None or args.q is None:
             raise DomainError("--p and --q must be given together")
@@ -153,11 +174,8 @@ def _cmd_identity(args) -> tuple[list[str], list[dict], dict]:
         pairs = list(identities.coprime_fractions(args.q_max))
     check = (identities.check_boson_identity if args.family == "bose"
              else identities.check_fermion_identity)
-    checks = ordered_map(lambda pq: check(pq[0], pq[1], args.gamma), pairs)
-    rows = [{
-        "family": args.family, "p": c.p, "q": c.q, "gamma": c.gamma,
-        "lhs": c.lhs, "rhs": c.rhs, "residual": c.residual,
-    } for c in checks]
+    checks = [check(p, q, args.gamma) for p, q in pairs]
+    rows = [(args.family, c.p, c.q, c.gamma, c.lhs, c.rhs, c.residual) for c in checks]
     max_residual = max(c.residual for c in checks)
     print(f"max residual over {len(checks)} fractions: {max_residual:.3e}",
           file=sys.stderr)
@@ -167,26 +185,13 @@ def _cmd_identity(args) -> tuple[list[str], list[dict], dict]:
 
 def _thermo_row(family: Family, method: str, beta: float, turns: Fraction,
                 q_eff: int, out_family: str, weight: float, f: float,
-                massless: bool) -> dict:
+                massless: bool) -> tuple:
     eff_beta = q_eff * beta
-    derived: dict[str, float | None]
-    if massless:
-        derived = {
-            "beta4_energy": -3.0 * f * beta ** 4,
-            "beta4_pressure": -f * beta ** 4,
-            "beta3_entropy": -4.0 * f * eff_beta * beta ** 3,
-        }
-    else:
-        # no closed scaling law away from the massless case
-        derived = {"beta4_energy": None, "beta4_pressure": None, "beta3_entropy": None}
-    return {
-        "family": family.value, "method": method,
-        "chi_num": turns.numerator, "chi_den": turns.denominator,
-        "q_effective": q_eff, "out_family": out_family, "weight": weight,
-        "beta": beta, "effective_beta": eff_beta,
-        "beta4_f": f * beta ** 4,
-        **derived,
-    }
+    # no closed scaling law away from the massless case
+    derived = ((-3.0 * f * beta ** 4, -f * beta ** 4, -4.0 * f * eff_beta * beta ** 3)
+               if massless else (None, None, None))
+    return (family.value, method, turns.numerator, turns.denominator, q_eff,
+            out_family, weight, beta, eff_beta, f * beta ** 4, *derived)
 
 
 _THERMO_FIELDS = ["family", "method", "chi_num", "chi_den", "q_effective",
@@ -194,9 +199,9 @@ _THERMO_FIELDS = ["family", "method", "chi_num", "chi_den", "q_effective",
                   "beta4_energy", "beta4_pressure", "beta3_entropy"]
 
 
-def _cmd_thermo(args) -> tuple[list[str], list[dict], dict]:
+def _cmd_thermo(args) -> tuple[list[str], list[tuple], dict]:
     family = Family(args.family)
-    angle = _stat_angle(args)
+    angle = StatAngle.from_turns(args.chi, args.q_max)
     beta = args.beta
     if args.method == "closed":
         if args.mass != 0.0 or args.mu != 0.0:
@@ -234,28 +239,26 @@ def _cmd_thermo(args) -> tuple[list[str], list[dict], dict]:
     return _THERMO_FIELDS, [row], {}
 
 
-def _cmd_walls(args) -> tuple[list[str], list[dict], dict]:
+_WALLS_FIELDS = ["rotating", "beta4_f", "beta4_energy", "beta4_pressure", "beta3_entropy",
+                 "oracle_beta4_energy", "oracle_beta3_entropy", "per_mode_quadrature",
+                 "per_mode_closed_form", "per_mode_rel_error", "count_factor",
+                 "relative_deviation"]
+
+
+def _cmd_walls(args) -> tuple[list[str], list[tuple], dict]:
     result = thermo.crossed_walls_thermo(args.beta, args.rotating, args.inner_tol)
     tq, report = result.quantities, result.oracle
     b3, b4 = args.beta ** 3, args.beta ** 4
-    row = {
-        "rotating": args.rotating,
-        "beta4_f": tq.f * b4,
-        "beta4_energy": tq.energy * b4,
-        "beta4_pressure": tq.pressure * b4,
-        "beta3_entropy": tq.entropy * b3,
-        "oracle_beta4_energy": report.oracle.energy * b4 if report else None,
-        "oracle_beta3_entropy": report.oracle.entropy * b3 if report else None,
-        "per_mode_quadrature": report.per_mode_quadrature if report else None,
-        "per_mode_closed_form": report.per_mode_closed_form if report else None,
-        "per_mode_rel_error": report.per_mode_relative_error if report else None,
-        "count_factor": report.count_factor if report else None,
-        "relative_deviation": report.relative_deviation if report else None,
-    }
-    return list(row), [row], {}
+    oracle = ((report.oracle.energy * b4, report.oracle.entropy * b3,
+               report.per_mode_quadrature, report.per_mode_closed_form,
+               report.per_mode_relative_error, report.count_factor,
+               report.relative_deviation) if report else (None,) * 7)
+    row = (args.rotating, tq.f * b4, tq.energy * b4, tq.pressure * b4, tq.entropy * b3,
+           *oracle)
+    return _WALLS_FIELDS, [row], {}
 
 
-def _cmd_occupation(args) -> tuple[list[str], list[dict], dict]:
+def _cmd_occupation(args) -> tuple[list[str], list[tuple], dict]:
     family = Family(args.family)
     if args.omega_count < 2:
         raise DomainError("need at least two omega grid points")
@@ -265,37 +268,18 @@ def _cmd_occupation(args) -> tuple[list[str], list[dict], dict]:
         for i in range(args.omega_count):
             omega = args.omega_min + i * step
             n = occupation_number(NinionParams(family, xi, args.beta, omega, args.mu))
-            rows.append({
-                "family": family.value, "xi": xi, "omega": omega,
-                "beta_omega": args.beta * omega, "occupation": n,
-            })
+            rows.append((family.value, xi, omega, args.beta * omega, n))
     return ["family", "xi", "omega", "beta_omega", "occupation"], rows, {}
 
 
-def _scan_rows(order: int, window) -> Iterable[dict]:
-    for s in fractal.iter_fractal_scan(order, window):
-        yield {
-            "chi_numerator": s.chi_turns.numerator,
-            "chi_denominator": s.chi_turns.denominator,
-            "chi_real": float(s.chi_turns),
-            "q": s.q,
-            "energy_ratio": float(s.ratio_energy),
-            "entropy_ratio": float(s.ratio_entropy),
-        }
-
-
-_SCAN_FIELDS = ["chi_numerator", "chi_denominator", "chi_real", "q",
-                "energy_ratio", "entropy_ratio"]
-
-
-def _cmd_scan(args) -> tuple[list[str], Iterable[dict], dict]:
-    rows = _scan_rows(args.order, args.window)
+def _cmd_scan(args) -> tuple[list[str], Iterable[tuple], dict]:
+    rows: Iterable[tuple] = fractal.iter_scan_rows(args.order, args.window)
     if args.order <= fractal.STREAM_THRESHOLD:
         rows = list(rows)  # materialize: output starts only after full success
-    return _SCAN_FIELDS, rows, {"order": args.order}
+    return list(fractal.SCAN_FIELDS), rows, {"order": args.order}
 
 
-def _cmd_nogo(args) -> tuple[list[str], list[dict], dict]:
+def _cmd_nogo(args) -> tuple[list[str], list[tuple], dict]:
     if args.mode == "near":
         probe = fractal.prime_ratio_sequence_near(
             args.target, args.count, args.min_denominator)
@@ -310,13 +294,9 @@ def _cmd_nogo(args) -> tuple[list[str], list[dict], dict]:
     for turns, ratio in probe.points:
         p, q = turns.numerator, turns.denominator
         ghost = (p + q) % 2 == 0
-        rows.append({
-            "chi_num": p, "chi_den": q, "chi_real": float(turns), "q": q,
-            "energy_ratio": float(ratio),
-            "fermi_branch": "boson_ghost" if ghost else "fermion",
-            "fermi_weight": -2.0 if ghost else 1.0,
-            "distance_to_target": abs(float(turns) - probe.target),
-        })
+        rows.append((p, q, float(turns), q, float(ratio),
+                     "boson_ghost" if ghost else "fermion", -2.0 if ghost else 1.0,
+                     abs(float(turns) - probe.target)))
     extras = {"mode": args.mode, "target": probe.target,
               "limit_estimate": probe.limit_estimate, "notices": probe.notices}
     fields = ["chi_num", "chi_den", "chi_real", "q", "energy_ratio",
@@ -324,12 +304,12 @@ def _cmd_nogo(args) -> tuple[list[str], list[dict], dict]:
     return fields, rows, extras
 
 
-def _cmd_rotor(args) -> tuple[list[str], list[dict], dict]:
+def _cmd_rotor(args) -> tuple[list[str], list[tuple], dict]:
     spec = rotor.RotorSpec(args.inertia, args.m_cut)
     z0 = rotor.partition_rotwisted(spec, args.beta, 0.0, args.half_shift).real
     if args.table == "weights":
         weights = rotor.angular_distribution(spec, args.beta, half_shift=args.half_shift)
-        rows = [{"m": m, "weight": w} for m, w in sorted(weights.items())]
+        rows = sorted(weights.items())
         return ["m", "weight"], rows, {"Z_0": z0}
     n = args.chi_points
     rows = []
@@ -337,8 +317,7 @@ def _cmd_rotor(args) -> tuple[list[str], list[dict], dict]:
         chi = -math.pi + 2.0 * math.pi * j / n  # grid over (-pi, pi]
         z = rotor.partition_rotwisted(spec, args.beta, chi, args.half_shift)
         k = rotor.generating_function(spec, args.beta, chi, args.half_shift)
-        rows.append({"chi": chi, "z_real": z.real, "z_imag": z.imag,
-                     "k_real": k.real, "k_imag": k.imag})
+        rows.append((chi, z.real, z.imag, k.real, k.imag))
     return ["chi", "z_real", "z_imag", "k_real", "k_imag"], rows, {"Z_0": z0}
 
 
@@ -356,13 +335,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", default=None, help="output path (default stdout)")
 
     def chi_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--chi", required=True,
+        p.add_argument("--chi", type=_turns, required=True,
                        help="statistical angle in turns: 'p/q' or a decimal")
         p.add_argument("--q-max", type=_positive_int, default=10 ** 6,
                        help="denominator cap when --chi is a decimal")
 
     p = sub.add_parser("thomae", help="Thomae value of a rational angle")
-    p.add_argument("--fraction", dest="chi", required=True,
+    p.add_argument("--fraction", dest="chi", type=_turns, required=True,
                    help="statistical angle in turns: 'p/q' or a decimal")
     p.add_argument("--q-max", type=_positive_int, default=10 ** 6,
                    help="denominator cap when --fraction is a decimal")
@@ -445,10 +424,15 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         fieldnames, rows, extras = args.handler(args)
+        try:
+            _emit(args, fieldnames, rows, extras)
+        except OSError as exc:  # computing does no I/O, so this is the output
+            print(f"error[{type(exc).__name__}]: cannot write {args.output or 'stdout'}: "
+                  f"{exc.strerror or exc}", file=sys.stderr)
+            return 1
     except DomainError as exc:
         print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)
         return 1
-    _emit(args, fieldnames, rows, extras)
     return 0
 
 

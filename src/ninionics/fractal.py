@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .errors import DomainError
-from .rationals import farey_interval, nth_prime, primes_up_to
+from .rationals import farey_interval, farey_pairs, nth_prime, primes_up_to
 
 __all__ = [
     "FractalSample",
@@ -25,6 +25,8 @@ __all__ = [
     "sample_at",
     "iter_fractal_scan",
     "fractal_scan",
+    "SCAN_FIELDS",
+    "iter_scan_rows",
     "self_similarity_check",
     "prime_sequence_probe",
     "prime_ratio_sequence_near",
@@ -60,6 +62,23 @@ def fractal_scan(order: int,
                  window: tuple[Fraction | int | str, Fraction | int | str] = (0, 1),
                  ) -> list[FractalSample]:
     return list(iter_fractal_scan(order, window))
+
+
+SCAN_FIELDS = ("chi_numerator", "chi_denominator", "chi_real", "q",
+               "energy_ratio", "entropy_ratio")
+
+
+def iter_scan_rows(order: int,
+                   window: tuple[Fraction | int | str, Fraction | int | str] = (0, 1),
+                   ) -> Iterator[tuple[int, int, float, int, float, float]]:
+    """The output form of :func:`iter_fractal_scan`: one row per sample, in SCAN_FIELDS order.
+
+    Built from integer pairs without Fraction objects. Integer true division
+    is correctly rounded, so every float equals ``float()`` of the exact
+    rational it stands for (chi, q^-4, q^-3).
+    """
+    for c, d in farey_pairs(order, window[0], window[1]):
+        yield c, d, c / d, d, 1 / d ** 4, 1 / d ** 3
 
 
 def _adjacent_unimodular(samples: Sequence[FractalSample]) -> bool:
@@ -270,6 +289,6 @@ def discontinuity_witness(x0: Fraction, max_distance: float = 1e-6,
         d = d_min
         c = d - 1
     witness = Fraction(c, d)
-    assert abs(witness - x0) <= dist
-    assert Fraction(d, q) ** 4 >= Fraction(ratio_factor)
+    if abs(witness - x0) > dist or Fraction(d, q) ** 4 < Fraction(ratio_factor):
+        raise DomainError(f"witness {witness} misses the distance or ratio bound")
     return sample_at(witness)

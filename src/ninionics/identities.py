@@ -4,7 +4,7 @@ These sums are what turns a rotation phase into a temperature rescaling: the
 bosonic sum collapses q phase-shifted logarithms onto a single logarithm at
 q-fold argument, and the fermionic one does the same up to a parity sign.
 The conjugate c = +/-1 branches cancel imaginary parts, so every sum is real
-up to rounding; that cancellation is asserted, not assumed.
+up to rounding; that cancellation is checked, not assumed.
 """
 
 from __future__ import annotations
@@ -56,7 +56,8 @@ class IdentityCheck:
         return abs(self.lhs - self.rhs)
 
 
-def _validate(p: int, q: int, gamma: float, gamma_floor: float) -> None:
+def _validate(p: int, q: int, gamma: float, gamma_floor: float) -> float:
+    """Check the inputs of a phase sum; return e^{-gamma}, checked to lie in (0, 1)."""
     if q < 1:
         raise DomainError("q must be a positive integer")
     if math.gcd(p, q) != 1:
@@ -64,12 +65,17 @@ def _validate(p: int, q: int, gamma: float, gamma_floor: float) -> None:
     if gamma < gamma_floor:
         raise DomainError(
             f"gamma must be at least {gamma_floor:g}; the m = 0 term diverges at gamma = 0")
+    z = math.exp(-gamma)
+    if not 0.0 < z < 1.0:
+        raise DomainError(f"e^-gamma = {z!r} must lie strictly between 0 and 1")
+    return z
 
 
 def _real_part(terms: np.ndarray) -> float:
     total = 0.5 * complex(terms.sum())
     # Conjugate pairing cancels the imaginary parts exactly up to rounding.
-    assert abs(total.imag) < _IMAG_TOL
+    if not abs(total.imag) < _IMAG_TOL:
+        raise DomainError(f"conjugate pairing left imaginary part {total.imag!r}")
     return float(total.real)
 
 
@@ -78,11 +84,9 @@ def boson_phase_sum(p: int, q: int, gamma: float, *,
     """(1/2) sum over c = +/-1 and m = 0..q-1 of ln(1 - e^{-gamma + 2 pi i c m p/q}).
 
     Principal-branch complex logarithms; safe because e^{-gamma} < 1 keeps
-    every argument in the right half plane (asserted).
+    every argument in the right half plane (checked).
     """
-    _validate(p, q, gamma, gamma_floor)
-    z = math.exp(-gamma)
-    assert 0.0 < z < 1.0
+    z = _validate(p, q, gamma, gamma_floor)
     k = (np.arange(q) * p) % q
     phases = np.exp(2j * np.pi * k / q)
     terms = np.log(1.0 - z * phases)
@@ -106,9 +110,7 @@ def check_boson_identity(p: int, q: int, gamma: float) -> IdentityCheck:
 def fermion_phase_sum(p: int, q: int, gamma: float, *,
                       gamma_floor: float = GAMMA_FLOOR) -> float:
     """(1/2) sum over c = +/-1 and m = 0..q-1 of ln(1 + e^{-gamma + 2 pi i c (m + 1/2) p/q})."""
-    _validate(p, q, gamma, gamma_floor)
-    z = math.exp(-gamma)
-    assert 0.0 < z < 1.0
+    z = _validate(p, q, gamma, gamma_floor)
     k = ((2 * np.arange(q) + 1) * p) % (2 * q)
     phases = np.exp(1j * np.pi * k / q)
     terms = np.log(1.0 + z * phases)

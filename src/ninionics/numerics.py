@@ -1,16 +1,11 @@
-"""Small numerical helpers: Richardson extrapolation, angle reduction, worker pools."""
+"""Small numerical helpers: Richardson extrapolation, regulator ladders, angle reduction."""
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Sequence
 
 from .errors import DomainError
-
-_T = TypeVar("_T")
-_R = TypeVar("_R")
 
 TWO_PI = 2.0 * math.pi
 
@@ -55,27 +50,3 @@ def principal_angle(x: float) -> float:
         y += TWO_PI
     return y
 
-
-def worker_count() -> int:
-    """Worker cap from NINIONICS_THREADS; defaults to 1 (sequential)."""
-    raw = os.environ.get("NINIONICS_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, n)
-
-
-def ordered_map(fn: Callable[[_T], _R], items: Iterable[_T],
-                max_workers: int | None = None) -> list[_R]:
-    """Map preserving input order.
-
-    Uses a thread pool when more than one worker is allowed; results are
-    collected in submission order, so output never depends on thread count.
-    """
-    seq = list(items)
-    n = worker_count() if max_workers is None else max_workers
-    if n <= 1 or len(seq) <= 1:
-        return [fn(x) for x in seq]
-    with ThreadPoolExecutor(max_workers=min(n, len(seq))) as pool:
-        return list(pool.map(fn, seq))

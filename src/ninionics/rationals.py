@@ -23,9 +23,11 @@ __all__ = [
     "thomae",
     "farey_sequence",
     "farey_interval",
+    "farey_pairs",
     "farey_bracket",
     "farey_successor",
     "approximate_rational",
+    "parse_turns",
     "primes_up_to",
     "nth_prime",
 ]
@@ -109,33 +111,41 @@ def farey_successor(f: Fraction, order: int) -> Fraction | None:
     return Fraction(hp, kp)
 
 
-def farey_interval(order: int, lo: Fraction | int | str,
-                   hi: Fraction | int | str) -> Iterator[Fraction]:
-    """Iterate order-n Farey fractions inside [lo, hi], ascending.
+def farey_pairs(order: int, lo: Fraction | int | str,
+                hi: Fraction | int | str) -> Iterator[tuple[int, int]]:
+    """Iterate order-n Farey fractions inside [lo, hi] as (numerator, denominator).
 
     The window must satisfy 0 <= lo < hi <= 1; a window containing no
     fraction yields nothing (not an error). Enumeration starts from the
     Stern-Brocot bracket of ``lo`` and runs the standard next-term
-    recurrence, so narrow windows never materialize the whole sequence.
+    recurrence on plain integers, so narrow windows never materialize the
+    whole sequence and no term builds a Fraction.
     """
     lo, hi = Fraction(lo), Fraction(hi)
     if not (0 <= lo < hi <= 1):
         raise DomainError("window must satisfy 0 <= lo < hi <= 1")
-    u, v = farey_bracket(lo, order)
-    cur = v  # smallest order-n fraction >= lo
+    _, cur = farey_bracket(lo, order)  # cur: smallest order-n fraction >= lo
     if cur > hi:
         return
-    yield cur
+    yield cur.numerator, cur.denominator
     nxt = farey_successor(cur, order)
     if nxt is None or nxt > hi:
         return
-    yield nxt
+    yield nxt.numerator, nxt.denominator
     a, b, c, d = cur.numerator, cur.denominator, nxt.numerator, nxt.denominator
+    hi_num, hi_den = hi.numerator, hi.denominator
     while True:
         t = (order + b) // d
         a, b, c, d = c, d, t * c - a, t * d - b
-        if c > d * hi:
+        if c * hi_den > d * hi_num:
             return
+        yield c, d
+
+
+def farey_interval(order: int, lo: Fraction | int | str,
+                   hi: Fraction | int | str) -> Iterator[Fraction]:
+    """Iterate order-n Farey fractions inside [lo, hi], ascending (see farey_pairs)."""
+    for c, d in farey_pairs(order, lo, hi):
         yield Fraction(c, d)
 
 
@@ -239,10 +249,20 @@ class StatAngle:
         return cls(approximate_rational(chi / TWO_PI, q_max))
 
     @classmethod
+    def from_turns(cls, turns: Fraction | float, q_max: int = 10 ** 6) -> "StatAngle":
+        """Fraction turns exactly, or float turns via rational approximation."""
+        return cls(turns if isinstance(turns, Fraction) else approximate_rational(turns, q_max))
+
+    @classmethod
     def parse(cls, text: str, q_max: int = 10 ** 6) -> "StatAngle":
         """Parse 'p/q' turn strings exactly, or decimal turns via rational approximation."""
-        s = text.strip()
-        if "/" in s:
-            num, _, den = s.partition("/")
-            return cls(reduce_fraction(int(num), int(den)))
-        return cls(approximate_rational(float(s), q_max))
+        return cls.from_turns(parse_turns(text), q_max)
+
+
+def parse_turns(text: str) -> Fraction | float:
+    """Turns as written: 'p/q' as an exact Fraction, a decimal as a float (else ValueError)."""
+    s = text.strip()
+    if "/" in s:
+        num, _, den = s.partition("/")
+        return reduce_fraction(int(num), int(den))
+    return float(s)

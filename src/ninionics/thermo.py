@@ -23,7 +23,6 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import DomainError
 from .numerics import geometric_regulators, richardson_limit
@@ -215,6 +214,7 @@ def energy_from_free_energy(f_of_beta: Callable[[float], float], beta: float,
 
 def _half_line(fn: Callable[[float], float], tol: float) -> float:
     """Integrate fn over [0, inf) via the map k = t/(1-t) with adaptive quadrature."""
+    from scipy.integrate import quad  # only the quadrature oracle pays for scipy's import
 
     def g(t: float) -> float:
         if t >= 1.0:

@@ -2,10 +2,17 @@ import csv
 import io
 import json
 import math
+import os
+import stat
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from ninionics import fractal
 from ninionics.cli import main, parse_angle
+from ninionics.errors import DomainError
 
 PI_SQ = math.pi ** 2
 
@@ -283,3 +290,98 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["thermo", "--chi", "1/2", "--beta", "-2"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("flag,command", [("--chi", "thermo"), ("--fraction", "thomae")])
+    @pytest.mark.parametrize("text", ["abc", "1/x", "1/0", "1.5/2"])
+    def test_bad_turns_are_usage_errors(self, capsys, flag, command, text):
+        with pytest.raises(SystemExit) as exc:
+            main([command, flag, text])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert flag in err
+
+
+class TestOutputFile:
+    def test_missing_directory_is_named_error(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x.csv"
+        code, out, err = run_cli(["scan", "--order", "3", "--output", str(target)], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error[FileNotFoundError]: cannot write ")
+        assert "Traceback" not in err
+
+    def test_failed_streamed_scan_leaves_no_file(self, capsys, tmp_path, monkeypatch):
+        real_rows = fractal.iter_scan_rows
+
+        def failing_rows(order, window):
+            yield from real_rows(50, window)
+            raise DomainError("injected failure mid-stream")
+
+        monkeypatch.setattr(fractal, "iter_scan_rows", failing_rows)
+        order = str(fractal.STREAM_THRESHOLD + 1)  # above the threshold rows stream
+        fresh, kept = tmp_path / "fresh.csv", tmp_path / "kept.csv"
+        kept.write_text("previous\n")
+        for target in (fresh, kept):
+            code, _, err = run_cli(["scan", "--order", order, "--output", str(target)], capsys)
+            assert code == 1
+            assert "error[DomainError]: injected failure mid-stream" in err
+        assert sorted(os.listdir(tmp_path)) == ["kept.csv"]
+        assert kept.read_text() == "previous\n"
+
+    def test_success_replaces_existing_file(self, capsys, tmp_path):
+        target = tmp_path / "scan.csv"
+        target.write_text("previous\n")
+        code, _, _ = run_cli(["scan", "--order", "2", "--output", str(target)], capsys)
+        assert code == 0
+        assert os.listdir(tmp_path) == ["scan.csv"]
+        assert [r["chi_numerator"] for r in read_csv(target.read_text())] == ["0", "1", "1"]
+
+    def test_existing_file_keeps_its_mode(self, capsys, tmp_path):
+        target = tmp_path / "scan.csv"
+        target.write_text("previous\n")
+        target.chmod(0o640)
+        code, _, _ = run_cli(["scan", "--order", "2", "--output", str(target)], capsys)
+        assert code == 0
+        assert stat.S_IMODE(target.stat().st_mode) == 0o640
+
+    def test_symlink_is_written_through(self, capsys, tmp_path):
+        real, link = tmp_path / "real.csv", tmp_path / "link.csv"
+        real.write_text("previous\n")
+        link.symlink_to(real)
+        code, _, _ = run_cli(["scan", "--order", "2", "--output", str(link)], capsys)
+        assert code == 0
+        assert link.is_symlink()
+        assert sorted(os.listdir(tmp_path)) == ["link.csv", "real.csv"]
+        assert [r["chi_numerator"] for r in read_csv(real.read_text())] == ["0", "1", "1"]
+
+    def test_fifo_is_written_not_replaced(self, capsys, tmp_path):
+        # a special file (a FIFO here, /dev/null in use) must never be renamed over
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            code, _, _ = run_cli(["scan", "--order", "2", "--output", str(fifo)], capsys)
+            data = os.read(reader, 1 << 16).decode()
+        finally:
+            os.close(reader)
+        assert code == 0
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+        assert os.listdir(tmp_path) == ["pipe"]
+        assert [r["chi_numerator"] for r in read_csv(data)] == ["0", "1", "1"]
+
+
+def test_import_leaves_scipy_unloaded():
+    code = ("import sys\n"
+            "import ninionics.cli\n"
+            "print('scipy' in sys.modules)\n"
+            "ninionics.cli.main(['thermo', '--method', 'quadrature', '--chi', '1/2'])\n"
+            "print('scipy' in sys.modules)\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    lines = out.stdout.splitlines()
+    assert lines[0] == "False"  # a fresh import of the CLI skips scipy
+    assert lines[-1] == "True"  # the quadrature oracle loads it when it runs

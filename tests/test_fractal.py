@@ -8,6 +8,7 @@ from ninionics.fractal import (
     discontinuity_witness,
     fractal_scan,
     iter_fractal_scan,
+    iter_scan_rows,
     prime_ratio_sequence_near,
     prime_sequence_probe,
     sample_at,
@@ -47,6 +48,29 @@ class TestScan:
             return sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
 
         assert len(fractal_scan(50, (0, 1))) == 1 + sum(phi(q) for q in range(1, 51))
+
+
+    def test_rows_are_the_float_form_of_the_samples(self):
+        window = (Fraction(1, 5), Fraction(3, 4))
+        rows = list(iter_scan_rows(40, window))
+        assert rows == [(s.chi_turns.numerator, s.chi_turns.denominator,
+                         float(s.chi_turns), s.q, float(s.ratio_energy),
+                         float(s.ratio_entropy))
+                        for s in iter_fractal_scan(40, window)]
+
+    def test_row_floats_correctly_rounded_past_2_53(self):
+        # q > 2^13 puts q^4 past 2^53, where 1.0 / q**4 rounds twice
+        lo = Fraction(31415, 100_000)
+        rows = list(iter_scan_rows(20_000, (lo, lo + Fraction(1, 10_000))))
+        big = [r for r in rows if r[3] > 2 ** 13]
+        assert len(big) > 5_000
+        for c, d, chi, q, energy, entropy in big:
+            assert q == d
+            assert chi == float(Fraction(c, d))
+            assert energy == float(Fraction(1, q ** 4))
+            assert entropy == float(Fraction(1, q ** 3))
+        # the sample does reach q where the float-first quotient is wrong
+        assert any(1.0 / q ** 4 != energy for _, _, _, q, energy, _ in big)
 
 
 class TestSelfSimilarity:

@@ -1,10 +1,15 @@
 import cmath
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ninionics import identities
 from ninionics.errors import DomainError
 from ninionics.identities import (
     GAMMA_FLOOR,
@@ -88,6 +93,30 @@ class TestBosonIdentity:
             boson_phase_sum(1, 2, GAMMA_FLOOR / 10)
         # configurable floor
         assert math.isfinite(boson_phase_sum(1, 2, 1e-8, gamma_floor=1e-9))
+
+    def test_nan_gamma_rejected(self):
+        with pytest.raises(DomainError):
+            boson_phase_sum(1, 2, float("nan"))
+        with pytest.raises(DomainError):
+            fermion_phase_sum(1, 2, float("nan"))
+
+    def test_cancellation_check_raises(self, monkeypatch):
+        monkeypatch.setattr(identities, "_IMAG_TOL", -1.0)
+        with pytest.raises(DomainError, match="imaginary part"):
+            boson_phase_sum(1, 3, 1.0)
+
+    def test_checks_survive_optimize_flag(self):
+        code = ("from ninionics.identities import boson_phase_sum\n"
+                "try:\n"
+                "    print(boson_phase_sum(1, 2, float('nan')))\n"
+                "except Exception as exc:\n"
+                "    print(type(exc).__name__)\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                             capture_output=True, text=True, check=True, timeout=60)
+        assert out.stdout.strip() == "DomainError"
 
 
 class TestFermionIdentity:

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from ninionics.rationals import (
     approximate_rational,
     farey_bracket,
     farey_interval,
+    farey_pairs,
     farey_sequence,
     farey_successor,
     nth_prime,
@@ -25,6 +27,16 @@ def brute_force_farey(order):
     fracs = {Fraction(p, q) for q in range(1, order + 1) for p in range(q + 1)
              if math.gcd(p, q) == 1}
     return sorted(fracs)
+
+
+def brute_force_window(order, lo, hi):
+    """Independent oracle: every reduced p/q in [lo, hi] with q <= order, as pairs."""
+    pairs = []
+    for q in range(1, order + 1):
+        first = -(-lo.numerator * q // lo.denominator)  # ceil(lo * q)
+        last = hi.numerator * q // hi.denominator       # floor(hi * q)
+        pairs += [(p, q) for p in range(first, last + 1) if math.gcd(p, q) == 1]
+    return sorted(pairs, key=lambda pq: Fraction(*pq))
 
 
 def brute_force_best_rational(x, q_max):
@@ -130,6 +142,44 @@ class TestFarey:
         assert farey_successor(Fraction(2, 5), 5) == Fraction(1, 2)
         assert farey_successor(Fraction(1), 5) is None
 
+    def test_pairs_match_brute_force_on_random_windows(self):
+        rng = random.Random(20221011)
+        ends_in_sequence = ends_finer = 0
+        for _ in range(300):
+            order = rng.randint(1, 60)
+            # denominators up to twice the order: some ends are order-n Farey
+            # fractions, some fall strictly between two of them
+            ends = set()
+            while len(ends) < 2:
+                q = rng.randint(1, 2 * order)
+                ends.add(Fraction(rng.randint(0, q), q))
+            lo, hi = sorted(ends)
+            ends_in_sequence += lo.denominator <= order and hi.denominator <= order
+            ends_finer += hi.denominator > order
+            got = list(farey_pairs(order, lo, hi))
+            assert got == brute_force_window(order, lo, hi), (order, lo, hi)
+            assert all(type(c) is int and type(d) is int for c, d in got)
+        assert ends_in_sequence > 20 and ends_finer > 20
+
+    @pytest.mark.parametrize("order,lo,hi", [
+        (7, Fraction(1, 7), Fraction(3, 5)),      # both ends are order-7 Farey fractions
+        (7, Fraction(2, 15), Fraction(11, 13)),   # both ends finer than the order
+        (10, Fraction(0), Fraction(7, 11)),       # hi's denominator exceeds the order
+        (60, Fraction(29, 59), Fraction(30, 59)),
+        (1, Fraction(0), Fraction(1)),
+    ])
+    def test_pairs_edge_windows(self, order, lo, hi):
+        assert list(farey_pairs(order, lo, hi)) == brute_force_window(order, lo, hi)
+        assert list(farey_interval(order, lo, hi)) == [
+            Fraction(c, d) for c, d in brute_force_window(order, lo, hi)]
+
+    def test_pairs_narrow_window_order_1e5(self):
+        lo = Fraction(31415, 100_000)
+        hi = lo + Fraction(1, 60_000)
+        got = list(farey_pairs(100_000, lo, hi))
+        assert len(got) > 10_000
+        assert got == brute_force_window(100_000, lo, hi)
+
     @given(st.integers(0, 10**6), st.integers(1, 10**6), st.integers(1, 200))
     def test_bracket(self, p, q, order):
         x = Fraction(p % (q + 1), q)
@@ -229,6 +279,10 @@ class TestStatAngle:
         assert StatAngle.parse("999/2000").turns == Fraction(999, 2000)
         assert StatAngle.parse("0.5").turns == Fraction(1, 2)
         assert StatAngle.parse("0.333333", q_max=100).turns == Fraction(1, 3)
+
+    def test_from_turns(self):
+        assert StatAngle.from_turns(Fraction(7, 2), q_max=1).turns == Fraction(7, 2)
+        assert StatAngle.from_turns(0.333333, q_max=100).turns == Fraction(1, 3)
 
     def test_from_radians(self):
         assert StatAngle.from_radians(math.pi, q_max=100).turns == Fraction(1, 2)
