@@ -203,38 +203,26 @@ def _cmd_thermo(args) -> tuple[list[str], list[tuple], dict]:
     family = Family(args.family)
     angle = StatAngle.from_turns(args.chi, args.q_max)
     beta = args.beta
+    if family is Family.BOSE:
+        turns = angle.bosonic().turns
+        out_family, weight = "boson", args.degeneracy
+    else:
+        turns = angle.fermionic().turns
+        mapped = thermo.fermion_equivalence(turns.numerator, turns.denominator, beta)
+        out_family = mapped.out_family.value
+        weight = args.degeneracy if mapped.multiplicity > 0 else -args.degeneracy
+    q = turns.denominator
     if args.method == "closed":
         if args.mass != 0.0 or args.mu != 0.0:
             raise DomainError("closed forms cover the massless gas at mu = 0; "
                               "use --method quadrature")
-        if family is Family.BOSE:
-            turns = angle.bosonic().turns
-            q = turns.denominator
-            f = thermo.blackbody_scalar(q * beta).f * args.degeneracy
-            row = _thermo_row(family, "closed", beta, turns, q, "boson",
-                              args.degeneracy, f, True)
-        else:
-            turns = angle.fermionic().turns
-            mapped = thermo.fermion_equivalence(turns.numerator, turns.denominator, beta)
-            sign = 1.0 if mapped.multiplicity > 0 else -1.0
-            base = (thermo.blackbody_fermion if mapped.out_family.value == "fermion"
-                    else thermo.blackbody_scalar)(mapped.effective_beta)
-            weight = sign * args.degeneracy
-            row = _thermo_row(family, "closed", beta, turns, turns.denominator,
-                              mapped.out_family.value, weight, base.f * weight, True)
-        return _THERMO_FIELDS, [row], {}
-
-    spec = GasSpec(family, args.mass, args.mu, args.degeneracy)
-    f = thermo.free_energy_extrapolated(spec, beta, angle, inner_tol=args.inner_tol)
-    turns = angle.bosonic().turns if family is Family.BOSE else angle.fermionic().turns
-    q = turns.denominator
-    if family is Family.FERMI:
-        mapped = thermo.fermion_equivalence(turns.numerator, q, beta)
-        out_family = mapped.out_family.value
-        weight = args.degeneracy * (1.0 if mapped.multiplicity > 0 else -1.0)
+        base = (thermo.blackbody_fermion if out_family == "fermion"
+                else thermo.blackbody_scalar)(q * beta)
+        f = base.f * weight
     else:
-        out_family, weight = "boson", args.degeneracy
-    row = _thermo_row(family, "quadrature", beta, turns, q, out_family, weight,
+        spec = GasSpec(family, args.mass, args.mu, args.degeneracy)
+        f = thermo.free_energy_extrapolated(spec, beta, angle, inner_tol=args.inner_tol)
+    row = _thermo_row(family, args.method, beta, turns, q, out_family, weight,
                       f, args.mass == 0.0)
     return _THERMO_FIELDS, [row], {}
 
@@ -293,9 +281,9 @@ def _cmd_nogo(args) -> tuple[list[str], list[tuple], dict]:
     rows = []
     for turns, ratio in probe.points:
         p, q = turns.numerator, turns.denominator
-        ghost = (p + q) % 2 == 0
+        mapped = thermo.fermion_equivalence(p, q)
         rows.append((p, q, float(turns), q, float(ratio),
-                     "boson_ghost" if ghost else "fermion", -2.0 if ghost else 1.0,
+                     mapped.out_family.value, mapped.multiplicity,
                      abs(float(turns) - probe.target)))
     extras = {"mode": args.mode, "target": probe.target,
               "limit_estimate": probe.limit_estimate, "notices": probe.notices}

@@ -1,4 +1,4 @@
-"""Small numerical helpers: Richardson extrapolation, regulator ladders, angle reduction."""
+"""Small numerical helpers: Richardson extrapolation, regulator ladders."""
 
 from __future__ import annotations
 
@@ -41,12 +41,4 @@ def geometric_regulators(eps_values: Sequence[float]) -> float:
     if any(abs(r / ratios[0] - 1.0) > 1e-9 for r in ratios):
         raise DomainError("regulator values must form a geometric progression")
     return ratios[0]
-
-
-def principal_angle(x: float) -> float:
-    """Reduce an angle in radians to the principal interval (-pi, pi]."""
-    y = math.remainder(x, TWO_PI)
-    if y <= -math.pi:
-        y += TWO_PI
-    return y
 

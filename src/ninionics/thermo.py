@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -225,40 +224,25 @@ def _half_line(fn: Callable[[float], float], tol: float) -> float:
     return val
 
 
-def _canonical_phase(phase_turns: Fraction) -> Fraction:
-    t = phase_turns % 1
-    return min(t, 1 - t)  # cos symmetry
-
-
 def _mode_integral(family: Family, phase_turns: Fraction, beta: float,
                    mass: float, mu_r: float, tol: float) -> float:
-    return _mode_integral_cached(family, _canonical_phase(phase_turns), beta,
-                                 mass, mu_r, tol)
-
-
-@lru_cache(maxsize=4096)
-def _mode_integral_cached(family: Family, phase_turns: Fraction, beta: float,
-                          mass: float, mu_r: float, tol: float) -> float:
     """Re of the per-mode momentum integral at one phase.
 
-    int (k_rho dk_rho / 2 pi) (dk_z / 2 pi) Re ln(1 -+ e^{-beta(omega - mu_r)} e^{i phi})
-    with omega = sqrt(k_rho^2 + k_z^2 + mass^2); the real part is
-    (1/2) ln(1 -+ 2 cos(phi) z + z^2), the conjugate-pair average.
+    int d^3k / (2 pi)^3 Re ln(1 -+ e^{-beta(omega - mu_r)} e^{i phi}) with
+    omega = sqrt(k^2 + mass^2). The integrand depends on k only through omega,
+    so this is the one radial integral (1/2 pi^2) int_0^inf k^2 dk
+    (1/2) ln(1 -+ 2 cos(phi) z + z^2), the real part being the conjugate-pair
+    average.
     """
     sign = 1.0 if family is Family.BOSE else -1.0
-    cos_phi = math.cos(2.0 * math.pi * float(phase_turns))
-    two_sc = 2.0 * sign * cos_phi
+    two_sc = 2.0 * sign * math.cos(2.0 * math.pi * float(phase_turns))
+    mass_sq = mass * mass
 
-    def log_term(w: float) -> float:
-        z = math.exp(-beta * (w - mu_r))
-        return 0.5 * math.log(1.0 - two_sc * z + z * z)
+    def radial(k: float) -> float:
+        z = math.exp(-beta * (math.sqrt(k * k + mass_sq) - mu_r))
+        return 0.5 * k * k * math.log(1.0 - two_sc * z + z * z)
 
-    def inner(k_rho: float) -> float:
-        rho_sq = k_rho * k_rho + mass * mass
-        return 2.0 * _half_line(
-            lambda kz: log_term(math.sqrt(rho_sq + kz * kz)), tol)
-
-    return _half_line(lambda k_rho: k_rho * inner(k_rho), tol) / (4.0 * PI_SQ)
+    return _half_line(radial, tol) / (2.0 * PI_SQ)
 
 
 def _check_convergence(spec: GasSpec) -> None:
@@ -280,17 +264,11 @@ def _phase_turns(spec: GasSpec, turns: Fraction, residue: int) -> Fraction:
 
 def _mode_table(spec: GasSpec, beta: float, turns: Fraction, tol: float) -> np.ndarray:
     """Per-residue momentum integrals, averaged over the r = +/-1 branches."""
-    q = turns.denominator
-    out = np.empty(q)
-    for a in range(q):
-        phase = _phase_turns(spec, turns, a)
-        if spec.mu == 0.0:
-            out[a] = _mode_integral(spec.family, phase, beta, spec.mass, 0.0, tol)
-        else:
-            out[a] = 0.5 * (
-                _mode_integral(spec.family, phase, beta, spec.mass, spec.mu, tol)
-                + _mode_integral(spec.family, phase, beta, spec.mass, -spec.mu, tol))
-    return out
+    branches = (spec.mu, -spec.mu) if spec.mu != 0.0 else (0.0,)
+    return np.array([
+        sum(_mode_integral(spec.family, _phase_turns(spec, turns, a), beta, spec.mass,
+                           mu_r, tol) for mu_r in branches) / len(branches)
+        for a in range(turns.denominator)])
 
 
 def _residue_weights(q: int, eps: float, m_cut: int) -> np.ndarray:
@@ -308,6 +286,28 @@ def required_m_cut(reg_eps: float) -> int:
     return int(math.ceil(-math.log(_TAIL_BOUND) / reg_eps)) + 1
 
 
+def _regulated_free_energies(spec: GasSpec, beta: float, chi: StatAngle,
+                             regulators: Sequence[tuple[float, int]],
+                             tol: float) -> list[float]:
+    """Free energies at each (reg_eps, m_cut) from one per-residue momentum table.
+
+    The momentum integrals do not depend on the regulator, so the table is
+    built once and only the residue-class weights are resummed per regulator.
+    """
+    _check_beta(beta)
+    for reg_eps, m_cut in regulators:
+        need = required_m_cut(reg_eps)
+        if m_cut < need:
+            raise DomainError(
+                f"m_cut={m_cut} leaves a regulator tail above 1e-12; need m_cut >= {need}")
+    _check_convergence(spec)
+    turns = _canonical_turns(spec, chi)
+    table = _mode_table(spec, beta, turns, tol)
+    scale = (1.0 if spec.family is Family.BOSE else -1.0) * spec.degeneracy / beta
+    return [scale * float(_residue_weights(turns.denominator, reg_eps, m_cut) @ table)
+            for reg_eps, m_cut in regulators]
+
+
 def free_energy_quadrature(spec: GasSpec, beta: float, chi: StatAngle,
                            m_cut: int, reg_eps: float,
                            inner_tol: float = DEFAULT_INNER_TOL) -> float:
@@ -315,23 +315,11 @@ def free_energy_quadrature(spec: GasSpec, beta: float, chi: StatAngle,
 
     The angular sum carries the regulator e^{-reg_eps |m|}, normalized to unit
     total weight and grouped exactly into the q residue classes of the phase;
-    each class's momentum integral is evaluated by nested adaptive quadrature
-    on [0,1) after the k = t/(1-t) map. The result converges to the closed
-    forms as reg_eps -> 0 and is this module's independent oracle.
+    each class's momentum integral is one adaptive radial quadrature on [0,1)
+    after the k = t/(1-t) map. The result converges to the closed forms as
+    reg_eps -> 0 and is this module's independent oracle.
     """
-    _check_beta(beta)
-    if reg_eps <= 0.0:
-        raise DomainError("reg_eps must be positive")
-    need = required_m_cut(reg_eps)
-    if m_cut < need:
-        raise DomainError(
-            f"m_cut={m_cut} leaves a regulator tail above 1e-12; need m_cut >= {need}")
-    _check_convergence(spec)
-    turns = _canonical_turns(spec, chi)
-    weights = _residue_weights(turns.denominator, reg_eps, m_cut)
-    table = _mode_table(spec, beta, turns, inner_tol)
-    sign = 1.0 if spec.family is Family.BOSE else -1.0
-    return sign * spec.degeneracy / beta * float(weights @ table)
+    return _regulated_free_energies(spec, beta, chi, [(reg_eps, m_cut)], inner_tol)[0]
 
 
 def free_energy_extrapolated(spec: GasSpec, beta: float, chi: StatAngle,
@@ -339,14 +327,12 @@ def free_energy_extrapolated(spec: GasSpec, beta: float, chi: StatAngle,
                              inner_tol: float = DEFAULT_INNER_TOL) -> float:
     """Regulator-extrapolated quadrature free energy (Richardson over eps).
 
-    The momentum integrals do not depend on the regulator, so they are reused
-    across the ladder; only the residue-class weights are resummed.
+    One call evaluates q momentum integrals (2q at mu != 0), once for the
+    whole ladder; each regulator only resums the residue-class weights.
     """
     ratio = geometric_regulators(eps_values)
-    samples = [
-        free_energy_quadrature(spec, beta, chi, required_m_cut(e), e, inner_tol)
-        for e in eps_values
-    ]
+    samples = _regulated_free_energies(
+        spec, beta, chi, [(e, required_m_cut(e)) for e in eps_values], inner_tol)
     return richardson_limit(samples, ratio)
 
 
@@ -379,10 +365,16 @@ class WallsOracle:
     """Independent per-mode evaluation of the rotating crossed-wall system.
 
     ``oracle`` composes the per-mode integral with the extrapolated odd-m
-    count and the ghost sign at the original inverse temperature. It does not
-    reproduce ``reported`` (the closed-form values quoted for this system);
-    the tension is analytic, so the relative deviation is part of the result
-    rather than an assertion.
+    count and the ghost sign at the original inverse temperature.
+    ``reported`` holds the closed-form values quoted for this system. The two
+    differ by a convention, and their ratio is exact:
+    oracle/reported = 14 = (7/8)/(1/16). On the odd m that the walls keep, a
+    half turn gives e^{i pi m} = -1, so every mode's logarithm takes the
+    fermionic form at beta and the oracle carries the fermionic 7/8 of the
+    scalar blackbody. The quoted -pi^2/1920 instead carries the 2^-4 of the
+    half-turn map to 2*beta. Both carry the odd-m count 1/4 and the ghost
+    sign, so ``relative_deviation`` is 13 up to the quadrature and
+    extrapolation errors.
     """
 
     per_mode_quadrature: float

@@ -120,6 +120,19 @@ class TestThermoCommand:
         row = read_csv(out)[0]
         assert float(row["beta4_f"]) == pytest.approx(-PI_SQ / 90.0, rel=1e-6)
 
+    @pytest.mark.parametrize("chi", ["1/2", "1/3"])
+    def test_methods_share_the_fermion_map(self, capsys, chi):
+        rows = {}
+        for method in ("closed", "quadrature"):
+            code, out, _ = run_cli(["thermo", "--family", "fermi", "--chi", chi,
+                                    "--degeneracy", "2", "--method", method], capsys)
+            assert code == 0
+            rows[method] = read_csv(out)[0]
+        closed, quad = rows["closed"], rows["quadrature"]
+        for key in ("q_effective", "out_family", "weight"):
+            assert closed[key] == quad[key]
+        assert float(quad["beta4_f"]) == pytest.approx(float(closed["beta4_f"]), rel=1e-5)
+
     def test_closed_form_rejects_massive(self, capsys):
         code, _, err = run_cli(
             ["thermo", "--family", "bose", "--chi", "1/2", "--mass", "1.0"], capsys)
