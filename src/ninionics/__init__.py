@@ -64,6 +64,7 @@ from .rotor import (
     generating_function,
     partition_rotwisted,
     shift_eigenphase_check,
+    zk_table,
 )
 from .thermo import (
     CrossedWalls,

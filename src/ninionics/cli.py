@@ -294,19 +294,14 @@ def _cmd_nogo(args) -> tuple[list[str], list[tuple], dict]:
 
 def _cmd_rotor(args) -> tuple[list[str], list[tuple], dict]:
     spec = rotor.RotorSpec(args.inertia, args.m_cut)
-    z0 = rotor.partition_rotwisted(spec, args.beta, 0.0, args.half_shift).real
     if args.table == "weights":
         weights = rotor.angular_distribution(spec, args.beta, half_shift=args.half_shift)
-        rows = sorted(weights.items())
-        return ["m", "weight"], rows, {"Z_0": z0}
-    n = args.chi_points
-    rows = []
-    for j in range(1, n + 1):
-        chi = -math.pi + 2.0 * math.pi * j / n  # grid over (-pi, pi]
-        z = rotor.partition_rotwisted(spec, args.beta, chi, args.half_shift)
-        k = rotor.generating_function(spec, args.beta, chi, args.half_shift)
-        rows.append((chi, z.real, z.imag, k.real, k.imag))
-    return ["chi", "z_real", "z_imag", "k_real", "k_imag"], rows, {"Z_0": z0}
+        fields, rows = ["m", "weight"], sorted(weights.items())
+    else:
+        fields = ["chi", "z_real", "z_imag", "k_real", "k_imag"]
+        rows = rotor.zk_table(spec, args.beta, args.chi_points, args.half_shift)
+    z0 = rotor.partition_rotwisted(spec, args.beta, 0.0, args.half_shift).real
+    return fields, rows, {"Z_0": z0}
 
 
 # -------------------------------------------------------------------- parser

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -261,6 +262,27 @@ class TestRotorCommand:
         assert code == 1
         assert "error[TruncationError]" in err
 
+    @pytest.mark.parametrize("argv", [["--inertia", "1e308", "--m-cut", "5"],
+                                      ["--beta", "1e-300"]])
+    def test_unreachable_truncation_bound(self, capsys, argv):
+        code, _, err = run_cli(["rotor", *argv], capsys)
+        assert code == 1
+        assert err.startswith("error[TruncationError]")
+        assert "no m_cut within the memory budget" in err
+        assert len(err) < 200
+
+    def test_oversized_request_is_refused(self, capsys):
+        code, _, err = run_cli(["rotor", "--m-cut", "1000000000"], capsys)
+        assert code == 1
+        assert re.match(r"error\[DomainError\]: .* needs an estimated [\d.e+]+ MiB", err)
+
+    def test_vanishing_partition_names_chi(self, capsys):
+        code, out, err = run_cli(
+            ["rotor", "--beta", "0.05", "--m-cut", "1000", "--chi-points", "2"], capsys)
+        assert code == 1
+        assert out == ""
+        assert "error[DomainError]: partition function vanishes at chi=3.14159" in err
+
 
 class TestDeterminism:
     def test_byte_identical_across_runs(self, capsys):
@@ -387,6 +409,7 @@ class TestOutputFile:
 def test_import_leaves_scipy_unloaded():
     code = ("import sys\n"
             "import ninionics.cli\n"
+            "print('numpy.fft' in sys.modules)\n"
             "print('scipy' in sys.modules)\n"
             "ninionics.cli.main(['thermo', '--method', 'quadrature', '--chi', '1/2'])\n"
             "print('scipy' in sys.modules)\n")
@@ -396,5 +419,6 @@ def test_import_leaves_scipy_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
     lines = out.stdout.splitlines()
-    assert lines[0] == "False"  # a fresh import of the CLI skips scipy
+    assert lines[0] == "False"  # a fresh import of the CLI skips the FFT
+    assert lines[1] == "False"  # and scipy
     assert lines[-1] == "True"  # the quadrature oracle loads it when it runs

@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from ninionics.rotor import (
     generating_function,
     partition_rotwisted,
     shift_eigenphase_check,
+    zk_table,
 )
 
 
@@ -114,6 +116,58 @@ class TestAngularDistribution:
         z0 = partition_rotwisted(spec, 1.0, 0.0).real
         for m, w in weights.items():
             assert abs(w - math.exp(-spec.energy(m)) / z0) < 1e-12
+
+    def test_large_cut_matches_boltzmann(self):
+        # 40001 levels: a dense inversion kernel would need tens of GB
+        spec = RotorSpec(1.0, 20000)
+        weights = angular_distribution(spec, 1.0)
+        m = np.arange(-20000, 20001)
+        boltzmann = np.exp(-m * m / 2.0)
+        z0 = math.fsum(boltzmann.tolist())
+        assert list(weights) == m.tolist()
+        err = np.max(np.abs(np.array(list(weights.values())) - boltzmann / z0))
+        assert err < 1e-12
+
+    def test_memory_is_linear_in_cut(self):
+        spec = RotorSpec(1.0, 1000)
+        tracemalloc.start()
+        try:
+            angular_distribution(spec, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
+
+    def test_oversized_request_refused_before_allocating(self):
+        spec = RotorSpec(1.0, 10 ** 9)  # about 15 GiB for the level array alone
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match=r"needs an estimated [\d.e+]+ MiB"):
+                angular_distribution(spec, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+
+
+class TestZkTable:
+    @pytest.mark.parametrize("half_shift", [False, True])
+    @pytest.mark.parametrize("n", [7, 64, 200])  # folded (n < 81) and unfolded
+    def test_matches_direct_sum(self, n, half_shift):
+        spec, beta = RotorSpec(1.0, 40), 0.6
+        rows = zk_table(spec, beta, n, half_shift)
+        z0 = direct_partition(spec, beta, 0.0).real
+        assert len(rows) == n
+        for j, (chi, z_re, z_im, k_re, k_im) in enumerate(rows, start=1):
+            assert chi == -math.pi + 2.0 * math.pi * j / n
+            z = direct_partition(spec, beta, chi, half_shift)
+            assert abs(complex(z_re, z_im) - z) < 1e-12
+            assert abs(complex(k_re, k_im) + cmath.log(z / z0)) < 1e-12
+            assert all(type(x) is float for x in (chi, z_re, z_im, k_re, k_im))
+
+    def test_vanishing_partition_names_chi(self):
+        with pytest.raises(DomainError, match=r"vanishes at chi=3\.14159"):
+            zk_table(RotorSpec(1.0, 1000), 0.05, 2)
 
 
 class TestGeneratingFunction:
