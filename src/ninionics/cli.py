@@ -22,7 +22,7 @@ from typing import Iterable
 
 from . import fractal, identities, rotor, thermo
 from .errors import DomainError
-from .occupation import Family, NinionParams, occupation_number
+from .occupation import Family, occupation_from_eps
 from .rationals import StatAngle, parse_turns, thomae
 from .thermo import GasSpec
 
@@ -169,12 +169,11 @@ def _cmd_identity(args) -> tuple[list[str], list[tuple], dict]:
     if args.p is not None or args.q is not None:
         if args.p is None or args.q is None:
             raise DomainError("--p and --q must be given together")
-        pairs = [(args.p, args.q)]
+        check = (identities.check_boson_identity if args.family == "bose"
+                 else identities.check_fermion_identity)
+        checks = [check(args.p, args.q, args.gamma)]
     else:
-        pairs = list(identities.coprime_fractions(args.q_max))
-    check = (identities.check_boson_identity if args.family == "bose"
-             else identities.check_fermion_identity)
-    checks = [check(p, q, args.gamma) for p, q in pairs]
+        checks = identities.scan_identity_residuals(args.family, args.q_max, args.gamma)
     rows = [(args.family, c.p, c.q, c.gamma, c.lhs, c.rhs, c.residual) for c in checks]
     max_residual = max(c.residual for c in checks)
     print(f"max residual over {len(checks)} fractions: {max_residual:.3e}",
@@ -255,16 +254,15 @@ def _cmd_occupation(args) -> tuple[list[str], list[tuple], dict]:
     for xi in args.xi:
         for i in range(args.omega_count):
             omega = args.omega_min + i * step
-            n = occupation_number(NinionParams(family, xi, args.beta, omega, args.mu))
+            n = occupation_from_eps(family, xi, args.beta * (omega - args.mu))
             rows.append((family.value, xi, omega, args.beta * omega, n))
     return ["family", "xi", "omega", "beta_omega", "occupation"], rows, {}
 
 
 def _cmd_scan(args) -> tuple[list[str], Iterable[tuple], dict]:
-    rows: Iterable[tuple] = fractal.iter_scan_rows(args.order, args.window)
-    if args.order <= fractal.STREAM_THRESHOLD:
-        rows = list(rows)  # materialize: output starts only after full success
-    return list(fractal.SCAN_FIELDS), rows, {"order": args.order}
+    # argparse has checked the order and the window, so the rows stream
+    return (list(fractal.SCAN_FIELDS), fractal.iter_scan_rows(args.order, args.window),
+            {"order": args.order})
 
 
 def _cmd_nogo(args) -> tuple[list[str], list[tuple], dict]:

@@ -33,8 +33,6 @@ __all__ = [
     "discontinuity_witness",
 ]
 
-STREAM_THRESHOLD = 10_000  # above this Farey order, consumers should iterate
-
 
 @dataclass(frozen=True)
 class FractalSample:

@@ -34,9 +34,13 @@ __all__ = [
     "shift_eigenphase_check",
     "TAIL_BOUND",
     "MEMORY_BUDGET",
+    "RATIO_FLOOR",
 ]
 
 TAIL_BOUND = 1e-14
+# Smallest |Z(chi)/Z(0)| at which K is reported. Z carries a rounding error of
+# about 1e-16 * Z(0), so K = -ln(Z/Z(0)) is good to about 1e-16 / RATIO_FLOOR.
+RATIO_FLOOR = 1e-10
 MEMORY_BUDGET = 2 ** 30  # bytes one request may allocate, arrays and Python results
 # Bytes per level and per grid point, rounded up from tracemalloc peaks: per
 # level the level, weight and bin arrays plus one weights-dict entry (about
@@ -153,9 +157,14 @@ def generating_function(spec: RotorSpec, beta: float, chi: float,
     """K = -ln(Z(beta, chi) / Z(beta, 0)), principal branch."""
     z0 = partition_rotwisted(spec, beta, 0.0, half_shift).real
     ratio = partition_rotwisted(spec, beta, chi, half_shift) / z0
-    if abs(ratio) < 1e-15:
-        raise DomainError(f"partition function vanishes at chi={chi!r}; K undefined there")
+    if abs(ratio) < RATIO_FLOOR:
+        raise _vanishing(chi, abs(ratio))
     return -cmath.log(ratio)
+
+
+def _vanishing(chi: float, ratio: float) -> DomainError:
+    return DomainError(f"partition function vanishes at chi={chi!r}: |Z/Z0| = {ratio:.3e} "
+                       f"is below the floor {RATIO_FLOOR:g}; K undefined there")
 
 
 def zk_table(spec: RotorSpec, beta: float, chi_points: int,
@@ -170,10 +179,10 @@ def zk_table(spec: RotorSpec, beta: float, chi_points: int,
     z0 = partition_rotwisted(spec, beta, 0.0, half_shift).real
     chis, z = _grid_partition(spec, beta, chi_points, half_shift)
     ratio = z / z0
-    vanishing = np.abs(ratio) < 1e-15
+    vanishing = np.abs(ratio) < RATIO_FLOOR
     if vanishing.any():
-        chi = chis[int(np.argmax(vanishing))].item()
-        raise DomainError(f"partition function vanishes at chi={chi!r}; K undefined there")
+        j = int(np.argmax(vanishing))
+        raise _vanishing(chis[j].item(), abs(ratio[j]).item())
     k = -np.log(ratio)
     return list(zip(chis.tolist(), z.real.tolist(), z.imag.tolist(),
                     k.real.tolist(), k.imag.tolist()))

@@ -286,26 +286,13 @@ def required_m_cut(reg_eps: float) -> int:
     return int(math.ceil(-math.log(_TAIL_BOUND) / reg_eps)) + 1
 
 
-def _regulated_free_energies(spec: GasSpec, beta: float, chi: StatAngle,
-                             regulators: Sequence[tuple[float, int]],
-                             tol: float) -> list[float]:
-    """Free energies at each (reg_eps, m_cut) from one per-residue momentum table.
-
-    The momentum integrals do not depend on the regulator, so the table is
-    built once and only the residue-class weights are resummed per regulator.
-    """
+def _oracle_table(spec: GasSpec, beta: float, chi: StatAngle,
+                  tol: float) -> tuple[np.ndarray, float]:
+    """Checked per-residue momentum table and its prefactor sign * degeneracy / beta."""
     _check_beta(beta)
-    for reg_eps, m_cut in regulators:
-        need = required_m_cut(reg_eps)
-        if m_cut < need:
-            raise DomainError(
-                f"m_cut={m_cut} leaves a regulator tail above 1e-12; need m_cut >= {need}")
     _check_convergence(spec)
-    turns = _canonical_turns(spec, chi)
-    table = _mode_table(spec, beta, turns, tol)
-    scale = (1.0 if spec.family is Family.BOSE else -1.0) * spec.degeneracy / beta
-    return [scale * float(_residue_weights(turns.denominator, reg_eps, m_cut) @ table)
-            for reg_eps, m_cut in regulators]
+    table = _mode_table(spec, beta, _canonical_turns(spec, chi), tol)
+    return table, (1.0 if spec.family is Family.BOSE else -1.0) * spec.degeneracy / beta
 
 
 def free_energy_quadrature(spec: GasSpec, beta: float, chi: StatAngle,
@@ -316,24 +303,29 @@ def free_energy_quadrature(spec: GasSpec, beta: float, chi: StatAngle,
     The angular sum carries the regulator e^{-reg_eps |m|}, normalized to unit
     total weight and grouped exactly into the q residue classes of the phase;
     each class's momentum integral is one adaptive radial quadrature on [0,1)
-    after the k = t/(1-t) map. The result converges to the closed forms as
-    reg_eps -> 0 and is this module's independent oracle.
+    after the k = t/(1-t) map. The result converges to free_energy_extrapolated
+    as reg_eps -> 0.
     """
-    return _regulated_free_energies(spec, beta, chi, [(reg_eps, m_cut)], inner_tol)[0]
+    need = required_m_cut(reg_eps)
+    if m_cut < need:
+        raise DomainError(
+            f"m_cut={m_cut} leaves a regulator tail above 1e-12; need m_cut >= {need}")
+    table, scale = _oracle_table(spec, beta, chi, inner_tol)
+    return scale * float(_residue_weights(len(table), reg_eps, m_cut) @ table)
 
 
 def free_energy_extrapolated(spec: GasSpec, beta: float, chi: StatAngle,
-                             eps_values: Sequence[float] = DEFAULT_REGULATORS,
                              inner_tol: float = DEFAULT_INNER_TOL) -> float:
-    """Regulator-extrapolated quadrature free energy (Richardson over eps).
+    """The reg_eps -> 0 limit of free_energy_quadrature, taken exactly.
 
-    One call evaluates q momentum integrals (2q at mu != 0), once for the
-    whole ladder; each regulator only resums the residue-class weights.
+    Every residue-class weight tends to the regularized count 1/q (the largest
+    deviation at small q * reg_eps is (q^2 - 1) reg_eps^2 / (12 q)), so the
+    limit is the mean of the q per-residue momentum integrals, each averaged
+    over the two branches at mu != 0. This is the module's independent oracle:
+    it uses no polylogarithm and no phase-sum identity.
     """
-    ratio = geometric_regulators(eps_values)
-    samples = _regulated_free_energies(
-        spec, beta, chi, [(e, required_m_cut(e)) for e in eps_values], inner_tol)
-    return richardson_limit(samples, ratio)
+    table, scale = _oracle_table(spec, beta, chi, inner_tol)
+    return scale * float(np.mean(table))
 
 
 # ----------------------------------------------------------------------------

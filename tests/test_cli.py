@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from ninionics import fractal
+from ninionics import fractal, rotor
 from ninionics.cli import main, parse_angle
 from ninionics.errors import DomainError
 
@@ -283,6 +283,16 @@ class TestRotorCommand:
         assert out == ""
         assert "error[DomainError]: partition function vanishes at chi=3.14159" in err
 
+    def test_ratio_below_rounding_floor_is_refused(self, capsys):
+        # |Z(pi)/Z(0)| = 2.4e-14 here, within a few hundred ulps of Z(0): K(pi) would
+        # carry an error of about 2e-3, so it is refused rather than printed
+        code, out, err = run_cli(
+            ["rotor", "--beta", "0.154", "--m-cut", "200", "--chi-points", "2"], capsys)
+        assert code == 1
+        assert out == ""
+        assert "error[DomainError]: partition function vanishes at chi=3.14159" in err
+        assert f"below the floor {rotor.RATIO_FLOOR:g}" in err
+
 
 class TestDeterminism:
     def test_byte_identical_across_runs(self, capsys):
@@ -346,7 +356,8 @@ class TestOutputFile:
         assert err.startswith("error[FileNotFoundError]: cannot write ")
         assert "Traceback" not in err
 
-    def test_failed_streamed_scan_leaves_no_file(self, capsys, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("order", ["10001", "3"])  # every scan streams
+    def test_failed_streamed_scan_leaves_no_file(self, capsys, tmp_path, monkeypatch, order):
         real_rows = fractal.iter_scan_rows
 
         def failing_rows(order, window):
@@ -354,7 +365,6 @@ class TestOutputFile:
             raise DomainError("injected failure mid-stream")
 
         monkeypatch.setattr(fractal, "iter_scan_rows", failing_rows)
-        order = str(fractal.STREAM_THRESHOLD + 1)  # above the threshold rows stream
         fresh, kept = tmp_path / "fresh.csv", tmp_path / "kept.csv"
         kept.write_text("previous\n")
         for target in (fresh, kept):

@@ -264,9 +264,63 @@ class TestQuadratureOracle:
             calls.clear()
             free_energy_extrapolated(spec, 1.0, StatAngle.from_fraction(2, q))
             work.append(len(calls))
-        # three regulators, one table: at most one integral per residue and branch
+        # one table per call: at most one integral per residue and branch
         assert work[0] == work[1]
         assert 0 < work[0] <= (2 * q if mu else q)
+
+
+def _bessel_free_energy(family, beta, mass, mu, terms=40):
+    """Non-rotating per-dof f(beta) = -(M^2 / 2 pi^2 beta^2) sum_n (+-1)^(n+1) K_2(n beta M)
+    cosh(n beta mu) / n^2, the branch-averaged Boltzmann series; no quadrature."""
+    from scipy.special import kn
+
+    sign = 1.0 if family is Family.BOSE else -1.0
+    total = math.fsum(sign ** (n + 1) * kn(2, n * beta * mass) * math.cosh(n * beta * mu) / n ** 2
+                      for n in range(1, terms + 1))
+    return -mass ** 2 * total / (2.0 * PI_SQ * beta ** 2)
+
+
+class TestRegulatorLimit:
+    """The oracle maps the gas rotated by p/q onto the non-rotating gas at q*beta
+    past q ~ 11, where a regulator ladder at eps >= 1e-4 no longer converges."""
+
+    def test_massless_bose_one_over_23(self):
+        f = free_energy_extrapolated(GasSpec(Family.BOSE), 1.0, StatAngle.from_fraction(1, 23),
+                                     inner_tol=QUAD_TOL)
+        assert abs(f / blackbody_scalar(23.0).f - 1.0) < 1e-6
+
+    def test_massive_bose_one_over_12(self):
+        spec = GasSpec(Family.BOSE, mass=0.5, mu=0.2)
+        f = free_energy_extrapolated(spec, 1.0, StatAngle.from_fraction(1, 12),
+                                     inner_tol=QUAD_TOL)
+        assert abs(f / _bessel_free_energy(Family.BOSE, 12.0, 0.5, 0.2) - 1.0) < 1e-6
+
+    def test_massive_fermi_ghost_one_over_11(self):
+        # p + q even: the fermion maps onto a per-dof bosonic ghost at 11 beta
+        spec = GasSpec(Family.FERMI, mass=1.0, mu=0.5)
+        f = free_energy_extrapolated(spec, 1.0, StatAngle.from_fraction(1, 11),
+                                     inner_tol=QUAD_TOL)
+        assert abs(f / -_bessel_free_energy(Family.BOSE, 11.0, 1.0, 0.5) - 1.0) < 1e-6
+
+    @pytest.mark.parametrize("p", [1, 2, 39, 51, 100])
+    def test_massless_bose_over_101(self, p):
+        f = free_energy_extrapolated(GasSpec(Family.BOSE), 1.0, StatAngle.from_fraction(p, 101))
+        assert abs(f / blackbody_scalar(101.0).f - 1.0) < 1e-5
+
+    def test_bessel_reference_massless_limit(self):
+        # the reference itself: K_2(x) ~ 2/x^2 recovers -pi^2/90 as M -> 0
+        bose = _bessel_free_energy(Family.BOSE, 1.0, 1e-6, 0.0, terms=2000)
+        fermi = _bessel_free_energy(Family.FERMI, 1.0, 1e-6, 0.0, terms=2000)
+        assert bose == pytest.approx(-PI_SQ / 90.0, rel=1e-9)
+        assert fermi == pytest.approx(-7.0 * PI_SQ / 720.0, rel=1e-9)
+
+    @pytest.mark.parametrize("q", [1, 2, 3, 7, 13, 101])
+    @pytest.mark.parametrize("eps", thermo.DEFAULT_REGULATORS)
+    def test_residue_weights_tend_to_one_over_q(self, q, eps):
+        # brute-force sum over |m| <= m_cut: the limit the oracle takes exactly
+        weights = thermo._residue_weights(q, eps, required_m_cut(eps))
+        assert len(weights) == q
+        assert max(abs(w - 1.0 / q) for w in weights) <= q * eps ** 2
 
 
 class TestOddCount:
