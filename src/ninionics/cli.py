@@ -77,6 +77,13 @@ def _positive_int(text: str) -> int:
     return n
 
 
+def _grid_count(text: str) -> int:
+    n = int(text)
+    if n < 2:
+        raise argparse.ArgumentTypeError(f"{text!r} must be an integer of at least 2")
+    return n
+
+
 def _fraction(text: str) -> Fraction:
     try:
         return Fraction(text.strip())
@@ -166,9 +173,7 @@ def _cmd_thomae(args) -> tuple[list[str], list[tuple], dict]:
 
 
 def _cmd_identity(args) -> tuple[list[str], list[tuple], dict]:
-    if args.p is not None or args.q is not None:
-        if args.p is None or args.q is None:
-            raise DomainError("--p and --q must be given together")
+    if args.p is not None:  # main has checked that --p and --q come together
         check = (identities.check_boson_identity if args.family == "bose"
                  else identities.check_fermion_identity)
         checks = [check(args.p, args.q, args.gamma)]
@@ -247,8 +252,6 @@ def _cmd_walls(args) -> tuple[list[str], list[tuple], dict]:
 
 def _cmd_occupation(args) -> tuple[list[str], list[tuple], dict]:
     family = Family(args.family)
-    if args.omega_count < 2:
-        raise DomainError("need at least two omega grid points")
     step = (args.omega_max - args.omega_min) / (args.omega_count - 1)
     rows = []
     for xi in args.xi:
@@ -365,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", type=_finite_float, default=0.0)
     p.add_argument("--omega-min", type=_finite_float, default=0.05)
     p.add_argument("--omega-max", type=_finite_float, default=5.0)
-    p.add_argument("--omega-count", type=_positive_int, default=100)
+    p.add_argument("--omega-count", type=_grid_count, default=100)
     p.set_defaults(handler=_cmd_occupation)
     common(p)
 
@@ -402,7 +405,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "identity" and (args.p is None) != (args.q is None):
+        parser.error("--p and --q must be given together")
     try:
         fieldnames, rows, extras = args.handler(args)
         try:

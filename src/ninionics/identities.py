@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
 from .errors import DomainError
-from .numerics import geometric_regulators, richardson_limit
 
 __all__ = [
     "GAMMA_FLOOR",
@@ -39,6 +38,7 @@ __all__ = [
 GAMMA_FLOOR = 1e-6
 
 _IMAG_TOL = 1e-13
+_LIMIT_Q_EPS = 1e-6  # q * eps at which regularized_count_limit takes the ratio
 
 
 @dataclass(frozen=True)
@@ -154,24 +154,24 @@ def scan_identity_residuals(family: str, q_max: int, gamma: float) -> list[Ident
 def regularized_count_ratio(q: int, eps: float) -> float:
     """S(q eps) / S(eps) for S(eps) = sum over all integers m of e^{-eps |m|}.
 
-    S has the closed form (1 + e^{-eps}) / (1 - e^{-eps}); the eps -> 0 limit
-    of the ratio is 1/q, the regularized relative count of an arithmetic
-    subsequence of angular momenta with step q.
+    S has the closed form (1 + e^{-eps}) / (1 - e^{-eps}) = coth(eps/2), so the
+    ratio is tanh(eps/2) / tanh(q eps/2), which has no cancellation at small
+    eps. Its eps -> 0 limit is 1/q, the regularized relative count of an
+    arithmetic subsequence of angular momenta with step q.
     """
     if q < 1:
         raise DomainError("q must be a positive integer")
-    if eps <= 0.0:
+    if not eps > 0.0:
         raise DomainError("regulator eps must be positive")
-
-    def geometric_total(e: float) -> float:
-        x = math.exp(-e)
-        return (1.0 + x) / (1.0 - x)
-
-    return geometric_total(q * eps) / geometric_total(eps)
+    return math.tanh(0.5 * eps) / math.tanh(0.5 * q * eps)
 
 
-def regularized_count_limit(q: int, eps_values: Sequence[float] = (1e-2, 1e-3, 1e-4)) -> float:
-    """Richardson-extrapolated eps -> 0 limit of S(q eps)/S(eps); equals 1/q."""
-    ratio = geometric_regulators(eps_values)
-    samples = [regularized_count_ratio(q, e) for e in eps_values]
-    return richardson_limit(samples, ratio)
+def regularized_count_limit(q: int) -> float:
+    """The eps -> 0 limit 1/q of S(q eps)/S(eps), reached to rounding.
+
+    The ratio exceeds 1/q by (q^2 - 1) eps^2 / (12 q); at q eps = 1e-6 that is
+    below 1e-13 relative for every q.
+    """
+    if q < 1:
+        raise DomainError("q must be a positive integer")
+    return regularized_count_ratio(q, _LIMIT_Q_EPS / q)

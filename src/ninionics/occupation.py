@@ -20,7 +20,6 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple
 
 from .errors import DomainError, PoleError
-from .numerics import TWO_PI
 from .rationals import StatAngle
 
 __all__ = [
@@ -98,7 +97,7 @@ def xi_of(m: int, chi: StatAngle, family: Family) -> XiValue:
     mult = Fraction(m) if family is Family.BOSE else Fraction(2 * m + 1, 2)
     turns = mult * chi.turns
     canonical_turns = Fraction(1, 2) - (Fraction(1, 2) - turns) % 1  # in (-1/2, 1/2]
-    return XiValue(TWO_PI * float(turns), TWO_PI * float(canonical_turns), turns)
+    return XiValue(math.tau * float(turns), math.tau * float(canonical_turns), turns)
 
 
 def occupation_from_eps(family: Family, xi: float, eps: float) -> float:

@@ -14,7 +14,6 @@ from fractions import Fraction
 from typing import Iterator
 
 from .errors import DomainError
-from .numerics import TWO_PI
 
 __all__ = [
     "ReducedFraction",
@@ -226,7 +225,7 @@ class StatAngle:
 
     @property
     def chi_radians(self) -> float:
-        return TWO_PI * float(self.turns)
+        return math.tau * float(self.turns)
 
     @property
     def denominator(self) -> int:
@@ -246,7 +245,7 @@ class StatAngle:
 
     @classmethod
     def from_radians(cls, chi: float, q_max: int = 10 ** 6) -> "StatAngle":
-        return cls(approximate_rational(chi / TWO_PI, q_max))
+        return cls(approximate_rational(chi / math.tau, q_max))
 
     @classmethod
     def from_turns(cls, turns: Fraction | float, q_max: int = 10 ** 6) -> "StatAngle":

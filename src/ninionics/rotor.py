@@ -59,7 +59,7 @@ class RotorSpec:
     m_cut: int = 50
 
     def __post_init__(self) -> None:
-        if self.inertia <= 0.0:
+        if not self.inertia > 0.0:
             raise DomainError("inertia must be positive")
         if self.m_cut < 1:
             raise DomainError("m_cut must be >= 1")
@@ -79,7 +79,7 @@ def _check_request(spec: RotorSpec, beta: float, grid_points: int = 0) -> None:
             f"m_cut={spec.m_cut} with {grid_points} grid points needs an estimated "
             f"{need_bytes / 2 ** 20:.4g} MiB, over the {MEMORY_BUDGET / 2 ** 20:g} MiB "
             f"rotor memory budget (ninionics.rotor.MEMORY_BUDGET)")
-    if beta <= 0.0:
+    if not beta > 0.0:
         raise DomainError("beta must be positive")
     tail = math.exp(-beta * spec.energy(spec.m_cut))
     if tail >= TAIL_BOUND:

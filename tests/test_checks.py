@@ -1,0 +1,36 @@
+"""Rules that every check at the library boundary keeps."""
+
+import ast
+import math
+from pathlib import Path
+
+import pytest
+
+import ninionics
+from ninionics import identities, rotor, thermo
+from ninionics.errors import DomainError
+
+
+@pytest.mark.parametrize("call", [
+    lambda: thermo.blackbody_scalar(math.nan),
+    lambda: thermo.GasSpec(mass=math.nan),
+    lambda: thermo.GasSpec(degeneracy=math.nan),
+    lambda: thermo.required_m_cut(math.nan),
+    lambda: thermo.odd_count_ratio(math.nan),
+    lambda: identities.regularized_count_ratio(2, math.nan),
+    lambda: rotor.RotorSpec(math.nan, 5),
+    lambda: rotor.angular_distribution(rotor.RotorSpec(1.0, 5), math.nan),
+], ids=["beta", "mass", "degeneracy", "required_m_cut", "odd_count_ratio",
+        "regularized_count_ratio", "inertia", "rotor_beta"])
+def test_nan_is_a_domain_error(call):
+    with pytest.raises(DomainError):
+        call()
+
+
+@pytest.mark.parametrize("path", sorted(Path(ninionics.__file__).parent.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_check_lives_in_an_assert(path):
+    # python -O strips assert statements, so a check written as one vanishes
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert lines == [], f"{path.name} has assert statements at lines {lines}"

@@ -336,6 +336,20 @@ class TestUsageErrors:
             main(["thermo", "--chi", "1/2", "--beta", "-2"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv,flag", [
+        (["occupation", "--family", "bose", "--xi", "0", "--omega-count", "1"],
+         "--omega-count"),
+        (["identity", "--family", "bose", "--gamma", "1", "--p", "1"], "--q"),
+        (["identity", "--family", "bose", "--gamma", "1", "--q", "3"], "--p"),
+    ], ids=["one-omega-point", "p-without-q", "q-without-p"])
+    def test_incomplete_request_is_usage_error(self, capsys, argv, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert flag in err
+        assert "error[" not in err
+
     @pytest.mark.parametrize("flag,command", [("--chi", "thermo"), ("--fraction", "thomae")])
     @pytest.mark.parametrize("text", ["abc", "1/x", "1/0", "1.5/2"])
     def test_bad_turns_are_usage_errors(self, capsys, flag, command, text):

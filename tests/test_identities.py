@@ -205,9 +205,21 @@ class TestRegularizedCount:
         with pytest.raises(DomainError):
             regularized_count_ratio(2, -1.0)
 
-    def test_non_geometric_ladder_rejected(self):
+    @pytest.mark.parametrize("q", [2, 7, 101, 1000, 10 ** 6])
+    def test_limit_to_rounding_at_large_q(self, q):
+        assert abs(regularized_count_limit(q) * q - 1.0) <= 1e-12
+
+    def test_limit_rejects_q_zero(self):
         with pytest.raises(DomainError):
-            regularized_count_limit(2, (1e-2, 1e-3, 1e-3))
+            regularized_count_limit(0)
+
+    @pytest.mark.parametrize("eps", [1e-6, 1e-8])
+    def test_ratio_free_of_cancellation(self, eps):
+        # S(2 eps)/S(eps) = (1 + x^2)/(1 + x)^2 with x = e^{-eps}: no 1 - x anywhere
+        x = math.exp(-eps)
+        ratio = regularized_count_ratio(2, eps)
+        assert ratio == pytest.approx(math.tanh(eps / 2) / math.tanh(eps), rel=1e-14)
+        assert ratio == pytest.approx((1.0 + x * x) / (1.0 + x) ** 2, rel=1e-14)
 
 
 @given(st.integers(1, 40), st.floats(0.05, 8.0))

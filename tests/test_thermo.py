@@ -332,6 +332,19 @@ class TestOddCount:
     def test_limit_quarter(self):
         assert odd_count_limit() == pytest.approx(0.25, abs=1e-6)
 
+    def test_limit_to_rounding(self):
+        assert abs(odd_count_limit() - 0.25) <= 1e-12
+
+    def test_direct_sum(self):
+        eps, m_cut = 0.01, 20_000
+        odd = math.fsum(math.exp(-eps * m) for m in range(1, m_cut + 1, 2))
+        total = math.fsum(math.exp(-eps * abs(m)) for m in range(-m_cut, m_cut + 1))
+        assert odd_count_ratio(eps) == pytest.approx(odd / total, rel=1e-12)
+
+    def test_huge_eps_underflows_to_zero(self):
+        # the 1/(4 cosh^2(eps/2)) form would overflow in math.cosh here
+        assert odd_count_ratio(2000.0) == 0.0
+
     def test_monotone_to_limit(self):
         values = [odd_count_ratio(e) for e in (8.0, 4.0, 2.0, 1.0, 0.5, 0.1, 1e-3)]
         assert all(a < b for a, b in zip(values, values[1:]))
