@@ -225,6 +225,12 @@ def _cmd_thermo(args) -> tuple[list[str], list[tuple], dict]:
         f = base.f * weight
     else:
         spec = GasSpec(family, args.mass, args.mu, args.degeneracy)
+        rows = thermo.quadrature_rows(spec, angle)
+        if rows > thermo.QUADRATURE_ROW_BUDGET:
+            raise DomainError(
+                f"quadrature needs {rows} rows, one per residue and mu branch, over the "
+                f"budget of {thermo.QUADRATURE_ROW_BUDGET} rows "
+                f"(ninionics.thermo.QUADRATURE_ROW_BUDGET)")
         f = thermo.free_energy_extrapolated(spec, beta, angle, inner_tol=args.inner_tol)
     row = _thermo_row(family, args.method, beta, turns, q, out_family, weight,
                       f, args.mass == 0.0)

@@ -14,13 +14,14 @@ from ninionics.errors import DomainError
 @pytest.mark.parametrize("call", [
     lambda: thermo.blackbody_scalar(math.nan),
     lambda: thermo.GasSpec(mass=math.nan),
+    lambda: thermo.GasSpec(mu=math.nan),
     lambda: thermo.GasSpec(degeneracy=math.nan),
     lambda: thermo.required_m_cut(math.nan),
     lambda: thermo.odd_count_ratio(math.nan),
     lambda: identities.regularized_count_ratio(2, math.nan),
     lambda: rotor.RotorSpec(math.nan, 5),
     lambda: rotor.angular_distribution(rotor.RotorSpec(1.0, 5), math.nan),
-], ids=["beta", "mass", "degeneracy", "required_m_cut", "odd_count_ratio",
+], ids=["beta", "mass", "mu", "degeneracy", "required_m_cut", "odd_count_ratio",
         "regularized_count_ratio", "inertia", "rotor_beta"])
 def test_nan_is_a_domain_error(call):
     with pytest.raises(DomainError):
@@ -34,3 +35,16 @@ def test_no_check_lives_in_an_assert(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert lines == [], f"{path.name} has assert statements at lines {lines}"
+
+
+@pytest.mark.parametrize("path", sorted(Path(ninionics.__file__).parent.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_module_imports_scipy(path):
+    # numpy is the one runtime dependency; scipy comes only with the test extra
+    tree = ast.parse(path.read_text(), filename=str(path))
+    names = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+             for alias in node.names]
+    names += [node.module for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom) and node.module]
+    found = [name for name in names if name.split(".")[0] == "scipy"]
+    assert found == [], f"{path.name} imports {found}"

@@ -7,11 +7,12 @@ import re
 import stat
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from ninionics import fractal, rotor
+from ninionics import fractal, rotor, thermo
 from ninionics.cli import main, parse_angle
 from ninionics.errors import DomainError
 
@@ -139,6 +140,25 @@ class TestThermoCommand:
             ["thermo", "--family", "bose", "--chi", "1/2", "--mass", "1.0"], capsys)
         assert code == 1
         assert "error[DomainError]" in err
+
+    def test_oversized_quadrature_is_refused_before_any_integral(self, capsys, monkeypatch):
+        def no_integral(*args):
+            raise AssertionError("the oracle integrated rows of a refused request")
+
+        monkeypatch.setattr(thermo, "_exp_sinh", no_integral)
+        start = time.perf_counter()
+        code, out, err = run_cli(["thermo", "--method", "quadrature", "--chi", "1/999983"],
+                                 capsys)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (1, "")
+        assert err.startswith("error[DomainError]: quadrature needs 999983 rows, one per "
+                              "residue and mu branch, over the budget of "
+                              f"{thermo.QUADRATURE_ROW_BUDGET} rows")
+
+    def test_ten_thousand_residues_fit_the_budget(self, capsys):
+        code, out, _ = run_cli(["thermo", "--method", "quadrature", "--chi", "0.7071"], capsys)
+        assert code == 0
+        assert read_csv(out)[0]["chi_den"] == "10000"
 
 
 class TestWallsCommand:
@@ -436,6 +456,7 @@ def test_import_leaves_scipy_unloaded():
             "print('numpy.fft' in sys.modules)\n"
             "print('scipy' in sys.modules)\n"
             "ninionics.cli.main(['thermo', '--method', 'quadrature', '--chi', '1/2'])\n"
+            "ninionics.cli.main(['walls', '--rotating'])\n"
             "print('scipy' in sys.modules)\n")
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ,
@@ -445,4 +466,4 @@ def test_import_leaves_scipy_unloaded():
     lines = out.stdout.splitlines()
     assert lines[0] == "False"  # a fresh import of the CLI skips the FFT
     assert lines[1] == "False"  # and scipy
-    assert lines[-1] == "True"  # the quadrature oracle loads it when it runs
+    assert lines[-1] == "False"  # and so does the quadrature oracle: it is numpy only

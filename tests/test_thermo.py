@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -208,6 +209,11 @@ class TestQuadratureOracle:
             free_energy_quadrature(spec, 1.0, StatAngle.from_fraction(1, 2),
                                    need - 1, 1e-2)
 
+    def test_subnormal_regulator_is_a_domain_error(self):
+        # -ln(1e-12) / 1e-320 overflows to inf before any cap could be built
+        with pytest.raises(DomainError, match="reg_eps=1e-320 is too small"):
+            required_m_cut(1e-320)
+
     def test_bad_regulator(self):
         with pytest.raises(DomainError):
             free_energy_quadrature(GasSpec(), 1.0, StatAngle.from_fraction(0, 1),
@@ -247,26 +253,67 @@ class TestQuadratureOracle:
             got = thermo._mode_integral(family, turns, 1.0, 0.0, 0.0, QUAD_TOL)
             assert got == pytest.approx(-clausen / PI_SQ, rel=1e-10), (a, q)
 
+    @pytest.mark.parametrize("family", [Family.BOSE, Family.FERMI])
+    @pytest.mark.parametrize("q", [7, 64])
+    @pytest.mark.parametrize("tol", [thermo.DEFAULT_INNER_TOL, QUAD_TOL])
+    def test_error_estimate_bounds_the_per_mode_error(self, family, q, tol):
+        # massless, beta = 1: -(1/pi^2) sum_n cos(2 pi n t)/n^4 at t turns is
+        # -pi^2 (1/90 - t^2/3 + 2 t^3/3 - t^4/3) on [0, 1], exact up to one rounding
+        table, error = thermo._mode_table(GasSpec(family), 1.0, Fraction(1, q), tol)
+        for a in range(q):
+            t = Fraction(a, q) if family is Family.BOSE else Fraction(2 * a + 1, 2 * q)
+            if family is Family.FERMI:
+                t = (t + Fraction(1, 2)) % 1
+            exact = -PI_SQ * float(Fraction(1, 90) - t ** 2 / 3 + 2 * t ** 3 / 3 - t ** 4 / 3)
+            assert abs(table[a] - exact) <= error[a] + 4e-16 * abs(exact), (a, q)
+            assert error[a] <= tol, (a, q)
+
     @pytest.mark.parametrize("mu", [0.0, 0.5])
     def test_one_integral_per_residue_and_branch(self, monkeypatch, mu):
-        calls = []
-        half_line = thermo._half_line
+        rows = []
+        exp_sinh = thermo._exp_sinh
 
-        def counting(fn, tol):
-            calls.append(tol)
-            return half_line(fn, tol)
+        def counting(tol, x0, *rest):
+            rows.append(len(x0))
+            return exp_sinh(tol, x0, *rest)
 
-        monkeypatch.setattr(thermo, "_half_line", counting)
+        monkeypatch.setattr(thermo, "_exp_sinh", counting)
         spec = GasSpec(Family.FERMI, mass=1.0, mu=mu)
-        q = 13
-        work = []
-        for _ in range(2):  # a repeated call must redo the work: no hidden cache
-            calls.clear()
-            free_energy_extrapolated(spec, 1.0, StatAngle.from_fraction(2, q))
-            work.append(len(calls))
-        # one table per call: at most one integral per residue and branch
-        assert work[0] == work[1]
-        assert 0 < work[0] <= (2 * q if mu else q)
+        for q in (13, 301):  # one chunk of rows, and several
+            chi = StatAngle.from_fraction(2, q)
+            work = []
+            for _ in range(2):  # a repeated call must redo the work: no hidden cache
+                rows.clear()
+                free_energy_extrapolated(spec, 1.0, chi)
+                work.append(sum(rows))
+            # one table per call: one row per residue and branch, in bounded chunks
+            assert work == [2 * q if mu else q] * 2
+            assert work[0] == thermo.quadrature_rows(spec, chi)
+            assert max(rows) <= thermo._DE_CHUNK_ROWS
+
+    def test_memory_bounded_at_large_q(self):
+        tracemalloc.start()
+        try:
+            free_energy_extrapolated(GasSpec(Family.BOSE), 1.0, StatAngle.from_fraction(1, 10_000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2 ** 20
+
+    def test_huge_mass_gives_zero_without_overflow(self):
+        # (beta M)^2 overflows a float; every Boltzmann factor underflows to 0
+        f = free_energy_extrapolated(GasSpec(Family.BOSE, mass=1e200), 1.0,
+                                     StatAngle.from_fraction(1, 2))
+        assert f == 0.0
+
+    def test_degenerate_fermi_sea(self):
+        # massless fermion at mu = 30 beta^-1: z = e^{mu - omega} reaches e^30; the
+        # branch average of the pressure is 7 pi^2/720 + mu^2/24 + mu^4/(48 pi^2)
+        mu = 30.0
+        f = free_energy_extrapolated(GasSpec(Family.FERMI, mu=mu), 1.0,
+                                     StatAngle.from_fraction(0, 1))
+        assert f == pytest.approx(-(7.0 * PI_SQ / 720.0 + mu ** 2 / 24.0
+                                    + mu ** 4 / (48.0 * PI_SQ)), rel=1e-12)
 
 
 def _bessel_free_energy(family, beta, mass, mu, terms=40):
@@ -306,6 +353,13 @@ class TestRegulatorLimit:
     def test_massless_bose_over_101(self, p):
         f = free_energy_extrapolated(GasSpec(Family.BOSE), 1.0, StatAngle.from_fraction(p, 101))
         assert abs(f / blackbody_scalar(101.0).f - 1.0) < 1e-5
+
+    @pytest.mark.parametrize("p", [1, 2, 39, 51, 100])
+    def test_massless_bose_over_101_at_default_tol(self, p):
+        # f(101 beta) is about 1e-8 of the per-mode integrals it averages, so a
+        # rounding error of 1e-16 in each is a relative 1e-8 here
+        f = free_energy_extrapolated(GasSpec(Family.BOSE), 1.0, StatAngle.from_fraction(p, 101))
+        assert abs(f / blackbody_scalar(101.0).f - 1.0) < 1e-7
 
     def test_bessel_reference_massless_limit(self):
         # the reference itself: K_2(x) ~ 2/x^2 recovers -pi^2/90 as M -> 0
