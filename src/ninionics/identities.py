@@ -29,6 +29,7 @@ __all__ = [
     "fermion_identity_residual",
     "check_fermion_identity",
     "coprime_fractions",
+    "residue_phases",
     "scan_identity_residuals",
     "regularized_count_ratio",
     "regularized_count_limit",
@@ -79,6 +80,28 @@ def _real_part(terms: np.ndarray) -> float:
     return float(total.real)
 
 
+def residue_phases(family: str, p: int, q: int) -> tuple[np.ndarray, int]:
+    """Phases k/den turns, k in [0, den), of the residues a = 0..q-1 of m mod q under a
+    rotation by p/q turns: a p / q (den = q) for "bose", (2 a + 1) p / 2 q (den = 2 q)
+    for "fermi". A Family, being a str enum, selects the same."""
+    if q < 1:
+        raise DomainError("q must be a positive integer")
+    a = np.arange(q)
+    if family == "bose":
+        return a * (p % q) % q, q
+    if family == "fermi":
+        return (2 * a + 1) * (p % (2 * q)) % (2 * q), 2 * q
+    raise DomainError(f"unknown family {family!r}")
+
+
+def _phase_sum(family: str, sign: float, p: int, q: int, gamma: float, floor: float) -> float:
+    """(1/2) sum over c = +/-1 and the residues of ln(1 + sign e^{-gamma + 2 pi i c k/den})."""
+    z = _validate(p, q, gamma, floor)
+    k, den = residue_phases(family, p, q)
+    terms = np.log(1.0 + sign * z * np.exp(2j * np.pi * k / den))
+    return _real_part(np.concatenate([terms, terms.conj()]))
+
+
 def boson_phase_sum(p: int, q: int, gamma: float, *,
                     gamma_floor: float = GAMMA_FLOOR) -> float:
     """(1/2) sum over c = +/-1 and m = 0..q-1 of ln(1 - e^{-gamma + 2 pi i c m p/q}).
@@ -86,11 +109,7 @@ def boson_phase_sum(p: int, q: int, gamma: float, *,
     Principal-branch complex logarithms; safe because e^{-gamma} < 1 keeps
     every argument in the right half plane (checked).
     """
-    z = _validate(p, q, gamma, gamma_floor)
-    k = (np.arange(q) * p) % q
-    phases = np.exp(2j * np.pi * k / q)
-    terms = np.log(1.0 - z * phases)
-    return _real_part(np.concatenate([terms, terms.conj()]))
+    return _phase_sum("bose", -1.0, p, q, gamma, gamma_floor)
 
 
 def boson_identity_rhs(q: int, gamma: float) -> float:
@@ -110,11 +129,7 @@ def check_boson_identity(p: int, q: int, gamma: float) -> IdentityCheck:
 def fermion_phase_sum(p: int, q: int, gamma: float, *,
                       gamma_floor: float = GAMMA_FLOOR) -> float:
     """(1/2) sum over c = +/-1 and m = 0..q-1 of ln(1 + e^{-gamma + 2 pi i c (m + 1/2) p/q})."""
-    z = _validate(p, q, gamma, gamma_floor)
-    k = ((2 * np.arange(q) + 1) * p) % (2 * q)
-    phases = np.exp(1j * np.pi * k / q)
-    terms = np.log(1.0 + z * phases)
-    return _real_part(np.concatenate([terms, terms.conj()]))
+    return _phase_sum("fermi", 1.0, p, q, gamma, gamma_floor)
 
 
 def fermion_identity_rhs(p: int, q: int, gamma: float) -> float:

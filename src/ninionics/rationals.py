@@ -14,6 +14,7 @@ from fractions import Fraction
 from typing import Iterator
 
 from .errors import DomainError
+from .rotor import MEMORY_BUDGET
 
 __all__ = [
     "ReducedFraction",
@@ -35,6 +36,8 @@ __all__ = [
 # already guarantees every invariant we need (gcd(|num|, den) = 1, den >= 1,
 # zero as 0/1, value-based ordering and hashing).
 ReducedFraction = Fraction
+
+_PRIME_BYTES = 40  # a list slot and an int object, rounded up
 
 
 def reduce_fraction(p: int, q: int) -> Fraction:
@@ -188,9 +191,23 @@ def approximate_rational(x: float, q_max: int) -> Fraction:
 
 
 def primes_up_to(n: int) -> list[int]:
-    """All primes <= n, ascending (Eratosthenes sieve); requires n >= 2."""
+    """All primes <= n, ascending (Eratosthenes sieve); requires n >= 2.
+
+    A sieve whose estimated memory exceeds rotor.MEMORY_BUDGET is refused
+    before anything is allocated.
+    """
     if n < 2:
         raise DomainError("primes_up_to requires n >= 2")
+    # the sieve and its largest slice, 1.5 n bytes, plus a list slot and an int per
+    # prime, with pi(n) < 1.25506 n / ln n (Rosser and Schoenfeld 1962); an n past
+    # 2^1000 would overflow the float estimate itself
+    need_bytes = (1.5 * n + _PRIME_BYTES * 1.25506 * n / math.log(n)
+                  if n.bit_length() <= 1000 else math.inf)
+    if need_bytes > MEMORY_BUDGET:
+        raise DomainError(
+            f"a prime sieve up to {n} needs an estimated {need_bytes / 2 ** 20:.4g} MiB, "
+            f"over the {MEMORY_BUDGET / 2 ** 20:g} MiB memory budget "
+            f"(ninionics.rotor.MEMORY_BUDGET)")
     sieve = bytearray([1]) * (n + 1)
     sieve[0] = sieve[1] = 0
     for i in range(2, math.isqrt(n) + 1):
@@ -205,8 +222,9 @@ def nth_prime(index: int) -> int:
         raise DomainError("prime index is 1-based and must be >= 1")
     if index < 6:
         return [2, 3, 5, 7, 11][index - 1]
-    # Rosser-style upper bound, then sieve once.
-    bound = int(index * (math.log(index) + math.log(math.log(index)))) + 10
+    # Rosser-style upper bound, then sieve once; the exact product keeps a huge index
+    # from overflowing a float before the sieve's budget check
+    bound = int(index * Fraction(math.log(index) + math.log(math.log(index)))) + 10
     primes = primes_up_to(bound)
     return primes[index - 1]
 

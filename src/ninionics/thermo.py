@@ -24,6 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError
+from .identities import residue_phases
 from .occupation import Family, StatLabel
 from .rationals import StatAngle
 
@@ -57,11 +58,16 @@ PI_SQ = math.pi ** 2
 DEFAULT_REGULATORS = (1e-2, 1e-3, 1e-4)
 DEFAULT_INNER_TOL = 1e-9
 _TAIL_BOUND = 1e-12
+_TINY = np.finfo(float).tiny  # beta^4 in [_TINY, 1/_TINY]: beta^3, beta^4, inverses normal
+_SIGN = {Family.BOSE: 1.0, Family.FERMI: -1.0}  # f = sign degeneracy / beta * mode mean
 
 
 def _check_beta(beta: float) -> None:
     if not beta > 0.0:
         raise DomainError("beta must be positive")
+    if not _TINY <= (beta * beta) * (beta * beta) <= 1.0 / _TINY:
+        raise DomainError(f"beta={beta!r} lies outside [{_TINY ** .25:.3g}, {_TINY ** -.25:.3g}],"
+                          " where beta^3, beta^4 and their inverses are normal floats")
 
 
 @dataclass(frozen=True)
@@ -255,71 +261,28 @@ def _log_terms(t: np.ndarray, x0, cos_phi, one_minus_cos, mass, mu) -> np.ndarra
 def _exp_sinh(tol: float, *rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Integrals of _log_terms over t and their error estimates, one per row.
 
-    Halving stops once every row changes by at most max(tol, tol |I|). The change
-    from the last halving, plus a rounding bound, is the row's error estimate;
-    at the halving cap the value is returned with that estimate.
+    Rows go through _DE_CHUNK_ROWS at a time, which bounds peak memory for any
+    count. Halving stops once every row of a chunk changes by at most max(tol, tol |I|).
+    The change from the last halving, plus a rounding bound, is the row's error
+    estimate; at the halving cap the value is returned with that estimate.
     """
-    rows = tuple(r[:, None] for r in rows)
-    h = _DE_FIRST_STEP
-    n = round(_DE_SPAN / h)
-    terms = _log_terms(np.arange(-n, n + 1) * h, *rows)
-    total, magnitude = terms.sum(axis=1), np.abs(terms).sum(axis=1)
-    value = h * total
-    for _ in range(_DE_MAX_HALVINGS):
-        h, n = h / 2, 2 * n
-        terms = _log_terms(np.arange(1 - n, n, 2) * h, *rows)  # the new odd nodes
-        total += terms.sum(axis=1)
-        magnitude += np.abs(terms).sum(axis=1)
-        value, change = h * total, np.abs(h * total - value)
-        if np.all(change <= tol * np.maximum(1.0, np.abs(value))):
-            break
-    return value, change + _ROUNDING * h * magnitude
-
-
-def _mode_integrals(family: Family, nums: list[int], den: int, beta: float, mass: float,
-                    branches: tuple[float, ...], tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Per-mode momentum integrals at the phases n/den turns, averaged over the mu
-    branches, and their error estimates.
-
-    int d^3k / (2 pi)^3 Re ln(1 -+ e^{-beta(omega - mu_r)} e^{i phi}) depends on k
-    only through omega = sqrt(k^2 + mass^2), so it is the one radial integral
-    (1/2 pi^2 beta^3) int_0^inf x^2 dx (1/2) ln(1 -+ 2 cos(phi) z + z^2) in x = beta k,
-    the real part being the conjugate-pair average.
-    """
-    if family is Family.FERMI:  # the fermionic logarithm is the bosonic one at phi + pi
-        nums, den = [2 * n + den for n in nums], 2 * den
-    nb = len(branches)  # one row per phase and branch
-    dist = np.repeat([min(n % den, -n % den) for n in nums], nb)  # to the nearest whole turn
-    mu = np.tile(beta * np.array(branches), len(nums))
-    cos_phi = np.sin(np.pi * (den - 4 * dist) / (2 * den))  # no cancellation near 1/4 turn
-    one_minus_cos = 2.0 * np.sin(np.pi * dist / den) ** 2
-    # Scale each row by its log singularity nearest 0, at omega = mu + i phi. A
-    # massless row's sits at x = i phi: at x0 e^{i pi/2}, the same distance from real
-    # t for every phase, which resolves the phases near 0 as well as the rest.
-    phi, m = 2.0 * np.pi * dist / den, beta * mass
-    x0 = np.clip(np.abs(np.sqrt((mu + 1j * phi) ** 2 - m * m)), _SCALE_FLOOR, 1.0)
-    value, error = _exp_sinh(tol, x0, cos_phi, one_minus_cos, np.full_like(mu, m), mu)
-    norm = 1.0 / (2.0 * PI_SQ * beta ** 3)
-    return (norm * value.reshape(-1, nb).mean(axis=1),
-            norm * error.reshape(-1, nb).mean(axis=1))
-
-
-def _mode_integral(family: Family, phase_turns: Fraction, beta: float,
-                   mass: float, mu_r: float, tol: float) -> float:
-    """Re of the per-mode momentum integral at one phase and one branch mu_r."""
-    value, _ = _mode_integrals(family, [phase_turns.numerator], phase_turns.denominator,
-                               beta, mass, (mu_r,), tol)
-    return float(value[0])
-
-
-def _check_convergence(spec: GasSpec) -> None:
-    if spec.family is Family.BOSE and spec.mu != 0.0 and spec.mass <= abs(spec.mu):
-        raise DomainError(
-            "bosonic logarithm diverges: |mu| must stay below the mass")
-
-
-def _canonical_turns(spec: GasSpec, chi: StatAngle) -> Fraction:
-    return (chi.bosonic() if spec.family is Family.BOSE else chi.fermionic()).turns
+    parts = []
+    for lo in range(0, len(rows[0]), _DE_CHUNK_ROWS):
+        chunk = tuple(r[lo:lo + _DE_CHUNK_ROWS, None] for r in rows)
+        h, n = _DE_FIRST_STEP, round(_DE_SPAN / _DE_FIRST_STEP)
+        terms = _log_terms(np.arange(-n, n + 1) * h, *chunk)
+        total, magnitude = terms.sum(axis=1), np.abs(terms).sum(axis=1)
+        value = h * total
+        for _ in range(_DE_MAX_HALVINGS):
+            h, n = h / 2, 2 * n
+            terms = _log_terms(np.arange(1 - n, n, 2) * h, *chunk)  # the new odd nodes
+            total += terms.sum(axis=1)
+            magnitude += np.abs(terms).sum(axis=1)
+            value, change = h * total, np.abs(h * total - value)
+            if np.all(change <= tol * np.maximum(1.0, np.abs(value))):
+                break
+        parts.append((value, change + _ROUNDING * h * magnitude))
+    return tuple(np.concatenate(part) for part in zip(*parts))
 
 
 def _branches(spec: GasSpec) -> tuple[float, ...]:
@@ -328,32 +291,48 @@ def _branches(spec: GasSpec) -> tuple[float, ...]:
 
 def quadrature_rows(spec: GasSpec, chi: StatAngle) -> int:
     """Rows the quadrature oracle integrates for spec at chi: one per residue and mu branch."""
-    return _canonical_turns(spec, chi).denominator * len(_branches(spec))
+    return chi.denominator * len(_branches(spec))
 
 
 def _mode_table(spec: GasSpec, beta: float, turns: Fraction,
                 tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Per-residue momentum integrals, averaged over the r = +/-1 branches, and their
-    error estimates. Residues go through the rule in chunks of rows."""
-    p, q = turns.numerator, turns.denominator
+    """Per-residue momentum integrals at turns, mean over the mu branches, with error estimates.
+
+    int d^3k / (2 pi)^3 Re ln(1 -+ e^{-beta(omega - mu_r)} e^{i phi}) depends on k
+    only through omega = sqrt(k^2 + mass^2), so it is the one radial integral
+    (1/2 pi^2 beta^3) int_0^inf x^2 dx (1/2) ln(1 -+ 2 cos(phi) z + z^2) in x = beta k,
+    the real part being the conjugate-pair average.
+    """
+    _check_beta(beta)
+    if spec.family is Family.BOSE and spec.mu != 0.0 and spec.mass <= abs(spec.mu):
+        raise DomainError("bosonic logarithm diverges: |mu| must stay below the mass")
+    k, den = residue_phases(spec.family, turns.numerator, turns.denominator)
+    if spec.family is Family.FERMI:  # the fermionic logarithm is the bosonic one at phi + pi
+        k = k + den // 2
     branches = _branches(spec)
-    if spec.family is Family.BOSE:  # residue a of m mod q has the phase a p / q turns
-        den, phase = q, lambda a: a * p % q
-    else:  # and (2 a + 1) p / 2 q turns for fermions
-        den, phase = 2 * q, lambda a: (2 * a + 1) * p % (2 * q)
-    step = _DE_CHUNK_ROWS // len(branches)
-    parts = [_mode_integrals(spec.family, [phase(a) for a in range(lo, min(q, lo + step))],
-                             den, beta, spec.mass, branches, tol)
-             for lo in range(0, q, step)]
-    return np.concatenate([v for v, _ in parts]), np.concatenate([e for _, e in parts])
+    nb = len(branches)  # one row per phase and branch
+    dist = np.repeat(np.minimum(k % den, -k % den), nb)  # to the nearest whole turn
+    mu = np.tile(beta * np.array(branches), len(k))
+    cos_phi = np.sin(np.pi * (den - 4 * dist) / (2 * den))  # no cancellation near 1/4 turn
+    one_minus_cos = 2.0 * np.sin(np.pi * dist / den) ** 2
+    # Scale each row by its log singularity nearest 0, at omega = mu + i phi. A
+    # massless row's sits at x = i phi: at x0 e^{i pi/2}, the same distance from real
+    # t for every phase, which resolves the phases near 0 as well as the rest.
+    phi, m = 2.0 * np.pi * dist / den, beta * spec.mass
+    x0 = np.clip(np.abs(np.sqrt((mu + 1j * phi) ** 2 - m * m)), _SCALE_FLOOR, 1.0)
+    value, error = _exp_sinh(tol, x0, cos_phi, one_minus_cos, np.full_like(mu, m), mu)
+    norm = 1.0 / (2.0 * PI_SQ * beta ** 3)
+    return (norm * value.reshape(-1, nb).mean(axis=1),
+            norm * error.reshape(-1, nb).mean(axis=1))
 
 
-def _residue_weights(q: int, eps: float, m_cut: int) -> np.ndarray:
-    """Regularized weights of the residue classes m mod q, normalized to 1."""
-    m = np.arange(-m_cut, m_cut + 1)
-    w = np.exp(-eps * np.abs(m))
-    buckets = np.bincount(m % q, weights=w, minlength=q)
-    return buckets / w.sum()
+def _residue_weights(q: int, eps: float) -> np.ndarray:
+    """Regularized weights of the residue classes m mod q, normalized to 1: class a
+    sums e^{-eps |m|} over m = a + j q in two geometric series, over the total
+    coth(eps/2). No array over m is built, so memory is O(q) at any regulator."""
+    a = np.arange(q)
+    return (np.exp(-eps * a) + np.exp(-eps * (q - a))) * (math.tanh(0.5 * eps)
+                                                           / -math.expm1(-eps * q))
 
 
 def required_m_cut(reg_eps: float) -> int:
@@ -365,16 +344,6 @@ def required_m_cut(reg_eps: float) -> int:
         raise DomainError(f"reg_eps={reg_eps!r} is too small: the cap -ln(1e-12)/reg_eps "
                           "overflows a float")
     return int(math.ceil(cap)) + 1
-
-
-def _oracle_table(spec: GasSpec, beta: float, chi: StatAngle,
-                  tol: float) -> tuple[np.ndarray, np.ndarray, float]:
-    """Checked per-residue momentum table, its error estimates and the prefactor
-    sign * degeneracy / beta."""
-    _check_beta(beta)
-    _check_convergence(spec)
-    table, error = _mode_table(spec, beta, _canonical_turns(spec, chi), tol)
-    return table, error, (1.0 if spec.family is Family.BOSE else -1.0) * spec.degeneracy / beta
 
 
 def free_energy_quadrature(spec: GasSpec, beta: float, chi: StatAngle,
@@ -392,8 +361,9 @@ def free_energy_quadrature(spec: GasSpec, beta: float, chi: StatAngle,
     if m_cut < need:
         raise DomainError(
             f"m_cut={m_cut} leaves a regulator tail above 1e-12; need m_cut >= {need}")
-    table, _, scale = _oracle_table(spec, beta, chi, inner_tol)
-    return scale * float(_residue_weights(len(table), reg_eps, m_cut) @ table)
+    table, _ = _mode_table(spec, beta, chi.turns, inner_tol)
+    weights = _residue_weights(len(table), reg_eps)
+    return _SIGN[spec.family] * spec.degeneracy / beta * float(weights @ table)
 
 
 def free_energy_extrapolated(spec: GasSpec, beta: float, chi: StatAngle,
@@ -403,11 +373,11 @@ def free_energy_extrapolated(spec: GasSpec, beta: float, chi: StatAngle,
     Every residue-class weight tends to the regularized count 1/q (the largest
     deviation at small q * reg_eps is (q^2 - 1) reg_eps^2 / (12 q)), so the
     limit is the mean of the q per-residue momentum integrals, each averaged
-    over the two branches at mu != 0. This is the module's independent oracle:
-    it uses no polylogarithm and no phase-sum identity.
+    over the two branches at mu != 0. This is the module's independent oracle: it
+    shares only the residue phases with identities: no polylogarithm, no phase-sum identity.
     """
-    table, _, scale = _oracle_table(spec, beta, chi, inner_tol)
-    return scale * float(np.mean(table))
+    table, _ = _mode_table(spec, beta, chi.turns, inner_tol)
+    return _SIGN[spec.family] * spec.degeneracy / beta * float(np.mean(table))
 
 
 # ----------------------------------------------------------------------------
@@ -483,7 +453,7 @@ def crossed_walls_thermo(beta: float, rotating: bool,
         return CrossedWalls(blackbody_scalar(beta).scaled(Fraction(1, 4)), None)
 
     reported = _rational_quantities(Fraction(1, 5760), beta)  # energy = -pi^2/(1920 b^4)
-    per_mode = _mode_integral(Family.FERMI, Fraction(0), beta, 0.0, 0.0, inner_tol)
+    per_mode = float(_mode_table(GasSpec(Family.FERMI), beta, Fraction(0), inner_tol)[0][0])
     closed = (7.0 / 8.0) * (math.pi ** 4 / 90.0) / (PI_SQ * beta ** 3)
     count = odd_count_limit()
     f_oracle = per_mode * count / beta

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import ninionics
-from ninionics import identities, rotor, thermo
+from ninionics import fractal, identities, occupation, rationals, rotor, thermo
 from ninionics.errors import DomainError
 
 
@@ -48,3 +48,18 @@ def test_no_module_imports_scipy(path):
               if isinstance(node, ast.ImportFrom) and node.module]
     found = [name for name in names if name.split(".")[0] == "scipy"]
     assert found == [], f"{path.name} imports {found}"
+
+
+def test_traced_bench_calls_only_names_that_exist():
+    # bench/tracechild.py replays the CLI's layer calls; a name it uses that the
+    # package no longer has breaks only the traced bench run
+    modules = {module.__name__.rpartition(".")[2]: module
+               for module in (fractal, identities, occupation, rationals, rotor, thermo)}
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracechild.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    used = {(node.value.id, node.attr) for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in modules}
+    assert ("thermo", "free_energy_quadrature") in used
+    missing = sorted(f"{mod}.{name}" for mod, name in used if not hasattr(modules[mod], name))
+    assert missing == [], f"bench/tracechild.py uses names the package lacks: {missing}"

@@ -255,6 +255,46 @@ class TestNogoCommand:
             expected = "boson_ghost" if parity == 0 else "fermion"
             assert row["fermi_branch"] == expected
 
+    @pytest.mark.parametrize("argv", [
+        ["nogo", "--mode", "near", "--target", "1/3", "--min-denominator", str(10 ** 12),
+         "--count", "2"],
+        ["nogo", "--mode", "fixed", "--prime-index", str(10 ** 11), "--count", "2"],
+        ["nogo", "--mode", "fixed", "--prime-index", "1", "--m-indices", str(10 ** 11)],
+        ["nogo", "--mode", "fixed", "--prime-index", str(10 ** 400), "--count", "2"],
+    ], ids=["near", "prime-index", "m-indices", "past-float-range"])
+    def test_oversized_sieve_is_refused_before_allocating(self, capsys, argv):
+        start = time.perf_counter()
+        code, out, err = run_cli(argv, capsys)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (1, "")
+        assert re.match(r"error\[DomainError\]: a prime sieve up to \d+ needs an estimated "
+                        r"([\d.e+]+|inf) MiB, over the 1024 MiB memory budget", err)
+
+
+class TestBetaRange:
+    @pytest.mark.parametrize("argv", [
+        ["thermo", "--beta", "1e-300", "--chi", "1/2"],
+        ["thermo", "--beta", "1e-300", "--chi", "1/2", "--method", "quadrature"],
+        ["walls", "--beta", "1e-300"],
+        ["thermo", "--beta", "1e100", "--chi", "1/2"],
+        ["thermo", "--beta", "1e100", "--chi", "1/2", "--method", "quadrature"],
+        ["walls", "--rotating", "--beta", "1e100"],
+        ["thermo", "--chi", f"1/{10 ** 80 + 1}"],  # closed form at q beta = 1e80
+    ], ids=["tiny", "tiny-quadrature", "tiny-walls", "huge", "huge-quadrature",
+            "huge-rotating-walls", "huge-q"])
+    def test_beta_outside_the_float_range_is_a_domain_error(self, capsys, argv):
+        # beta^4 or its inverse would leave the normal floats: division by zero or overflow
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("error[DomainError]: beta=")
+        assert "outside [1.22e-77, 8.19e+76]" in err
+        assert "Traceback" not in err
+
+    def test_edge_of_the_range_still_computes(self, capsys):
+        code, out, _ = run_cli(["thermo", "--beta", "1e76", "--chi", "1/2"], capsys)
+        assert code == 0
+        assert float(read_csv(out)[0]["beta4_f"]) == pytest.approx(-PI_SQ / 1440.0, rel=1e-12)
+
 
 class TestRotorCommand:
     def test_weights_table(self, capsys):

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from ninionics import identities
 from ninionics.errors import DomainError
+from ninionics.occupation import Family
 from ninionics.identities import (
     GAMMA_FLOOR,
     boson_identity_residual,
@@ -163,6 +165,26 @@ class TestFermionIdentity:
             wrong = math.log1p(+sign * math.exp(-q * gamma))
             assert abs(lhs - wrong) > 0.1
             assert abs(lhs - fermion_identity_rhs(p, q, gamma)) < 1e-12
+
+
+class TestResiduePhases:
+    @pytest.mark.parametrize("p,q", [(0, 1), (1, 1), (1, 2), (3, 7), (-3, 7), (10, 7),
+                                     (-10, 7), (17, 7), (-17, 7), (5, 12), (-29, 12)])
+    def test_match_the_direct_definition(self, p, q):
+        # residue a turns by a p / q (bose) or (a + 1/2) p / q (fermi), modulo one turn;
+        # |p| > q and, for fermions, |p| > 2 q wrap around
+        k, den = identities.residue_phases("bose", p, q)
+        assert den == q
+        assert [int(n) for n in k] == [Fraction(a * p, q) % 1 * q for a in range(q)]
+        k, den = identities.residue_phases(Family.FERMI, p, q)
+        assert den == 2 * q
+        assert [int(n) for n in k] == [Fraction(2 * a + 1, 2 * q) * p % 1 * 2 * q
+                                       for a in range(q)]
+
+    @pytest.mark.parametrize("family,q", [("anyon", 3), ("bose", 0)])
+    def test_rejects_bad_input(self, family, q):
+        with pytest.raises(DomainError):
+            identities.residue_phases(family, 1, q)
 
 
 class TestCoprimeFractions:

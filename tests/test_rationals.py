@@ -249,6 +249,13 @@ class TestPrimes:
         with pytest.raises(DomainError):
             primes_up_to(1)
 
+    @pytest.mark.parametrize("call", [lambda: primes_up_to(4 * 10 ** 12),
+                                      lambda: nth_prime(10 ** 11)], ids=["sieve", "nth_prime"])
+    def test_sieve_over_the_memory_budget_is_refused(self, call):
+        # estimated before the bytearray exists, so this allocates nothing
+        with pytest.raises(DomainError, match="MiB, over the 1024 MiB memory budget"):
+            call()
+
     def test_nth_prime(self):
         assert nth_prime(1) == 2
         assert nth_prime(5) == 11

@@ -2,6 +2,7 @@ import math
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from ninionics import thermo
@@ -242,7 +243,9 @@ class TestQuadratureOracle:
     @pytest.mark.parametrize("q", [1, 2, 3, 7, 13, 64])
     def test_mode_integral_at_every_residue_phase(self, family, q):
         # massless, beta = 1: -(1/pi^2) sum_n cos(n phi)/n^4, a polynomial in
-        # phi on [0, 2 pi]; the fermionic logarithm is the bosonic one at phi + pi
+        # phi on [0, 2 pi]; the fermionic logarithm is the bosonic one at phi + pi.
+        # At turns 1/q, residue a sits at a/q (bose) or (2a + 1)/2q (fermi) turns
+        table, _ = thermo._mode_table(GasSpec(family), 1.0, Fraction(1, q), QUAD_TOL)
         for a in range(q):
             turns = Fraction(a, q) if family is Family.BOSE else Fraction(2 * a + 1, 2 * q)
             phi = 2.0 * math.pi * float(turns)
@@ -250,8 +253,7 @@ class TestQuadratureOracle:
                 phi = math.fmod(phi + math.pi, 2.0 * math.pi)
             clausen = (math.pi ** 4 / 90.0 - PI_SQ * phi ** 2 / 12.0
                        + math.pi * phi ** 3 / 12.0 - phi ** 4 / 48.0)
-            got = thermo._mode_integral(family, turns, 1.0, 0.0, 0.0, QUAD_TOL)
-            assert got == pytest.approx(-clausen / PI_SQ, rel=1e-10), (a, q)
+            assert table[a] == pytest.approx(-clausen / PI_SQ, rel=1e-10), (a, q)
 
     @pytest.mark.parametrize("family", [Family.BOSE, Family.FERMI])
     @pytest.mark.parametrize("q", [7, 64])
@@ -270,26 +272,34 @@ class TestQuadratureOracle:
 
     @pytest.mark.parametrize("mu", [0.0, 0.5])
     def test_one_integral_per_residue_and_branch(self, monkeypatch, mu):
-        rows = []
-        exp_sinh = thermo._exp_sinh
+        rows, chunks = [], []
+        exp_sinh, log_terms = thermo._exp_sinh, thermo._log_terms
 
         def counting(tol, x0, *rest):
             rows.append(len(x0))
             return exp_sinh(tol, x0, *rest)
 
+        def chunk_size(t, x0, *rest):
+            chunks.append(len(x0))
+            return log_terms(t, x0, *rest)
+
         monkeypatch.setattr(thermo, "_exp_sinh", counting)
+        monkeypatch.setattr(thermo, "_log_terms", chunk_size)
         spec = GasSpec(Family.FERMI, mass=1.0, mu=mu)
         for q in (13, 301):  # one chunk of rows, and several
             chi = StatAngle.from_fraction(2, q)
-            work = []
+            work, passes = [], []
             for _ in range(2):  # a repeated call must redo the work: no hidden cache
                 rows.clear()
+                chunks.clear()
                 free_energy_extrapolated(spec, 1.0, chi)
                 work.append(sum(rows))
+                passes.append(len(chunks))
             # one table per call: one row per residue and branch, in bounded chunks
             assert work == [2 * q if mu else q] * 2
             assert work[0] == thermo.quadrature_rows(spec, chi)
-            assert max(rows) <= thermo._DE_CHUNK_ROWS
+            assert passes[0] == passes[1]
+            assert max(chunks) == min(work[0], thermo._DE_CHUNK_ROWS)
 
     def test_memory_bounded_at_large_q(self):
         tracemalloc.start()
@@ -371,10 +381,31 @@ class TestRegulatorLimit:
     @pytest.mark.parametrize("q", [1, 2, 3, 7, 13, 101])
     @pytest.mark.parametrize("eps", thermo.DEFAULT_REGULATORS)
     def test_residue_weights_tend_to_one_over_q(self, q, eps):
-        # brute-force sum over |m| <= m_cut: the limit the oracle takes exactly
-        weights = thermo._residue_weights(q, eps, required_m_cut(eps))
+        # each class weight tends to the count 1/q, the limit the oracle takes exactly
+        weights = thermo._residue_weights(q, eps)
         assert len(weights) == q
         assert max(abs(w - 1.0 / q) for w in weights) <= q * eps ** 2
+
+    @pytest.mark.parametrize("q", [1, 2, 3, 7, 13])
+    def test_residue_weights_match_the_truncated_sum(self, q):
+        # the closed geometric sums against e^{-eps |m|} summed over |m| <= m_cut
+        eps = 1e-2
+        m = np.arange(-required_m_cut(eps), required_m_cut(eps) + 1)
+        w = np.exp(-eps * np.abs(m))
+        brute = np.bincount(m % q, weights=w, minlength=q) / w.sum()
+        assert np.max(np.abs(thermo._residue_weights(q, eps) - brute)) <= 1e-12
+
+    def test_quadrature_memory_bounded_at_small_regulator(self):
+        # m_cut = 276,310,213 at reg_eps = 1e-7, but no array over m is built
+        eps = 1e-7
+        tracemalloc.start()
+        try:
+            free_energy_quadrature(GasSpec(Family.BOSE), 1.0, StatAngle.from_fraction(1, 3),
+                                   required_m_cut(eps), eps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2 ** 20
 
 
 class TestOddCount:
