@@ -84,7 +84,7 @@ from .thermo import (
     free_energy_quadrature,
     odd_count_limit,
     odd_count_ratio,
-    scaled_quantities,
+    rotated_ensemble,
 )
 
 __version__ = "0.1.0"

@@ -187,44 +187,22 @@ def _cmd_identity(args) -> tuple[list[str], list[tuple], dict]:
     return fields, rows, {"max_residual": max_residual}
 
 
-def _thermo_row(family: Family, method: str, beta: float, turns: Fraction,
-                q_eff: int, out_family: str, weight: float, f: float,
-                massless: bool) -> tuple:
-    eff_beta = q_eff * beta
-    # no closed scaling law away from the massless case
-    derived = ((-3.0 * f * beta ** 4, -f * beta ** 4, -4.0 * f * eff_beta * beta ** 3)
-               if massless else (None, None, None))
-    return (family.value, method, turns.numerator, turns.denominator, q_eff,
-            out_family, weight, beta, eff_beta, f * beta ** 4, *derived)
-
-
 _THERMO_FIELDS = ["family", "method", "chi_num", "chi_den", "q_effective",
                   "out_family", "weight", "beta", "effective_beta", "beta4_f",
                   "beta4_energy", "beta4_pressure", "beta3_entropy"]
 
 
 def _cmd_thermo(args) -> tuple[list[str], list[tuple], dict]:
-    family = Family(args.family)
+    spec = GasSpec(Family(args.family), args.mass, args.mu, args.degeneracy)
     angle = StatAngle.from_turns(args.chi, args.q_max)
     beta = args.beta
-    if family is Family.BOSE:
-        turns = angle.bosonic().turns
-        out_family, weight = "boson", args.degeneracy
-    else:
-        turns = angle.fermionic().turns
-        mapped = thermo.fermion_equivalence(turns.numerator, turns.denominator, beta)
-        out_family = mapped.out_family.value
-        weight = args.degeneracy if mapped.multiplicity > 0 else -args.degeneracy
-    q = turns.denominator
+    mapped = thermo.rotated_ensemble(spec, beta, angle)
     if args.method == "closed":
         if args.mass != 0.0 or args.mu != 0.0:
             raise DomainError("closed forms cover the massless gas at mu = 0; "
                               "use --method quadrature")
-        base = (thermo.blackbody_fermion if out_family == "fermion"
-                else thermo.blackbody_scalar)(q * beta)
-        f = base.f * weight
+        f = thermo.ensemble_thermo(mapped).f
     else:
-        spec = GasSpec(family, args.mass, args.mu, args.degeneracy)
         rows = thermo.quadrature_rows(spec, angle)
         if rows > thermo.QUADRATURE_ROW_BUDGET:
             raise DomainError(
@@ -232,8 +210,15 @@ def _cmd_thermo(args) -> tuple[list[str], list[tuple], dict]:
                 f"budget of {thermo.QUADRATURE_ROW_BUDGET} rows "
                 f"(ninionics.thermo.QUADRATURE_ROW_BUDGET)")
         f = thermo.free_energy_extrapolated(spec, beta, angle, inner_tol=args.inner_tol)
-    row = _thermo_row(family, args.method, beta, turns, q, out_family, weight,
-                      f, args.mass == 0.0)
+    # chi is printed modulo its family's period: one turn for bosons, two for fermions
+    turns = (angle.bosonic() if spec.family is Family.BOSE else angle.fermionic()).turns
+    eff_beta = mapped.effective_beta
+    # no closed scaling law away from the massless case
+    derived = ((-3.0 * f * beta ** 4, -f * beta ** 4, -4.0 * f * eff_beta * beta ** 3)
+               if args.mass == 0.0 else (None, None, None))
+    row = (spec.family.value, args.method, turns.numerator, turns.denominator,
+           angle.denominator, mapped.out_family.value, mapped.multiplicity, beta,
+           eff_beta, f * beta ** 4, *derived)
     return _THERMO_FIELDS, [row], {}
 
 

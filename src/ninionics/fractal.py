@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .errors import DomainError
-from .rationals import farey_interval, farey_pairs, nth_prime, primes_up_to
+from .rationals import farey_interval, farey_pairs, farey_successor, nth_prime, primes_up_to
 
 __all__ = [
     "FractalSample",
@@ -271,22 +271,15 @@ def discontinuity_witness(x0: Fraction, max_distance: float = 1e-6,
         raise DomainError("witness construction expects x0 in [0, 1]")
     if max_distance <= 0.0 or ratio_factor < 1.0:
         raise DomainError("need max_distance > 0 and ratio_factor >= 1")
-    p, q = x0.numerator, x0.denominator
+    q = x0.denominator
     dist = Fraction(max_distance)
     d_min = max(
         (dist.denominator + q * dist.numerator - 1) // (q * dist.numerator),
         int(math.ceil(q * ratio_factor ** 0.25)) + 1,
     )
-    if x0 < 1:
-        # Right neighbour c/d: c*q - p*d = 1 with denominator >= d_min.
-        d0 = (-pow(p, -1, q)) % q if q > 1 else 0
-        d = d0 + q * ((d_min - d0 + q - 1) // q)
-        c = (1 + p * d) // q
-    else:
-        # x0 = 1: use the left neighbour (d-1)/d instead.
-        d = d_min
-        c = d - 1
-    witness = Fraction(c, d)
-    if abs(witness - x0) > dist or Fraction(d, q) ** 4 < Fraction(ratio_factor):
+    # the right neighbour with the smallest denominator >= d_min; at x0 = 1, the left one
+    witness = (farey_successor(x0, d_min + q - 1) if x0 < 1
+               else Fraction(d_min - 1, d_min))
+    if abs(witness - x0) > dist or Fraction(witness.denominator, q) ** 4 < Fraction(ratio_factor):
         raise DomainError(f"witness {witness} misses the distance or ratio bound")
     return sample_at(witness)

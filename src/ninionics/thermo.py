@@ -36,8 +36,8 @@ __all__ = [
     "CrossedWalls",
     "blackbody_scalar",
     "blackbody_fermion",
-    "scaled_quantities",
     "fermion_equivalence",
+    "rotated_ensemble",
     "ensemble_thermo",
     "dirac_ghost_thermo",
     "free_energy_quadrature",
@@ -139,24 +139,6 @@ def blackbody_fermion(beta: float) -> ThermoQuantities:
     return _rational_quantities(Fraction(-7, 720), beta)
 
 
-def scaled_quantities(beta: float, chi: StatAngle, base: ThermoQuantities) -> ThermoQuantities:
-    """Rotation-scaled quantities: the same gas evaluated at q*beta.
-
-    q is the denominator of the bosonic canonical turns of chi, so energy,
-    pressure and f pick up the factor q^-4 and entropy q^-3, independent of
-    the numerator. Factors are exact rationals converted once.
-    """
-    _check_beta(beta)
-    q = chi.bosonic().denominator
-    return ThermoQuantities(
-        f=base.f * float(Fraction(1, q ** 4)),
-        energy=base.energy * float(Fraction(1, q ** 4)),
-        pressure=base.pressure * float(Fraction(1, q ** 4)),
-        entropy=base.entropy * float(Fraction(1, q ** 3)),
-        beta=base.beta * q,
-    )
-
-
 @dataclass(frozen=True)
 class MappedEnsemble:
     """Non-rotating ensemble equivalent to a rotated gas.
@@ -175,6 +157,8 @@ def fermion_equivalence(p: int, q: int, beta: float = 1.0) -> MappedEnsemble:
 
     p + q odd: fermions at q*beta with weight +1. p + q even: bosonic ghosts
     at q*beta with weight -2 (one Dirac fermion transmutes into two ghosts).
+    The branches mix conventions: against free_energy_extrapolated at degeneracy
+    2, the fermion branch is half the oracle and the ghost branch equals it.
     """
     _check_beta(beta)
     if q < 1 or math.gcd(p, q) != 1:
@@ -184,8 +168,29 @@ def fermion_equivalence(p: int, q: int, beta: float = 1.0) -> MappedEnsemble:
     return MappedEnsemble(q * beta, StatLabel.BOSON_GHOST, -2.0)
 
 
+def rotated_ensemble(spec: GasSpec, beta: float, chi: StatAngle) -> MappedEnsemble:
+    """Map spec rotated by chi onto the non-rotating gas at q*beta, q the denominator of chi.
+
+    Fermions become bosonic ghosts at even p + q, as in fermion_equivalence. The
+    multiplicity is the degeneracy, negated for ghosts, as in free_energy_extrapolated.
+    beta is checked before q*beta is formed.
+    """
+    _check_beta(beta)
+    if spec.family is Family.BOSE:
+        return MappedEnsemble(chi.denominator * beta, StatLabel.BOSON, spec.degeneracy)
+    turns = chi.fermionic().turns
+    mapped = fermion_equivalence(turns.numerator, turns.denominator, beta)
+    weight = spec.degeneracy if mapped.multiplicity > 0 else -spec.degeneracy
+    return MappedEnsemble(mapped.effective_beta, mapped.out_family, weight)
+
+
 def ensemble_thermo(mapped: MappedEnsemble) -> ThermoQuantities:
-    """Densities of a mapped ensemble: weighted blackbody at the effective beta."""
+    """Densities of a mapped ensemble: weighted blackbody at the effective beta.
+
+    The multiplicity keeps its map's convention: fermion_equivalence weighs its fermion
+    branch per Dirac fermion and its ghost branch per two states; rotated_ensemble, both
+    per unit degeneracy.
+    """
     if mapped.out_family in (StatLabel.FERMION, StatLabel.FERMION_GHOST):
         base = blackbody_fermion(mapped.effective_beta)
     else:

@@ -122,11 +122,12 @@ class TestThermoCommand:
         row = read_csv(out)[0]
         assert float(row["beta4_f"]) == pytest.approx(-PI_SQ / 90.0, rel=1e-6)
 
-    @pytest.mark.parametrize("chi", ["1/2", "1/3"])
-    def test_methods_share_the_fermion_map(self, capsys, chi):
+    @pytest.mark.parametrize("chi", ["1/2", "1/3", "5/3", "7/4", "-1/3"])
+    @pytest.mark.parametrize("family", ["fermi", "bose"])
+    def test_methods_share_the_fermion_map(self, capsys, family, chi):
         rows = {}
         for method in ("closed", "quadrature"):
-            code, out, _ = run_cli(["thermo", "--family", "fermi", "--chi", chi,
+            code, out, _ = run_cli(["thermo", "--family", family, f"--chi={chi}",
                                     "--degeneracy", "2", "--method", method], capsys)
             assert code == 0
             rows[method] = read_csv(out)[0]
@@ -289,6 +290,14 @@ class TestBetaRange:
         assert err.startswith("error[DomainError]: beta=")
         assert "outside [1.22e-77, 8.19e+76]" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("method", ["closed", "quadrature"])
+    @pytest.mark.parametrize("family", ["bose", "fermi"])
+    def test_refusal_names_the_beta_given(self, capsys, family, method):
+        code, out, err = run_cli(["thermo", "--family", family, "--beta", "1e-300",
+                                  "--chi", "1/2", "--method", method], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("error[DomainError]: beta=1e-300 ")
 
     def test_edge_of_the_range_still_computes(self, capsys):
         code, out, _ = run_cli(["thermo", "--beta", "1e76", "--chi", "1/2"], capsys)

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -25,7 +26,7 @@ from ninionics.thermo import (
     odd_count_limit,
     odd_count_ratio,
     required_m_cut,
-    scaled_quantities,
+    rotated_ensemble,
 )
 
 PI_SQ = math.pi ** 2
@@ -70,31 +71,64 @@ class TestBlackbody:
             blackbody_scalar(0.0)
 
 
+def rotated_bose(p, q, beta=1.0):
+    return ensemble_thermo(rotated_ensemble(GasSpec(Family.BOSE), beta,
+                                            StatAngle.from_fraction(p, q)))
+
+
 class TestScaledQuantities:
+    """The bosonic rotation map: the same gas at q*beta."""
+
     def test_half_turn_sixteenth(self):
         base = blackbody_scalar(1.0)
-        tq = scaled_quantities(1.0, StatAngle.from_fraction(1, 2), base)
+        tq = rotated_bose(1, 2)
         assert tq.energy / base.energy == pytest.approx(1.0 / 16.0, rel=1e-15)
         assert tq.beta == 2.0
         assert_consistent(tq)
 
     def test_no_rotation(self):
-        base = blackbody_scalar(1.0)
-        tq = scaled_quantities(1.0, StatAngle.from_fraction(0, 1), base)
-        assert tq == base
+        assert rotated_bose(0, 1) == blackbody_scalar(1.0)
 
     def test_entropy_cubed_and_numerator_irrelevance(self):
         base = blackbody_scalar(1.0)
-        a = scaled_quantities(1.0, StatAngle.from_fraction(2, 3), base)
-        b = scaled_quantities(1.0, StatAngle.from_fraction(1, 3), base)
+        a, b = rotated_bose(2, 3), rotated_bose(1, 3)
         assert a.entropy / base.entropy == pytest.approx(1.0 / 27.0, rel=1e-15)
         assert a == b  # denominator-only dependence
 
     def test_matches_blackbody_at_stretched_beta(self):
-        tq = scaled_quantities(1.0, StatAngle.from_fraction(3, 5), blackbody_scalar(1.0))
+        tq = rotated_bose(3, 5)
         cold = blackbody_scalar(5.0)
         assert tq.f == pytest.approx(cold.f, rel=1e-14)
         assert tq.entropy == pytest.approx(cold.entropy, rel=1e-14)
+
+
+class TestRotatedEnsemble:
+    @pytest.mark.parametrize("degeneracy", [1.0, 2.0])
+    @pytest.mark.parametrize("family,p,q,label,sign", [
+        (Family.BOSE, 1, 2, StatLabel.BOSON, 1.0),
+        (Family.BOSE, 1, 3, StatLabel.BOSON, 1.0),
+        (Family.FERMI, 1, 2, StatLabel.FERMION, 1.0),
+        (Family.FERMI, 5, 3, StatLabel.BOSON_GHOST, -1.0),
+        (Family.FERMI, -1, 3, StatLabel.BOSON_GHOST, -1.0),  # 5/3 modulo two turns
+        (Family.FERMI, 7, 4, StatLabel.FERMION, 1.0),
+    ])
+    def test_branch_weight_and_effective_beta(self, family, p, q, label, sign, degeneracy):
+        beta = 0.7
+        me = rotated_ensemble(GasSpec(family, degeneracy=degeneracy), beta,
+                              StatAngle.from_fraction(p, q))
+        assert me.out_family is label
+        assert me.multiplicity == sign * degeneracy
+        assert me.effective_beta == q * beta
+
+    @pytest.mark.parametrize("family", [Family.BOSE, Family.FERMI])
+    @pytest.mark.parametrize("beta,message", [
+        (math.nan, "beta must be positive"),
+        (0.0, "beta must be positive"),
+        (1e-300, "beta=1e-300 "),  # checked before q*beta = 2e-300 is formed
+    ])
+    def test_bad_beta(self, family, beta, message):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}"):
+            rotated_ensemble(GasSpec(family), beta, StatAngle.from_fraction(1, 2))
 
 
 class TestFermionEquivalence:
@@ -124,6 +158,19 @@ class TestFermionEquivalence:
     def test_non_coprime(self):
         with pytest.raises(DomainError):
             fermion_equivalence(2, 4)
+
+    def test_branch_conventions_against_the_oracle(self):
+        # Pinned, not endorsed: the fermion branch counts one Dirac fermion (half the
+        # oracle for two spin states), the ghost branch two ghosts (equal to it).
+        for q in range(1, 7):
+            for p in range(2 * q):
+                if math.gcd(p, q) != 1:
+                    continue
+                closed = ensemble_thermo(fermion_equivalence(p, q, 1.0)).f
+                oracle = free_energy_extrapolated(GasSpec(Family.FERMI, degeneracy=2), 1.0,
+                                                  StatAngle.from_fraction(p, q))
+                ratio = 2.0 if (p + q) % 2 == 1 else 1.0
+                assert oracle / closed == pytest.approx(ratio, abs=1e-5), (p, q)
 
 
 class TestDiracGhost:
