@@ -121,11 +121,15 @@ def _turns(text: str) -> Fraction | float:
 
 
 def _write(args: argparse.Namespace, out, fieldnames: list[str],
-           rows: Iterable[tuple], extras: dict) -> None:
+           rows: Iterable[tuple | str], extras: dict) -> None:
     if args.format == "csv":
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(fieldnames)
-        writer.writerows(rows)
+        for row in rows:  # a str row is a CSV line its producer formatted
+            if isinstance(row, str):
+                out.write(row)
+            else:
+                writer.writerow(row)
     else:
         payload: dict = {"schema_version": SCHEMA_VERSION, "command": args.command}
         payload.update(extras)
@@ -135,7 +139,7 @@ def _write(args: argparse.Namespace, out, fieldnames: list[str],
 
 
 def _emit(args: argparse.Namespace, fieldnames: list[str],
-          rows: Iterable[tuple], extras: dict) -> None:
+          rows: Iterable[tuple | str], extras: dict) -> None:
     """Write the table to stdout or --output. A new or regular file is written beside
     itself and renamed on success, so a failed streamed scan leaves the old file or
     none; anything else, such as /dev/null or a FIFO, is written in place."""
@@ -253,10 +257,29 @@ def _cmd_occupation(args) -> tuple[list[str], list[tuple], dict]:
     return ["family", "xi", "omega", "beta_omega", "occupation"], rows, {}
 
 
-def _cmd_scan(args) -> tuple[list[str], Iterable[tuple], dict]:
-    # argparse has checked the order and the window, so the rows stream
-    return (list(fractal.SCAN_FIELDS), fractal.iter_scan_rows(args.order, args.window),
-            {"order": args.order})
+# Bytes one scan row holds in the JSON payload before json.dump: a six-key dict,
+# its floats and a list slot, rounded up from peak RSS (415 B per row at order
+# 1000, 432 B at order 2000).
+_JSON_ROW_BYTES = 480
+
+
+def _cmd_scan(args) -> tuple[list[str], Iterable[tuple | str], dict]:
+    # argparse has checked the order and the window, so CSV lines stream
+    fields, extras = list(fractal.SCAN_FIELDS), {"order": args.order}
+    if args.format == "csv":
+        return fields, fractal.iter_scan_lines(args.order, args.window), extras
+    # JSON holds every row at once: about 3 n^2 (hi - lo) / pi^2 rows, plus n + 1 for
+    # the error term (an upper bound on [0, 1] up to n = 20000 at least); an order
+    # past 2^500 would overflow the float estimate itself
+    n, (lo, hi) = args.order, args.window
+    need_bytes = ((3 * n ** 2 * float(hi - lo) / math.pi ** 2 + n + 1) * _JSON_ROW_BYTES
+                  if n.bit_length() <= 500 else math.inf)
+    if need_bytes > rotor.MEMORY_BUDGET:
+        raise DomainError(
+            f"a JSON scan of order {n} needs an estimated {need_bytes / 2 ** 20:.4g} MiB, "
+            f"over the {rotor.MEMORY_BUDGET / 2 ** 20:g} MiB memory budget "
+            f"(ninionics.rotor.MEMORY_BUDGET); CSV output streams in constant memory")
+    return fields, fractal.iter_scan_rows(n, args.window), extras
 
 
 def _cmd_nogo(args) -> tuple[list[str], list[tuple], dict]:

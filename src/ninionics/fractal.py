@@ -27,6 +27,7 @@ __all__ = [
     "fractal_scan",
     "SCAN_FIELDS",
     "iter_scan_rows",
+    "iter_scan_lines",
     "self_similarity_check",
     "prime_sequence_probe",
     "prime_ratio_sequence_near",
@@ -62,6 +63,12 @@ def fractal_scan(order: int,
     return list(iter_fractal_scan(order, window))
 
 
+# Denominators whose q, q^-4 and q^-3 text one iter_scan_lines call keeps, about
+# 0.5 MB. A full [0, 1] scan meets each q phi(q) times, so up to this order every
+# q is formatted once; a narrow window at a high order has mostly distinct q, and
+# an unbounded dict there would grow with the order.
+_LINE_CACHE_SIZE = 4096
+
 SCAN_FIELDS = ("chi_numerator", "chi_denominator", "chi_real", "q",
                "energy_ratio", "entropy_ratio")
 
@@ -77,6 +84,25 @@ def iter_scan_rows(order: int,
     """
     for c, d in farey_pairs(order, window[0], window[1]):
         yield c, d, c / d, d, 1 / d ** 4, 1 / d ** 3
+
+
+def iter_scan_lines(order: int,
+                    window: tuple[Fraction | int | str, Fraction | int | str] = (0, 1),
+                    ) -> Iterator[str]:
+    """The CSV text of each :func:`iter_scan_rows` row, newline-terminated, no header.
+
+    Byte-identical to ``csv.writer(lineterminator="\\n")`` over the rows. The
+    columns that depend on q alone are formatted once per q while the call's
+    cache holds at most ``_LINE_CACHE_SIZE`` denominators; a full cache is emptied.
+    """
+    tails: dict[int, str] = {}
+    for c, d in farey_pairs(order, window[0], window[1]):
+        tail = tails.get(d)
+        if tail is None:
+            if len(tails) >= _LINE_CACHE_SIZE:
+                tails.clear()
+            tail = tails[d] = f",{d},{1 / d ** 4!r},{1 / d ** 3!r}\n"
+        yield f"{c},{d},{c / d!r}{tail}"
 
 
 def _adjacent_unimodular(samples: Sequence[FractalSample]) -> bool:

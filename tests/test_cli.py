@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import math
@@ -227,6 +228,50 @@ class TestScanCommand:
             main(["scan", "--order", "3", "--window", "1,0"])
         assert exc.value.code == 2
 
+    # sha256 of the exact outputs, as bench/digests.json records them
+    @pytest.mark.parametrize("argv, digest", [
+        (["--order", "700"],
+         "d769d38e2237029d85a2edc354f923abf8320a9d5b9a9671072196ef5074add9"),
+        (["--order", "100000", "--window", "39371/60000,3281/5000"],
+         "6a6570534987f5c39937dc9397d5b3b574869e2c071fb752b899d49bd90e41de"),
+        (["--order", "200", "--format", "json"],
+         "57cec6baa7b610864b720037554ca434552b79352211061a4acb31d40d95864e"),
+    ])
+    def test_pinned_bytes(self, capsys, tmp_path, argv, digest):
+        target = tmp_path / "scan.out"
+        code, _, _ = run_cli(["scan", *argv, "--output", str(target)], capsys)
+        assert code == 0
+        assert hashlib.sha256(target.read_bytes()).hexdigest() == digest
+
+    def test_json_scan_over_the_memory_budget_is_refused(self, capsys, monkeypatch):
+        def unreachable(order, window):
+            raise AssertionError("rows enumerated before the refusal")
+
+        monkeypatch.setattr(fractal, "iter_scan_rows", unreachable)
+        start = time.perf_counter()
+        code, out, err = run_cli(["scan", "--order", "100000", "--format", "json"], capsys)
+        assert time.perf_counter() - start < 0.5
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error[DomainError]: a JSON scan of order 100000 needs an "
+                              "estimated ")
+        assert f"over the {rotor.MEMORY_BUDGET / 2 ** 20:g} MiB memory budget" in err
+        assert "CSV output streams" in err
+
+    @pytest.mark.parametrize("order", [str(10 ** 200), str(10 ** 400)])
+    def test_huge_json_order_is_refused(self, capsys, order):
+        code, _, err = run_cli(["scan", "--order", order, "--format", "json"], capsys)
+        assert code == 1
+        assert err.startswith("error[DomainError]: a JSON scan of order ")
+
+    def test_narrow_json_window_at_the_same_order_succeeds(self, capsys):
+        code, out, _ = run_cli(["scan", "--order", "100000", "--format", "json",
+                                "--window", "39371/60000,3281/5000"], capsys)
+        assert code == 0
+        payload = json.loads(out)
+        assert len(payload["rows"]) == 50_672
+        assert all(row["q"] == row["chi_denominator"] for row in payload["rows"])
+
 
 class TestNogoCommand:
     def test_fixed_mode_constant_ratio(self, capsys):
@@ -439,23 +484,36 @@ class TestOutputFile:
         assert err.startswith("error[FileNotFoundError]: cannot write ")
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("order", ["10001", "3"])  # every scan streams
-    def test_failed_streamed_scan_leaves_no_file(self, capsys, tmp_path, monkeypatch, order):
-        real_rows = fractal.iter_scan_rows
+    @staticmethod
+    def fail_mid_stream(monkeypatch, producer):
+        real = getattr(fractal, producer)
 
-        def failing_rows(order, window):
-            yield from real_rows(50, window)
+        def failing(order, window):
+            yield from real(50, window)
             raise DomainError("injected failure mid-stream")
 
-        monkeypatch.setattr(fractal, "iter_scan_rows", failing_rows)
+        monkeypatch.setattr(fractal, producer, failing)
+
+    @staticmethod
+    def assert_failed_scans_leave_no_file(capsys, tmp_path, argv):
         fresh, kept = tmp_path / "fresh.csv", tmp_path / "kept.csv"
         kept.write_text("previous\n")
         for target in (fresh, kept):
-            code, _, err = run_cli(["scan", "--order", order, "--output", str(target)], capsys)
+            code, _, err = run_cli(argv + ["--output", str(target)], capsys)
             assert code == 1
             assert "error[DomainError]: injected failure mid-stream" in err
         assert sorted(os.listdir(tmp_path)) == ["kept.csv"]
         assert kept.read_text() == "previous\n"
+
+    @pytest.mark.parametrize("order", ["10001", "3"])  # every CSV scan streams
+    def test_failed_streamed_scan_leaves_no_file(self, capsys, tmp_path, monkeypatch, order):
+        self.fail_mid_stream(monkeypatch, "iter_scan_lines")  # the CSV producer
+        self.assert_failed_scans_leave_no_file(capsys, tmp_path, ["scan", "--order", order])
+
+    def test_failed_json_scan_leaves_no_file(self, capsys, tmp_path, monkeypatch):
+        self.fail_mid_stream(monkeypatch, "iter_scan_rows")  # the JSON producer
+        self.assert_failed_scans_leave_no_file(
+            capsys, tmp_path, ["scan", "--order", "3", "--format", "json"])
 
     def test_success_replaces_existing_file(self, capsys, tmp_path):
         target = tmp_path / "scan.csv"

@@ -1,13 +1,19 @@
+import csv
+import io
 import math
+import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
+from ninionics import fractal
 from ninionics.errors import DomainError
 from ninionics.fractal import (
     discontinuity_witness,
     fractal_scan,
     iter_fractal_scan,
+    iter_scan_lines,
     iter_scan_rows,
     prime_ratio_sequence_near,
     prime_sequence_probe,
@@ -71,6 +77,56 @@ class TestScan:
             assert entropy == float(Fraction(1, q ** 3))
         # the sample does reach q where the float-first quotient is wrong
         assert any(1.0 / q ** 4 != energy for _, _, _, q, energy, _ in big)
+
+
+def csv_text(order, window):
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(iter_scan_rows(order, window))
+    return out.getvalue()
+
+
+class TestScanLines:
+    """iter_scan_lines writes the bytes csv.writer writes over iter_scan_rows."""
+
+    @pytest.mark.parametrize("order", range(1, 61))
+    def test_full_window(self, order):
+        assert "".join(iter_scan_lines(order, (0, 1))) == csv_text(order, (0, 1))
+
+    def test_random_windows(self):
+        rng = random.Random(20260101)
+        for _ in range(300):
+            order = rng.randint(1, 60)
+            den = rng.randint(1, 200)
+            a, b = sorted(rng.sample(range(den + 1), 2))
+            window = (Fraction(a, den), Fraction(b, den))
+            assert "".join(iter_scan_lines(order, window)) == csv_text(order, window)
+
+    def test_denominators_past_2_13(self):
+        lo = Fraction(31415, 100_000)
+        window = (lo, lo + Fraction(1, 10_000))
+        text = "".join(iter_scan_lines(20_000, window))
+        assert text == csv_text(20_000, window)
+        assert max(int(line.split(",")[1]) for line in text.splitlines()) > 2 ** 13
+
+    def test_more_denominators_than_the_cache_holds(self):
+        # 8,928 distinct q in 30,372 rows: the cache is emptied 7 times and about
+        # 1,300 rows still hit it
+        window = (Fraction(1, 3), Fraction(1, 3) + Fraction(1, 1_000))
+        distinct = {row[3] for row in iter_scan_rows(10_000, window)}
+        assert len(distinct) > fractal._LINE_CACHE_SIZE
+        assert "".join(iter_scan_lines(10_000, window)) == csv_text(10_000, window)
+
+    def test_cache_memory_is_bounded(self):
+        # 46,364 distinct q in 50,672 rows; an unbounded cache peaks at about 9 MiB
+        lo = Fraction(39371, 60_000)
+        tracemalloc.start()
+        try:
+            for _ in iter_scan_lines(100_000, (lo, lo + Fraction(1, 60_000))):
+                pass
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2 ** 20
 
 
 class TestSelfSimilarity:
