@@ -16,6 +16,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import DomainError
+from .rotor import MEMORY_BUDGET
 
 __all__ = [
     "GAMMA_FLOOR",
@@ -31,6 +32,7 @@ __all__ = [
     "coprime_fractions",
     "residue_phases",
     "scan_identity_residuals",
+    "SCAN_TERM_BUDGET",
     "regularized_count_ratio",
     "regularized_count_limit",
 ]
@@ -39,6 +41,17 @@ __all__ = [
 GAMMA_FLOOR = 1e-6
 
 _IMAG_TOL = 1e-13
+# Bytes one phase sum holds per residue, rounded up from the tracemalloc peak
+# (72 B per residue at q = 10^4 to 10^6 in both families).
+_PAIR_BYTES = 80
+# Terms one gather chunk of the scan holds; with their conjugates and the index
+# array that is about 1.5 MiB at any q.
+_GATHER_TERMS = 2 ** 15
+# Gathered terms one scan may sum: sum over q <= Q of phi(q) q, about 2 Q^3 / pi^2.
+# On a 2-core Xeon the scan took 60 ns per term at q_max 256, where the per-q and
+# per-pair work weighs most, and 25-30 ns at q_max 990 (gather, conjugate, sum and
+# one result per pair), so a scan at the budget, q_max 995, takes about 6-11 s.
+SCAN_TERM_BUDGET = 2 * 10 ** 8
 _LIMIT_Q_EPS = 1e-6  # q * eps at which regularized_count_limit takes the ratio
 
 
@@ -57,12 +70,8 @@ class IdentityCheck:
         return abs(self.lhs - self.rhs)
 
 
-def _validate(p: int, q: int, gamma: float, gamma_floor: float) -> float:
-    """Check the inputs of a phase sum; return e^{-gamma}, checked to lie in (0, 1)."""
-    if q < 1:
-        raise DomainError("q must be a positive integer")
-    if math.gcd(p, q) != 1:
-        raise DomainError(f"{p}/{q} is not an irreducible fraction")
+def _decay(gamma: float, gamma_floor: float) -> float:
+    """Return e^{-gamma}, checked to lie in (0, 1), for gamma at or above the floor."""
     if gamma < gamma_floor:
         raise DomainError(
             f"gamma must be at least {gamma_floor:g}; the m = 0 term diverges at gamma = 0")
@@ -70,6 +79,22 @@ def _validate(p: int, q: int, gamma: float, gamma_floor: float) -> float:
     if not 0.0 < z < 1.0:
         raise DomainError(f"e^-gamma = {z!r} must lie strictly between 0 and 1")
     return z
+
+
+def _validate(p: int, q: int, gamma: float, gamma_floor: float) -> float:
+    """Check the inputs of a phase sum, and that its arrays fit MEMORY_BUDGET; return
+    e^{-gamma}."""
+    if q < 1:
+        raise DomainError("q must be a positive integer")
+    if math.gcd(p, q) != 1:
+        raise DomainError(f"{p}/{q} is not an irreducible fraction")
+    need_bytes = q * _PAIR_BYTES
+    if need_bytes > MEMORY_BUDGET:
+        raise DomainError(
+            f"the phase sum at q = {q} needs an estimated {need_bytes / 2 ** 20:.4g} MiB, "
+            f"over the {MEMORY_BUDGET / 2 ** 20:g} MiB memory budget "
+            f"(ninionics.rotor.MEMORY_BUDGET)")
+    return _decay(gamma, gamma_floor)
 
 
 def _real_part(terms: np.ndarray) -> float:
@@ -80,10 +105,11 @@ def _real_part(terms: np.ndarray) -> float:
     return float(total.real)
 
 
-def residue_phases(family: str, p: int, q: int) -> tuple[np.ndarray, int]:
+def residue_phases(family: str, p: int | np.ndarray, q: int) -> tuple[np.ndarray, int]:
     """Phases k/den turns, k in [0, den), of the residues a = 0..q-1 of m mod q under a
     rotation by p/q turns: a p / q (den = q) for "bose", (2 a + 1) p / 2 q (den = 2 q)
-    for "fermi". A Family, being a str enum, selects the same."""
+    for "fermi". A Family, being a str enum, selects the same. A column array of
+    numerators gives one row of phases per numerator."""
     if q < 1:
         raise DomainError("q must be a positive integer")
     a = np.arange(q)
@@ -158,12 +184,51 @@ def coprime_fractions(q_max: int) -> Iterator[tuple[int, int]]:
 
 
 def scan_identity_residuals(family: str, q_max: int, gamma: float) -> list[IdentityCheck]:
-    """Evaluate one identity over every irreducible p/q with q <= q_max."""
-    if family == "bose":
-        return [check_boson_identity(p, q, gamma) for p, q in coprime_fractions(q_max)]
-    if family == "fermi":
-        return [check_fermion_identity(p, q, gamma) for p, q in coprime_fractions(q_max)]
-    raise DomainError(f"unknown family {family!r}")
+    """Evaluate one identity over every irreducible p/q with q <= q_max, q then p ascending.
+
+    For gcd(p, q) = 1 the map of residue_phases permutes the den phases, so every p
+    with the same q sums the same den logarithms, reordered. Each q takes them once
+    and gathers them for all its p, in chunks of _GATHER_TERMS terms; every lhs is
+    bit-identical to the per-pair phase sum. A scan over SCAN_TERM_BUDGET gathered
+    terms is refused before any logarithm.
+    """
+    if family not in ("bose", "fermi"):
+        raise DomainError(f"unknown family {family!r}")
+    if q_max < 1:
+        raise DomainError("q_max must be >= 1")
+    # an int past 2^300 would overflow the float estimate itself
+    terms = 2 * q_max ** 3 / math.pi ** 2 if q_max.bit_length() <= 300 else math.inf
+    if terms > SCAN_TERM_BUDGET:
+        raise DomainError(
+            f"an identity scan to q_max {q_max} gathers an estimated {terms:.4g} terms "
+            f"(2 q_max^3 / pi^2), over the budget of {SCAN_TERM_BUDGET:.3g} terms "
+            f"(ninionics.identities.SCAN_TERM_BUDGET)")
+    z = _decay(gamma, GAMMA_FLOOR)
+    sign = -1.0 if family == "bose" else 1.0
+    checks = []
+    for q in range(1, q_max + 1):
+        den = q if family == "bose" else 2 * q
+        logs = np.log(1.0 + sign * z * np.exp(2j * np.pi * np.arange(den) / den))
+        # the closed form by the parity of p
+        rhs = ([boson_identity_rhs(q, gamma)] * 2 if family == "bose"
+               else [fermion_identity_rhs(par, q, gamma) for par in (0, 1)])
+        ps = np.arange(1, q + 1)
+        ps = ps[np.gcd(ps, q) == 1]
+        step = max(1, _GATHER_TERMS // q)
+        for chunk in (ps[i:i + step] for i in range(0, ps.size, step)):
+            # each row as _phase_sum lays it out, the terms then their conjugates,
+            # reduced along the row, so every lhs matches it bit for bit
+            rows = np.empty((chunk.size, 2 * q), complex)
+            np.take(logs, residue_phases(family, chunk[:, None], q)[0], out=rows[:, :q])
+            np.conjugate(rows[:, :q], out=rows[:, q:])
+            total = 0.5 * rows.sum(axis=1)
+            bad = np.flatnonzero(~(np.abs(total.imag) < _IMAG_TOL))
+            if bad.size:
+                raise DomainError(f"conjugate pairing left imaginary part "
+                                  f"{float(total.imag[bad[0]])!r} at {chunk[bad[0]]}/{q}")
+            checks += [IdentityCheck(p, q, gamma, lhs, rhs[p & 1])
+                       for p, lhs in zip(chunk.tolist(), total.real.tolist())]
+    return checks
 
 
 def regularized_count_ratio(q: int, eps: float) -> float:

@@ -97,6 +97,23 @@ class TestIdentityCommand:
             main(["identity", "--family", "bose", "--gamma", "-1"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv,message", [
+        (["--q-max", "100000"],
+         r"an identity scan to q_max 100000 gathers an estimated 2\.026e\+14 terms "
+         r"\(2 q_max\^3 / pi\^2\), over the budget of [\d.e+]+ terms "
+         r"\(ninionics\.identities\.SCAN_TERM_BUDGET\)"),
+        (["--p", "1", "--q", "10000000000000"],
+         r"the phase sum at q = 10000000000000 needs an estimated [\d.e+]+ MiB, over the "
+         r"1024 MiB memory budget \(ninionics\.rotor\.MEMORY_BUDGET\)"),
+    ])
+    def test_over_budget_is_refused_before_any_work(self, capsys, argv, message):
+        start = time.perf_counter()
+        code, out, err = run_cli(["identity", "--family", "bose", "--gamma", "1", *argv],
+                                 capsys)
+        assert time.perf_counter() - start < 0.5
+        assert (code, out) == (1, "")
+        assert re.fullmatch(r"error\[DomainError\]: " + message + "\n", err)
+
 
 class TestThermoCommand:
     def test_closed_boson_half_turn(self, capsys):

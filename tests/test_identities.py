@@ -6,6 +6,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -107,6 +108,18 @@ class TestBosonIdentity:
         with pytest.raises(DomainError, match="imaginary part"):
             boson_phase_sum(1, 3, 1.0)
 
+    def test_scan_keeps_its_cancellation_check(self, monkeypatch):
+        monkeypatch.setattr(identities, "_IMAG_TOL", -1.0)
+        with pytest.raises(DomainError, match="imaginary part"):
+            scan_identity_residuals("fermi", 8, 1.0)
+
+    @pytest.mark.parametrize("phase_sum", [boson_phase_sum, fermion_phase_sum])
+    def test_memory_refusal_before_allocation(self, phase_sum):
+        # a q the allocator would refuse outright; the budget check comes first
+        with pytest.raises(DomainError, match=r"needs an estimated [\d.e+]+ MiB, over the "
+                                              r"1024 MiB memory budget"):
+            phase_sum(1, 10 ** 13, 1.0)
+
     def test_checks_survive_optimize_flag(self):
         code = ("from ninionics.identities import boson_phase_sum\n"
                 "try:\n"
@@ -185,6 +198,68 @@ class TestResiduePhases:
     def test_rejects_bad_input(self, family, q):
         with pytest.raises(DomainError):
             identities.residue_phases(family, 1, q)
+
+
+    def test_numerator_column_gives_one_row_per_numerator(self):
+        for family in ("bose", "fermi"):
+            ps = np.array([1, 2, 4, 5, 7, 8])
+            k, den = identities.residue_phases(family, ps[:, None], 9)
+            assert k.shape == (6, 9)
+            for p, row in zip(ps, k):
+                one, one_den = identities.residue_phases(family, int(p), 9)
+                assert (den, row.tolist()) == (one_den, one.tolist())
+
+
+class TestScan:
+    @pytest.mark.parametrize("family,check", [("bose", check_boson_identity),
+                                              ("fermi", check_fermion_identity)])
+    @pytest.mark.parametrize("gamma", [1.0, 1e-6])
+    def test_bit_identical_to_the_per_pair_sum(self, family, check, gamma):
+        scan = scan_identity_residuals(family, 128, gamma)
+        assert [(c.p, c.q) for c in scan] == list(coprime_fractions(128))
+        for c in scan:
+            assert c == check(c.p, c.q, gamma)
+
+    def test_chunk_boundaries_inside_one_q(self, monkeypatch):
+        # 20 terms a chunk splits q = 7..20 into several chunks and gives q > 20 one
+        # row a chunk
+        monkeypatch.setattr(identities, "_GATHER_TERMS", 20)
+        for family, check in (("bose", check_boson_identity),
+                              ("fermi", check_fermion_identity)):
+            scan = scan_identity_residuals(family, 40, 0.3)
+            assert [(c.p, c.q) for c in scan] == list(coprime_fractions(40))
+            for c in scan:
+                assert c == check(c.p, c.q, 0.3)
+
+    def test_order_and_types(self):
+        scan = scan_identity_residuals("fermi", 5, 1.0)
+        assert [(c.p, c.q) for c in scan] == list(coprime_fractions(5))
+        assert all(type(c.p) is int and type(c.lhs) is float for c in scan)
+
+    @pytest.mark.parametrize("family,q_max", [("anyon", 3), ("bose", 0)])
+    def test_rejects_bad_input(self, family, q_max):
+        with pytest.raises(DomainError):
+            scan_identity_residuals(family, q_max, 1.0)
+
+    def test_rejects_gamma_below_floor(self):
+        with pytest.raises(DomainError, match="gamma must be at least"):
+            scan_identity_residuals("bose", 4, GAMMA_FLOOR / 10)
+
+    def test_term_estimate_tracks_the_gathered_count(self):
+        # sum over q <= 256 of phi(q) q is 3,406,801; the estimate 2 Q^3 / pi^2 is
+        # within 0.3 %, and q_max 256 sits far under the budget
+        exact = sum(q * sum(1 for p in range(1, q + 1) if math.gcd(p, q) == 1)
+                    for q in range(1, 257))
+        assert exact == 3_406_801
+        estimate = 2 * 256 ** 3 / math.pi ** 2
+        assert abs(estimate / exact - 1) < 3e-3
+        assert 50 * estimate < identities.SCAN_TERM_BUDGET
+
+    @pytest.mark.parametrize("q_max", [10 ** 5, 10 ** 100, 10 ** 400])
+    def test_over_budget_is_refused_before_any_work(self, q_max):
+        with pytest.raises(DomainError, match=r"gathers an estimated ([\d.e+]+|inf) terms"
+                                              r".*SCAN_TERM_BUDGET"):
+            scan_identity_residuals("bose", q_max, 1.0)
 
 
 class TestCoprimeFractions:
