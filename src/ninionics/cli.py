@@ -20,8 +20,8 @@ import sys
 from fractions import Fraction
 from typing import Iterable
 
-from . import fractal, identities, rotor, thermo
-from .errors import DomainError
+from . import fractal, thermo
+from .errors import MEMORY_BUDGET, DomainError
 from .occupation import Family, occupation_from_eps
 from .rationals import StatAngle, parse_turns, thomae
 from .thermo import GasSpec
@@ -177,6 +177,7 @@ def _cmd_thomae(args) -> tuple[list[str], list[tuple], dict]:
 
 
 def _cmd_identity(args) -> tuple[list[str], list[tuple], dict]:
+    from . import identities  # numpy loads only in the commands that compute with it
     if args.p is not None:  # main has checked that --p and --q come together
         check = (identities.check_boson_identity if args.family == "bose"
                  else identities.check_fermion_identity)
@@ -274,11 +275,11 @@ def _cmd_scan(args) -> tuple[list[str], Iterable[tuple | str], dict]:
     n, (lo, hi) = args.order, args.window
     need_bytes = ((3 * n ** 2 * float(hi - lo) / math.pi ** 2 + n + 1) * _JSON_ROW_BYTES
                   if n.bit_length() <= 500 else math.inf)
-    if need_bytes > rotor.MEMORY_BUDGET:
+    if need_bytes > MEMORY_BUDGET:
         raise DomainError(
             f"a JSON scan of order {n} needs an estimated {need_bytes / 2 ** 20:.4g} MiB, "
-            f"over the {rotor.MEMORY_BUDGET / 2 ** 20:g} MiB memory budget "
-            f"(ninionics.rotor.MEMORY_BUDGET); CSV output streams in constant memory")
+            f"over the {MEMORY_BUDGET / 2 ** 20:g} MiB memory budget "
+            f"(ninionics.errors.MEMORY_BUDGET); CSV output streams in constant memory")
     return fields, fractal.iter_scan_rows(n, args.window), extras
 
 
@@ -308,6 +309,7 @@ def _cmd_nogo(args) -> tuple[list[str], list[tuple], dict]:
 
 
 def _cmd_rotor(args) -> tuple[list[str], list[tuple], dict]:
+    from . import rotor
     spec = rotor.RotorSpec(args.inertia, args.m_cut)
     if args.table == "weights":
         weights = rotor.angular_distribution(spec, args.beta, half_shift=args.half_shift)

@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types and the memory budget shared across the package."""
+
+__all__ = ["DomainError", "PoleError", "TruncationError", "MEMORY_BUDGET"]
+
+MEMORY_BUDGET = 2 ** 30  # bytes one request may allocate, arrays and Python results
 
 
 class DomainError(ValueError):

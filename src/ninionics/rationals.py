@@ -13,8 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .errors import DomainError
-from .rotor import MEMORY_BUDGET
+from .errors import MEMORY_BUDGET, DomainError
 
 __all__ = [
     "ReducedFraction",
@@ -193,7 +192,7 @@ def approximate_rational(x: float, q_max: int) -> Fraction:
 def primes_up_to(n: int) -> list[int]:
     """All primes <= n, ascending (Eratosthenes sieve); requires n >= 2.
 
-    A sieve whose estimated memory exceeds rotor.MEMORY_BUDGET is refused
+    A sieve whose estimated memory exceeds errors.MEMORY_BUDGET is refused
     before anything is allocated.
     """
     if n < 2:
@@ -207,7 +206,7 @@ def primes_up_to(n: int) -> list[int]:
         raise DomainError(
             f"a prime sieve up to {n} needs an estimated {need_bytes / 2 ** 20:.4g} MiB, "
             f"over the {MEMORY_BUDGET / 2 ** 20:g} MiB memory budget "
-            f"(ninionics.rotor.MEMORY_BUDGET)")
+            f"(ninionics.errors.MEMORY_BUDGET)")
     sieve = bytearray([1]) * (n + 1)
     sieve[0] = sieve[1] = 0
     for i in range(2, math.isqrt(n) + 1):

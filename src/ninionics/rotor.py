@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, TruncationError
+from .errors import MEMORY_BUDGET, DomainError, TruncationError
 
 __all__ = [
     "RotorSpec",
@@ -41,7 +41,6 @@ TAIL_BOUND = 1e-14
 # Smallest |Z(chi)/Z(0)| at which K is reported. Z carries a rounding error of
 # about 1e-16 * Z(0), so K = -ln(Z/Z(0)) is good to about 1e-16 / RATIO_FLOOR.
 RATIO_FLOOR = 1e-10
-MEMORY_BUDGET = 2 ** 30  # bytes one request may allocate, arrays and Python results
 # Bytes per level and per grid point, rounded up from tracemalloc peaks: per
 # level the level, weight and bin arrays plus one weights-dict entry (about
 # 130 B at M = 1e5), per point the complex Z and ratio arrays plus one zk row
@@ -78,7 +77,7 @@ def _check_request(spec: RotorSpec, beta: float, grid_points: int = 0) -> None:
         raise DomainError(
             f"m_cut={spec.m_cut} with {grid_points} grid points needs an estimated "
             f"{need_bytes / 2 ** 20:.4g} MiB, over the {MEMORY_BUDGET / 2 ** 20:g} MiB "
-            f"rotor memory budget (ninionics.rotor.MEMORY_BUDGET)")
+            f"memory budget (ninionics.errors.MEMORY_BUDGET)")
     if not beta > 0.0:
         raise DomainError("beta must be positive")
     tail = math.exp(-beta * spec.energy(spec.m_cut))

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import ninionics
-from ninionics import fractal, identities, occupation, rationals, rotor, thermo
+from ninionics import errors, fractal, identities, occupation, oracle, rationals, rotor, thermo
 from ninionics.errors import DomainError
 
 
@@ -48,6 +48,19 @@ def test_no_module_imports_scipy(path):
               if isinstance(node, ast.ImportFrom) and node.module]
     found = [name for name in names if name.split(".")[0] == "scipy"]
     assert found == [], f"{path.name} imports {found}"
+
+
+def test_every_exported_name_resolves_lazily_to_its_object():
+    # ninionics resolves its names on first use; each must be its submodule's own object
+    for module in (errors, fractal, identities, occupation, oracle, rationals, rotor, thermo):
+        for name in module.__all__:
+            assert getattr(ninionics, name) is getattr(module, name), (module.__name__, name)
+    assert thermo.free_energy_extrapolated is oracle.free_energy_extrapolated
+    with pytest.raises(AttributeError):
+        ninionics.no_such_name
+    # a submodule name is not an export: the import falls back to the submodule
+    from ninionics import fractal as fractal_again, thermo as thermo_again
+    assert (fractal_again, thermo_again) == (fractal, thermo)
 
 
 def test_traced_bench_calls_only_names_that_exist():

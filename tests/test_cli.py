@@ -13,9 +13,9 @@ from pathlib import Path
 
 import pytest
 
-from ninionics import fractal, rotor, thermo
+from ninionics import fractal, oracle, rotor, thermo
 from ninionics.cli import main, parse_angle
-from ninionics.errors import DomainError
+from ninionics.errors import MEMORY_BUDGET, DomainError
 
 PI_SQ = math.pi ** 2
 
@@ -92,6 +92,14 @@ class TestIdentityCommand:
         assert float(row["rhs"]) == pytest.approx(math.log1p(math.exp(-2.0)))
         assert float(row["residual"]) < 1e-12
 
+    @pytest.mark.parametrize("q", ["10007", "30011"])
+    def test_large_q_pair_passes_its_cancellation_check(self, capsys, q):
+        # the rounding of a 2q-term sum grows with q; an absolute bound refused these
+        code, out, err = run_cli(["identity", "--family", "fermi", "--p", "1", "--q", q,
+                                  "--gamma", "1"], capsys)
+        assert code == 0, err
+        assert float(read_csv(out)[0]["residual"]) < 1e-12
+
     def test_usage_error_bad_gamma(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["identity", "--family", "bose", "--gamma", "-1"])
@@ -104,7 +112,7 @@ class TestIdentityCommand:
          r"\(ninionics\.identities\.SCAN_TERM_BUDGET\)"),
         (["--p", "1", "--q", "10000000000000"],
          r"the phase sum at q = 10000000000000 needs an estimated [\d.e+]+ MiB, over the "
-         r"1024 MiB memory budget \(ninionics\.rotor\.MEMORY_BUDGET\)"),
+         r"1024 MiB memory budget \(ninionics\.errors\.MEMORY_BUDGET\)"),
     ])
     def test_over_budget_is_refused_before_any_work(self, capsys, argv, message):
         start = time.perf_counter()
@@ -161,18 +169,24 @@ class TestThermoCommand:
         assert "error[DomainError]" in err
 
     def test_oversized_quadrature_is_refused_before_any_integral(self, capsys, monkeypatch):
-        def no_integral(*args):
-            raise AssertionError("the oracle integrated rows of a refused request")
+        rows, exp_sinh = [], oracle._exp_sinh
 
-        monkeypatch.setattr(thermo, "_exp_sinh", no_integral)
+        def counting(tol, x0, *rest):
+            rows.append(len(x0))
+            return exp_sinh(tol, x0, *rest)
+
+        monkeypatch.setattr(oracle, "_exp_sinh", counting)
         start = time.perf_counter()
         code, out, err = run_cli(["thermo", "--method", "quadrature", "--chi", "1/999983"],
                                  capsys)
         assert time.perf_counter() - start < 1.0
-        assert (code, out) == (1, "")
+        assert (code, out, rows) == (1, "", [])
         assert err.startswith("error[DomainError]: quadrature needs 999983 rows, one per "
                               "residue and mu branch, over the budget of "
                               f"{thermo.QUADRATURE_ROW_BUDGET} rows")
+        # positive control: the spy sits where the oracle looks, so an admitted run trips it
+        code, _, _ = run_cli(["thermo", "--method", "quadrature", "--chi", "1/7"], capsys)
+        assert (code, sum(rows)) == (0, 7)
 
     def test_ten_thousand_residues_fit_the_budget(self, capsys):
         code, out, _ = run_cli(["thermo", "--method", "quadrature", "--chi", "0.7071"], capsys)
@@ -272,7 +286,7 @@ class TestScanCommand:
         assert out == ""
         assert err.startswith("error[DomainError]: a JSON scan of order 100000 needs an "
                               "estimated ")
-        assert f"over the {rotor.MEMORY_BUDGET / 2 ** 20:g} MiB memory budget" in err
+        assert f"over the {MEMORY_BUDGET / 2 ** 20:g} MiB memory budget" in err
         assert "CSV output streams" in err
 
     @pytest.mark.parametrize("order", [str(10 ** 200), str(10 ** 400)])
@@ -574,20 +588,43 @@ class TestOutputFile:
         assert [r["chi_numerator"] for r in read_csv(data)] == ["0", "1", "1"]
 
 
-def test_import_leaves_scipy_unloaded():
+@pytest.mark.parametrize("argv,numpy_loaded", [
+    ([], False),
+    (["thomae", "--fraction", "3/7"], False),
+    (["thermo", "--family", "bose", "--chi", "1/3", "--method", "closed"], False),
+    (["thermo", "--family", "fermi", "--chi", "1/3", "--method", "closed"], False),
+    (["walls"], False),
+    (["nogo", "--mode", "near", "--count", "3"], False),
+    (["nogo", "--mode", "fixed", "--count", "3"], False),
+    (["occupation", "--family", "bose", "--xi", "pi/4", "--omega-count", "3"], False),
+    (["scan", "--order", "5"], False),
+    (["scan", "--order", "5", "--format", "json"], False),
+    # the commands that compute with numpy load it, so the checks above are not vacuous
+    (["identity", "--family", "bose", "--q-max", "4", "--gamma", "1"], True),
+    (["rotor", "--m-cut", "20", "--chi-points", "4"], True),
+    (["thermo", "--method", "quadrature", "--chi", "1/2"], True),
+    (["walls", "--rotating"], True),
+], ids=["import", "thomae", "thermo-closed-bose", "thermo-closed-fermi", "walls", "nogo-near",
+        "nogo-fixed", "occupation", "scan-csv", "scan-json", "identity", "rotor",
+        "thermo-quadrature", "walls-rotating"])
+def test_import_leaves_scipy_unloaded(argv, numpy_loaded):
+    # numpy only where a command computes with it, and scipy nowhere: the quadrature
+    # oracle is numpy only
     code = ("import sys\n"
+            "def loaded():\n"
+            "    print('numpy' in sys.modules, 'scipy' in sys.modules)\n"
+            "import ninionics\n"
+            "loaded()\n"
             "import ninionics.cli\n"
-            "print('numpy.fft' in sys.modules)\n"
-            "print('scipy' in sys.modules)\n"
-            "ninionics.cli.main(['thermo', '--method', 'quadrature', '--chi', '1/2'])\n"
-            "ninionics.cli.main(['walls', '--rotating'])\n"
-            "print('scipy' in sys.modules)\n")
+            "loaded()\n"
+            "status = ninionics.cli.main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+            "loaded()\n"
+            "sys.exit(status)\n")  # check=True: every command must succeed
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    out = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
     lines = out.stdout.splitlines()
-    assert lines[0] == "False"  # a fresh import of the CLI skips the FFT
-    assert lines[1] == "False"  # and scipy
-    assert lines[-1] == "False"  # and so does the quadrature oracle: it is numpy only
+    assert lines[:2] == ["False False"] * 2  # a fresh import of the package or the CLI
+    assert lines[-1] == f"{numpy_loaded} False"

@@ -220,6 +220,15 @@ class TestScan:
         for c in scan:
             assert c == check(c.p, c.q, gamma)
 
+    @pytest.mark.parametrize("family", ["bose", "fermi"])
+    def test_rows_sum_the_phases_the_rounding_bound_counts(self, family):
+        # the scan bounds each row's rounding by the den logarithms (bose) or the half
+        # whose phases share p's parity (fermi), taken once per q: each row is exactly those
+        for p, q in coprime_fractions(40):
+            k, den = identities.residue_phases(family, p, q)
+            start, step = (0, 1) if family == "bose" else (p % 2, 2)
+            assert sorted(k.tolist()) == list(range(start, den, step)), (p, q)
+
     def test_chunk_boundaries_inside_one_q(self, monkeypatch):
         # 20 terms a chunk splits q = 7..20 into several chunks and gives q > 20 one
         # row a chunk

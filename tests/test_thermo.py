@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ninionics import thermo
+from ninionics import oracle, thermo
 from ninionics.errors import DomainError
 from ninionics.occupation import Family, StatLabel
 from ninionics.rationals import StatAngle
@@ -292,7 +292,7 @@ class TestQuadratureOracle:
         # massless, beta = 1: -(1/pi^2) sum_n cos(n phi)/n^4, a polynomial in
         # phi on [0, 2 pi]; the fermionic logarithm is the bosonic one at phi + pi.
         # At turns 1/q, residue a sits at a/q (bose) or (2a + 1)/2q (fermi) turns
-        table, _ = thermo._mode_table(GasSpec(family), 1.0, Fraction(1, q), QUAD_TOL)
+        table, _ = oracle._mode_table(GasSpec(family), 1.0, Fraction(1, q), QUAD_TOL)
         for a in range(q):
             turns = Fraction(a, q) if family is Family.BOSE else Fraction(2 * a + 1, 2 * q)
             phi = 2.0 * math.pi * float(turns)
@@ -308,7 +308,7 @@ class TestQuadratureOracle:
     def test_error_estimate_bounds_the_per_mode_error(self, family, q, tol):
         # massless, beta = 1: -(1/pi^2) sum_n cos(2 pi n t)/n^4 at t turns is
         # -pi^2 (1/90 - t^2/3 + 2 t^3/3 - t^4/3) on [0, 1], exact up to one rounding
-        table, error = thermo._mode_table(GasSpec(family), 1.0, Fraction(1, q), tol)
+        table, error = oracle._mode_table(GasSpec(family), 1.0, Fraction(1, q), tol)
         for a in range(q):
             t = Fraction(a, q) if family is Family.BOSE else Fraction(2 * a + 1, 2 * q)
             if family is Family.FERMI:
@@ -320,7 +320,7 @@ class TestQuadratureOracle:
     @pytest.mark.parametrize("mu", [0.0, 0.5])
     def test_one_integral_per_residue_and_branch(self, monkeypatch, mu):
         rows, chunks = [], []
-        exp_sinh, log_terms = thermo._exp_sinh, thermo._log_terms
+        exp_sinh, log_terms = oracle._exp_sinh, oracle._log_terms
 
         def counting(tol, x0, *rest):
             rows.append(len(x0))
@@ -330,8 +330,8 @@ class TestQuadratureOracle:
             chunks.append(len(x0))
             return log_terms(t, x0, *rest)
 
-        monkeypatch.setattr(thermo, "_exp_sinh", counting)
-        monkeypatch.setattr(thermo, "_log_terms", chunk_size)
+        monkeypatch.setattr(oracle, "_exp_sinh", counting)
+        monkeypatch.setattr(oracle, "_log_terms", chunk_size)
         spec = GasSpec(Family.FERMI, mass=1.0, mu=mu)
         for q in (13, 301):  # one chunk of rows, and several
             chi = StatAngle.from_fraction(2, q)
@@ -346,7 +346,7 @@ class TestQuadratureOracle:
             assert work == [2 * q if mu else q] * 2
             assert work[0] == thermo.quadrature_rows(spec, chi)
             assert passes[0] == passes[1]
-            assert max(chunks) == min(work[0], thermo._DE_CHUNK_ROWS)
+            assert max(chunks) == min(work[0], oracle._DE_CHUNK_ROWS)
 
     def test_memory_bounded_at_large_q(self):
         tracemalloc.start()
@@ -429,7 +429,7 @@ class TestRegulatorLimit:
     @pytest.mark.parametrize("eps", thermo.DEFAULT_REGULATORS)
     def test_residue_weights_tend_to_one_over_q(self, q, eps):
         # each class weight tends to the count 1/q, the limit the oracle takes exactly
-        weights = thermo._residue_weights(q, eps)
+        weights = oracle._residue_weights(q, eps)
         assert len(weights) == q
         assert max(abs(w - 1.0 / q) for w in weights) <= q * eps ** 2
 
@@ -440,7 +440,7 @@ class TestRegulatorLimit:
         m = np.arange(-required_m_cut(eps), required_m_cut(eps) + 1)
         w = np.exp(-eps * np.abs(m))
         brute = np.bincount(m % q, weights=w, minlength=q) / w.sum()
-        assert np.max(np.abs(thermo._residue_weights(q, eps) - brute)) <= 1e-12
+        assert np.max(np.abs(oracle._residue_weights(q, eps) - brute)) <= 1e-12
 
     def test_quadrature_memory_bounded_at_small_regulator(self):
         # m_cut = 276,310,213 at reg_eps = 1e-7, but no array over m is built
