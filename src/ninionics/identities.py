@@ -42,6 +42,7 @@ GAMMA_FLOOR = 1e-6
 # Conjugate pairing cancels the imaginary parts exactly, so a half sum's imaginary part
 # is rounding, bounded by _IMAG_TOL times the sum of its terms' magnitudes. The largest
 # ratio seen is 0.44 eps (every p/q with q < 200, q up to 10^6 at five p, both families).
+# The test is <=, since at large gamma every term can round to exactly 0 and so the bound.
 _IMAG_TOL = 32 * np.finfo(float).eps
 # Bytes one phase sum holds per residue, rounded up from the tracemalloc peak
 # (72 B per residue at q = 10^4 to 10^6 in both families).
@@ -101,7 +102,7 @@ def _validate(p: int, q: int, gamma: float, gamma_floor: float) -> float:
 
 def _real_part(terms: np.ndarray) -> float:
     total = 0.5 * complex(terms.sum())
-    if not abs(total.imag) < _IMAG_TOL * 0.5 * float(np.abs(terms).sum()):
+    if not abs(total.imag) <= _IMAG_TOL * 0.5 * float(np.abs(terms).sum()):
         raise DomainError(f"conjugate pairing left imaginary part {total.imag!r}")
     return float(total.real)
 
@@ -227,7 +228,7 @@ def scan_identity_residuals(family: str, q_max: int, gamma: float) -> list[Ident
             np.take(logs, residue_phases(family, chunk[:, None], q)[0], out=rows[:, :q])
             np.conjugate(rows[:, :q], out=rows[:, q:])
             total = 0.5 * rows.sum(axis=1)
-            bad = np.flatnonzero(~(np.abs(total.imag) < bound[chunk & 1]))
+            bad = np.flatnonzero(~(np.abs(total.imag) <= bound[chunk & 1]))
             if bad.size:
                 raise DomainError(f"conjugate pairing left imaginary part "
                                   f"{float(total.imag[bad[0]])!r} at {chunk[bad[0]]}/{q}")

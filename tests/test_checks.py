@@ -55,6 +55,10 @@ def test_every_exported_name_resolves_lazily_to_its_object():
     for module in (errors, fractal, identities, occupation, oracle, rationals, rotor, thermo):
         for name in module.__all__:
             assert getattr(ninionics, name) is getattr(module, name), (module.__name__, name)
+    # and the map names only what its submodule exports, so `import *` cannot break
+    for module_name, names in ninionics._EXPORTS.items():
+        stale = set(names) - set(getattr(ninionics, module_name).__all__)
+        assert not stale, (module_name, stale)
     assert thermo.free_energy_extrapolated is oracle.free_energy_extrapolated
     with pytest.raises(AttributeError):
         ninionics.no_such_name

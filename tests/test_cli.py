@@ -100,6 +100,13 @@ class TestIdentityCommand:
         assert code == 0, err
         assert float(read_csv(out)[0]["residual"]) < 1e-12
 
+    def test_large_gamma_term_of_exactly_zero_passes(self, capsys):
+        # log(1 - e^-40) rounds to exactly 0, and so does its cancellation bound
+        code, out, err = run_cli(["identity", "--family", "bose", "--p", "1", "--q", "1",
+                                  "--gamma", "40"], capsys)
+        assert code == 0, err
+        assert float(read_csv(out)[0]["residual"]) < 1e-17
+
     def test_usage_error_bad_gamma(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["identity", "--family", "bose", "--gamma", "-1"])

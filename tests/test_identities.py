@@ -229,6 +229,18 @@ class TestScan:
             start, step = (0, 1) if family == "bose" else (p % 2, 2)
             assert sorted(k.tolist()) == list(range(start, den, step)), (p, q)
 
+    @pytest.mark.parametrize("family,check", [("bose", check_boson_identity),
+                                              ("fermi", check_fermion_identity)])
+    @pytest.mark.parametrize("gamma", [40.0, 740.0])
+    def test_terms_that_round_to_zero_pass_the_cancellation_check(self, family, check, gamma):
+        # 1 - e^-gamma rounds to 1, so the bose q = 1 term is exactly 0, and at gamma
+        # 740 every term is: the imaginary part and its bound are both 0
+        scan = scan_identity_residuals(family, 8, gamma)
+        assert [(c.p, c.q) for c in scan] == list(coprime_fractions(8))
+        for c in scan:
+            assert c == check(c.p, c.q, gamma)
+            assert c.residual < 1e-17
+
     def test_chunk_boundaries_inside_one_q(self, monkeypatch):
         # 20 terms a chunk splits q = 7..20 into several chunks and gives q > 20 one
         # row a chunk
