@@ -12,7 +12,7 @@ Every name below resolves on first use by importing its submodule, so
 import importlib
 
 _EXPORTS = {
-    "errors": ("DomainError", "PoleError", "TruncationError", "MEMORY_BUDGET"),
+    "errors": ("DomainError", "PoleError", "TruncationError", "MEMORY_BUDGET", "ROW_BUDGET"),
     "fractal": (
         "FractalSample", "SelfSimilarityReport", "SequenceProbe", "sample_at",
         "iter_fractal_scan", "fractal_scan", "SCAN_FIELDS", "iter_scan_rows",

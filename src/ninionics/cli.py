@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from . import fractal, thermo
-from .errors import MEMORY_BUDGET, DomainError
+from .errors import ROW_BUDGET, DomainError
 from .occupation import Family, occupation_from_eps
 from .rationals import StatAngle, parse_turns, thomae
 from .thermo import GasSpec
@@ -120,8 +120,15 @@ def _turns(text: str) -> Fraction | float:
         raise argparse.ArgumentTypeError(f"cannot parse turns {text!r}") from exc
 
 
+def _json_value(v) -> str:
+    """json.dumps(v), by the faster repr for a plain int or finite float (not np.float64)."""
+    t = type(v)
+    return repr(v) if t is int or t is float and math.isfinite(v) else json.dumps(v)
+
+
 def _write(args: argparse.Namespace, out, fieldnames: list[str],
            rows: Iterable[tuple | str], extras: dict) -> None:
+    """Write rows as they arrive; JSON bytes equal json.dump(payload, indent=2) + "\n"."""
     if args.format == "csv":
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(fieldnames)
@@ -130,12 +137,16 @@ def _write(args: argparse.Namespace, out, fieldnames: list[str],
                 out.write(row)
             else:
                 writer.writerow(row)
-    else:
-        payload: dict = {"schema_version": SCHEMA_VERSION, "command": args.command}
-        payload.update(extras)
-        payload["rows"] = [dict(zip(fieldnames, row)) for row in rows]
-        json.dump(payload, out, indent=2)
-        out.write("\n")
+        return
+    head = {"schema_version": SCHEMA_VERSION, "command": args.command, **extras, "rows": []}
+    out.write(json.dumps(head, indent=2)[:-3])  # up to the "[" of "rows"
+    keys = [f"\n      {json.dumps(name)}: " for name in fieldnames]
+    sep = ""
+    for row in rows:
+        out.write(sep + "\n    {" + ",".join([k + _json_value(v) for k, v in zip(keys, row)])
+                  + "\n    }")
+        sep = ","
+    out.write("\n  ]\n}\n" if sep else "]\n}\n")
 
 
 def _emit(args: argparse.Namespace, fieldnames: list[str],
@@ -246,10 +257,19 @@ def _cmd_walls(args) -> tuple[list[str], list[tuple], dict]:
     return _WALLS_FIELDS, [row], {}
 
 
+def _check_rows(table: str, rows: float) -> None:
+    """Refuse, before any row is computed, a table predicted to be over ROW_BUDGET."""
+    if rows > ROW_BUDGET:
+        raise DomainError(f"{table} has an estimated {rows:.4g} rows, over the budget of "
+                          f"{ROW_BUDGET} rows (ninionics.errors.ROW_BUDGET)")
+
+
 def _cmd_occupation(args) -> tuple[list[str], list[tuple], dict]:
+    count = len(args.xi) * args.omega_count  # a count past 2^1000 would overflow a float
+    _check_rows("an occupation table", count if count.bit_length() <= 1000 else math.inf)
     family = Family(args.family)
     step = (args.omega_max - args.omega_min) / (args.omega_count - 1)
-    rows = []
+    rows = []  # built whole, so a PoleError leaves the output untouched
     for xi in args.xi:
         for i in range(args.omega_count):
             omega = args.omega_min + i * step
@@ -258,29 +278,14 @@ def _cmd_occupation(args) -> tuple[list[str], list[tuple], dict]:
     return ["family", "xi", "omega", "beta_omega", "occupation"], rows, {}
 
 
-# Bytes one scan row holds in the JSON payload before json.dump: a six-key dict,
-# its floats and a list slot, rounded up from peak RSS (415 B per row at order
-# 1000, 432 B at order 2000).
-_JSON_ROW_BYTES = 480
-
-
 def _cmd_scan(args) -> tuple[list[str], Iterable[tuple | str], dict]:
-    # argparse has checked the order and the window, so CSV lines stream
-    fields, extras = list(fractal.SCAN_FIELDS), {"order": args.order}
-    if args.format == "csv":
-        return fields, fractal.iter_scan_lines(args.order, args.window), extras
-    # JSON holds every row at once: about 3 n^2 (hi - lo) / pi^2 rows, plus n + 1 for
-    # the error term (an upper bound on [0, 1] up to n = 20000 at least); an order
-    # past 2^500 would overflow the float estimate itself
+    # about 3 n^2 (hi - lo) / pi^2 rows, plus n + 1 for the error term (an upper bound on
+    # [0, 1] up to n = 20000 at least); an order past 2^500 would overflow the float
     n, (lo, hi) = args.order, args.window
-    need_bytes = ((3 * n ** 2 * float(hi - lo) / math.pi ** 2 + n + 1) * _JSON_ROW_BYTES
-                  if n.bit_length() <= 500 else math.inf)
-    if need_bytes > MEMORY_BUDGET:
-        raise DomainError(
-            f"a JSON scan of order {n} needs an estimated {need_bytes / 2 ** 20:.4g} MiB, "
-            f"over the {MEMORY_BUDGET / 2 ** 20:g} MiB memory budget "
-            f"(ninionics.errors.MEMORY_BUDGET); CSV output streams in constant memory")
-    return fields, fractal.iter_scan_rows(n, args.window), extras
+    _check_rows(f"a scan of order {n}", 3 * n ** 2 * float(hi - lo) / math.pi ** 2 + n + 1
+                if n.bit_length() <= 500 else math.inf)
+    produce = fractal.iter_scan_lines if args.format == "csv" else fractal.iter_scan_rows
+    return list(fractal.SCAN_FIELDS), produce(n, args.window), {"order": n}
 
 
 def _cmd_nogo(args) -> tuple[list[str], list[tuple], dict]:
@@ -289,10 +294,8 @@ def _cmd_nogo(args) -> tuple[list[str], list[tuple], dict]:
             args.target, args.count, args.min_denominator)
     else:
         mode = "fixed_denominator" if args.mode == "fixed" else "growing_denominator"
-        if args.m_indices:
-            m_indices = args.m_indices
-        else:
-            m_indices = list(range(args.prime_index + 1, args.prime_index + 1 + args.count))
+        m_indices = args.m_indices or range(args.prime_index + 1,
+                                            args.prime_index + 1 + args.count)
         probe = fractal.prime_sequence_probe(args.prime_index, m_indices, mode)
     rows = []
     for turns, ratio in probe.points:

@@ -16,7 +16,8 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .errors import DomainError
-from .rationals import farey_interval, farey_pairs, farey_successor, nth_prime, primes_up_to
+from .rationals import (_prime_bound, farey_interval, farey_pairs, farey_successor,
+                        primes_up_to)
 
 __all__ = [
     "FractalSample",
@@ -228,12 +229,15 @@ def prime_sequence_probe(n_fixed: int, m_indices: Sequence[int],
     such sequences exhibits limits that differ by arbitrarily many orders of
     magnitude, which is why no analytic continuation in the angle exists.
     """
-    pn = nth_prime(n_fixed)
+    # one sieve; a range's extremes are its ends, so a huge one is never walked
+    ends = [*m_indices[:1], *m_indices[-1:]] if isinstance(m_indices, range) else m_indices
+    primes = primes_up_to(max(_prime_bound(m) for m in (n_fixed, *ends)))
+    pn = primes[n_fixed - 1]
     notices: list[str] = []
     points: list[tuple[Fraction, Fraction]] = []
     if mode == "fixed_denominator":
         for m in m_indices:
-            pm = nth_prime(m)
+            pm = primes[m - 1]
             r = pm % pn
             if r == 0:
                 notices.append(f"P_{m} = {pm} is divisible by P_{n_fixed} = {pn}; skipped")
@@ -246,7 +250,7 @@ def prime_sequence_probe(n_fixed: int, m_indices: Sequence[int],
             if m == n_fixed:
                 notices.append(f"index {m} equals the fixed index; ratio 1 skipped")
                 continue
-            pm = nth_prime(m)
+            pm = primes[m - 1]
             chi = Fraction(pn, pm)
             points.append((chi, Fraction(1, chi.denominator ** 4)))
         target = 0.0

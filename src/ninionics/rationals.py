@@ -215,17 +215,19 @@ def primes_up_to(n: int) -> list[int]:
     return [i for i in range(2, n + 1) if sieve[i]]
 
 
-def nth_prime(index: int) -> int:
-    """The index-th prime, 1-based: nth_prime(1) == 2."""
+def _prime_bound(index: int) -> int:
+    """An integer at least the index-th prime (1-based): index (ln index + ln ln index)
+    from index 6 on (Rosser 1941), exact so that a huge index cannot overflow a float."""
     if index < 1:
         raise DomainError("prime index is 1-based and must be >= 1")
     if index < 6:
-        return [2, 3, 5, 7, 11][index - 1]
-    # Rosser-style upper bound, then sieve once; the exact product keeps a huge index
-    # from overflowing a float before the sieve's budget check
-    bound = int(index * Fraction(math.log(index) + math.log(math.log(index)))) + 10
-    primes = primes_up_to(bound)
-    return primes[index - 1]
+        return 11
+    return int(index * Fraction(math.log(index) + math.log(math.log(index)))) + 10
+
+
+def nth_prime(index: int) -> int:
+    """The index-th prime, 1-based: nth_prime(1) == 2."""
+    return primes_up_to(_prime_bound(index))[index - 1]
 
 
 @dataclass(frozen=True)

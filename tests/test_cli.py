@@ -1,3 +1,4 @@
+import argparse
 import csv
 import hashlib
 import io
@@ -9,13 +10,15 @@ import stat
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from ninionics import fractal, oracle, rotor, thermo
+from ninionics import cli, fractal, oracle, rotor, thermo
 from ninionics.cli import main, parse_angle
-from ninionics.errors import MEMORY_BUDGET, DomainError
+from ninionics.errors import ROW_BUDGET, DomainError, PoleError
 
 PI_SQ = math.pi ** 2
 
@@ -239,6 +242,27 @@ class TestOccupationCommand:
         assert code == 1
         assert "error[PoleError]" in err
 
+    def test_oversized_table_is_refused_before_any_evaluation(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run_cli(["occupation", "--family", "bose", "--xi", "0,pi/4",
+                                  "--omega-count", "100000000"], capsys)
+        assert time.perf_counter() - start < 0.5
+        assert (code, out) == (1, "")
+        assert err == ("error[DomainError]: an occupation table has an estimated 2e+08 rows, "
+                       "over the budget of 5000000 rows (ninionics.errors.ROW_BUDGET)\n")
+
+    def test_row_budget_edge(self, capsys, monkeypatch):
+        def first_point(family, xi, eps):  # reached only past the budget check
+            raise PoleError("first point reached")
+
+        monkeypatch.setattr(cli, "occupation_from_eps", first_point)
+        argv = ["occupation", "--family", "fermi", "--xi", "0,pi/2", "--omega-count"]
+        code, out, err = run_cli(argv + [str(ROW_BUDGET // 2)], capsys)
+        assert (code, out, err) == (1, "", "error[PoleError]: first point reached\n")
+        code, out, err = run_cli(argv + [str(ROW_BUDGET // 2 + 1)], capsys)
+        assert (code, out) == (1, "")
+        assert "over the budget of 5000000 rows" in err
+
 
 class TestScanCommand:
     def test_order_one_two_rows(self, capsys):
@@ -281,26 +305,54 @@ class TestScanCommand:
         assert code == 0
         assert hashlib.sha256(target.read_bytes()).hexdigest() == digest
 
-    def test_json_scan_over_the_memory_budget_is_refused(self, capsys, monkeypatch):
+    @staticmethod
+    def assert_refused_before_enumeration(capsys, monkeypatch, producer, fmt):
         def unreachable(order, window):
             raise AssertionError("rows enumerated before the refusal")
 
-        monkeypatch.setattr(fractal, "iter_scan_rows", unreachable)
+        monkeypatch.setattr(fractal, producer, unreachable)
         start = time.perf_counter()
-        code, out, err = run_cli(["scan", "--order", "100000", "--format", "json"], capsys)
+        code, out, err = run_cli(["scan", "--order", "100000", "--format", fmt], capsys)
         assert time.perf_counter() - start < 0.5
         assert code == 1
         assert out == ""
-        assert err.startswith("error[DomainError]: a JSON scan of order 100000 needs an "
-                              "estimated ")
-        assert f"over the {MEMORY_BUDGET / 2 ** 20:g} MiB memory budget" in err
-        assert "CSV output streams" in err
+        assert err.startswith("error[DomainError]: a scan of order 100000 has an estimated "
+                              "3.04e+09 rows, ")
+        assert (f"over the budget of {ROW_BUDGET} rows (ninionics.errors.ROW_BUDGET)"
+                in err)
+
+    def test_json_scan_over_the_memory_budget_is_refused(self, capsys, monkeypatch):
+        # the row budget refuses it now that JSON streams in constant memory
+        self.assert_refused_before_enumeration(capsys, monkeypatch, "iter_scan_rows", "json")
+
+    def test_csv_scan_over_the_row_budget_is_refused(self, capsys, monkeypatch):
+        self.assert_refused_before_enumeration(capsys, monkeypatch, "iter_scan_lines", "csv")
 
     @pytest.mark.parametrize("order", [str(10 ** 200), str(10 ** 400)])
     def test_huge_json_order_is_refused(self, capsys, order):
-        code, _, err = run_cli(["scan", "--order", order, "--format", "json"], capsys)
-        assert code == 1
-        assert err.startswith("error[DomainError]: a JSON scan of order ")
+        code, out, err = run_cli(["scan", "--order", order, "--format", "json"], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error[DomainError]: a scan of order {order} has an "
+                              f"estimated inf rows, ")
+
+    @pytest.mark.parametrize("order", [str(10 ** 200), str(10 ** 400)])
+    def test_huge_csv_order_is_refused(self, capsys, order):
+        code, out, err = run_cli(["scan", "--order", order], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error[DomainError]: a scan of order {order} has an "
+                              f"estimated inf rows, ")
+
+    @pytest.mark.parametrize("fmt, producer", [("csv", "iter_scan_lines"),
+                                               ("json", "iter_scan_rows")])
+    def test_row_budget_edge_on_the_full_window(self, capsys, monkeypatch, fmt, producer):
+        # 3 n^2 / pi^2 + n + 1 is 4,999,670 rows at order 4054 and 5,002,136 at 4055
+        calls = []
+        monkeypatch.setattr(fractal, producer, lambda order, window: calls.append(order) or ())
+        code, _, _ = run_cli(["scan", "--order", "4054", "--format", fmt], capsys)
+        assert (code, calls) == (0, [4054])
+        code, out, err = run_cli(["scan", "--order", "4055", "--format", fmt], capsys)
+        assert (code, out, calls) == (1, "", [4054])
+        assert "estimated 5.002e+06 rows, over the budget of 5000000 rows" in err
 
     def test_narrow_json_window_at_the_same_order_succeeds(self, capsys):
         code, out, _ = run_cli(["scan", "--order", "100000", "--format", "json",
@@ -309,6 +361,61 @@ class TestScanCommand:
         payload = json.loads(out)
         assert len(payload["rows"]) == 50_672
         assert all(row["q"] == row["chi_denominator"] for row in payload["rows"])
+
+
+# one launch per command and table kind: None and bool values (walls), extras with a
+# list of notices (nogo), numpy floats (rotor) and an empty table (the scan window)
+JSON_LAUNCHES = {
+    "thomae": ["thomae", "--fraction", "3/7"],
+    "identity-scan": ["identity", "--family", "bose", "--q-max", "12", "--gamma", "1"],
+    "identity-pair": ["identity", "--family", "fermi", "--p", "1", "--q", "7", "--gamma", "0.5"],
+    "thermo-closed": ["thermo", "--family", "fermi", "--chi", "1/3"],
+    "thermo-quadrature": ["thermo", "--method", "quadrature", "--chi", "2/5"],
+    "walls": ["walls"],
+    "walls-rotating": ["walls", "--rotating"],
+    "occupation": ["occupation", "--family", "fermi", "--xi", "0,pi/3", "--omega-count", "5"],
+    "scan": ["scan", "--order", "30"],
+    "scan-empty": ["scan", "--order", "2", "--window", "1/3,2/5"],
+    "nogo-notices": ["nogo", "--mode", "fixed", "--m-indices", "1,2,3"],
+    "nogo-near": ["nogo", "--mode", "near", "--count", "3", "--min-denominator", "1000"],
+    "rotor-weights": ["rotor", "--table", "weights", "--m-cut", "10"],
+    "rotor-zk": ["rotor", "--chi-points", "4", "--m-cut", "10"],
+}
+
+
+class TestStreamedJson:
+    @pytest.mark.parametrize("argv", JSON_LAUNCHES.values(), ids=JSON_LAUNCHES.keys())
+    def test_bytes_equal_the_materialised_payload(self, capsys, argv):
+        argv = [*argv, "--format", "json"]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        args = cli.build_parser().parse_args(argv)
+        fields, rows, extras = args.handler(args)
+        payload = {"schema_version": cli.SCHEMA_VERSION, "command": args.command, **extras,
+                   "rows": [dict(zip(fields, row)) for row in rows]}
+        assert out == json.dumps(payload, indent=2) + "\n"
+
+    def test_every_value_kind_encodes_as_json_dump_does(self):
+        row = (True, None, float("nan"), -0.0, 'a "quoted" \\ str', np.float64(1.5), False,
+               float("-inf"), 2 ** 70, -3, 1e-300, "\u03c7")
+        fields = [f"col{i}" for i in range(len(row))]
+        out = io.StringIO()
+        cli._write(argparse.Namespace(format="json", command="probe"), out, fields,
+                   iter([row, row[::-1]]), {"note": ["x", None]})
+        payload = {"schema_version": "1", "command": "probe", "note": ["x", None],
+                   "rows": [dict(zip(fields, row)), dict(zip(fields, row[::-1]))]}
+        assert out.getvalue() == json.dumps(payload, indent=2) + "\n"
+
+    def test_scan_streams_in_constant_memory(self, capsys):
+        # 27,457 rows; the materialised payload held about 430 B for each
+        tracemalloc.start()
+        try:
+            code = main(["scan", "--order", "300", "--format", "json", "--output", os.devnull])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 2 ** 20
 
 
 class TestNogoCommand:
@@ -338,6 +445,25 @@ class TestNogoCommand:
             parity = (int(row["chi_num"]) + int(row["chi_den"])) % 2
             expected = "boson_ghost" if parity == 0 else "fermion"
             assert row["fermi_branch"] == expected
+
+    def test_many_indices_share_one_sieve(self, capsys):
+        start = time.perf_counter()
+        code, out, _ = run_cli(["nogo", "--mode", "fixed", "--count", "2000"], capsys)
+        assert time.perf_counter() - start < 0.5
+        assert code == 0
+        assert len(read_csv(out)) == 2000
+
+    def test_huge_count_is_refused_before_any_work(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run_cli(["nogo", "--mode", "fixed", "--count", "1000000000"], capsys)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (1, "")
+        assert "MiB, over the 1024 MiB memory budget" in err
+
+    def test_non_positive_m_index_is_refused(self, capsys):
+        code, out, err = run_cli(["nogo", "--m-indices", "5,0"], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("error[DomainError]: prime index is 1-based")
 
     @pytest.mark.parametrize("argv", [
         ["nogo", "--mode", "near", "--target", "1/3", "--min-denominator", str(10 ** 12),
@@ -543,7 +669,8 @@ class TestOutputFile:
         assert sorted(os.listdir(tmp_path)) == ["kept.csv"]
         assert kept.read_text() == "previous\n"
 
-    @pytest.mark.parametrize("order", ["10001", "3"])  # every CSV scan streams
+    # every CSV scan streams; 4054 is the highest order the row budget admits on [0, 1]
+    @pytest.mark.parametrize("order", ["4054", "3"])
     def test_failed_streamed_scan_leaves_no_file(self, capsys, tmp_path, monkeypatch, order):
         self.fail_mid_stream(monkeypatch, "iter_scan_lines")  # the CSV producer
         self.assert_failed_scans_leave_no_file(capsys, tmp_path, ["scan", "--order", order])

@@ -2,6 +2,7 @@ import csv
 import io
 import math
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -20,7 +21,7 @@ from ninionics.fractal import (
     sample_at,
     self_similarity_check,
 )
-from ninionics.rationals import thomae
+from ninionics.rationals import nth_prime, thomae
 
 
 class TestScan:
@@ -201,6 +202,30 @@ class TestPrimeSequences:
         probe = prime_sequence_probe(2, [3, 5, 8, 20, 50], "growing_denominator")
         dists = [abs(float(chi) - probe.target) for chi, _ in probe.points]
         assert all(a >= b for a, b in zip(dists, dists[1:]))
+
+    @pytest.mark.parametrize("mode", ["fixed_denominator", "growing_denominator"])
+    def test_one_sieve_gives_the_per_index_primes(self, mode):
+        pn, indices = nth_prime(4), range(2, 302)  # P_4 = 7 divides P_4 itself
+        if mode == "fixed_denominator":
+            expected = [Fraction(nth_prime(m) % pn, pn) for m in indices if nth_prime(m) % pn]
+        else:
+            expected = [Fraction(pn, nth_prime(m)) for m in indices if m != 4]
+        probe = prime_sequence_probe(4, indices, mode)
+        assert sorted(chi for chi, _ in probe.points) == sorted(expected)
+        assert [ratio for chi, ratio in probe.points] == [
+            Fraction(1, chi.denominator ** 4) for chi, _ in probe.points]
+        assert probe.points == prime_sequence_probe(4, list(indices), mode).points
+
+    @pytest.mark.parametrize("indices", [[5, 0, 7], range(0, 5), range(5, -1, -1)])
+    def test_non_positive_index_is_refused(self, indices):
+        with pytest.raises(DomainError, match="prime index is 1-based"):
+            prime_sequence_probe(1, indices, "growing_denominator")
+
+    def test_huge_index_range_is_refused_without_walking_it(self):
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match="MiB, over the 1024 MiB memory budget"):
+            prime_sequence_probe(1, range(2, 10 ** 18), "fixed_denominator")
+        assert time.perf_counter() - start < 1.0
 
     def test_unknown_mode(self):
         with pytest.raises(DomainError):

@@ -262,6 +262,15 @@ class TestPrimes:
         assert nth_prime(25) == 97
         assert nth_prime(303) == 1999
 
+    def test_nth_prime_matches_one_sieve(self):
+        # the sieve bound holds below index 6, where the Rosser bound does not apply
+        assert [nth_prime(i) for i in range(1, 400)] == primes_up_to(3000)[:399]
+
+    @pytest.mark.parametrize("index", [0, -3])
+    def test_nth_prime_is_one_based(self, index):
+        with pytest.raises(DomainError, match="prime index is 1-based"):
+            nth_prime(index)
+
 
 class TestStatAngle:
     def test_radians(self):
