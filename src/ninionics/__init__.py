@@ -26,7 +26,8 @@ _EXPORTS = {
         "SCAN_TERM_BUDGET", "regularized_count_ratio", "regularized_count_limit"),
     "occupation": (
         "Family", "StatLabel", "NinionParams", "LevelClass", "XiValue", "xi_of",
-        "occupation_number", "occupation_from_eps", "limit_form", "classify_levels"),
+        "occupation_number", "occupation_from_eps", "occupation_grid",
+        "limit_form", "classify_levels"),
     "oracle": (
         "free_energy_quadrature", "free_energy_extrapolated", "required_m_cut",
         "DEFAULT_REGULATORS"),

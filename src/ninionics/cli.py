@@ -20,11 +20,9 @@ import sys
 from fractions import Fraction
 from typing import Iterable
 
-from . import fractal, thermo
-from .errors import ROW_BUDGET, DomainError
-from .occupation import Family, occupation_from_eps
+from . import fractal
+from .errors import MEMORY_BUDGET, ROW_BUDGET, DomainError
 from .rationals import StatAngle, parse_turns, thomae
-from .thermo import GasSpec
 
 SCHEMA_VERSION = "1"
 
@@ -38,9 +36,12 @@ def parse_angle(text: str) -> float:
     m = _ANGLE_RE.match(text)
     if m is None:
         try:
-            return float(text)
+            x = float(text)
         except ValueError as exc:
             raise argparse.ArgumentTypeError(f"cannot parse angle {text!r}") from exc
+        if not math.isfinite(x):
+            raise argparse.ArgumentTypeError(f"angle {text!r} must be finite")
+        return x
     sign = -1.0 if m.group("sign") == "-" else 1.0
     coef = float(m.group("coef")) if m.group("coef") else 1.0
     den = float(m.group("den")) if m.group("den") else 1.0
@@ -101,15 +102,21 @@ def _window(text: str) -> tuple[Fraction, Fraction]:
     return lo, hi
 
 
+def _nonempty(values: list, text: str) -> list:
+    if not values:
+        raise argparse.ArgumentTypeError(f"{text!r} lists no values")
+    return values
+
+
 def _int_list(text: str) -> list[int]:
     try:
-        return [int(p) for p in text.split(",") if p.strip()]
+        return _nonempty([int(p) for p in text.split(",") if p.strip()], text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"cannot parse integer list {text!r}") from exc
 
 
 def _angle_list(text: str) -> list[float]:
-    return [parse_angle(p) for p in text.split(",") if p.strip()]
+    return _nonempty([parse_angle(p) for p in text.split(",") if p.strip()], text)
 
 
 def _turns(text: str) -> Fraction | float:
@@ -187,7 +194,7 @@ def _cmd_thomae(args) -> tuple[list[str], list[tuple], dict]:
     return fields, [row], {}
 
 
-def _cmd_identity(args) -> tuple[list[str], list[tuple], dict]:
+def _cmd_identity(args) -> tuple[list[str], Iterable[tuple | str], dict]:
     from . import identities  # numpy loads only in the commands that compute with it
     if args.p is not None:  # main has checked that --p and --q come together
         check = (identities.check_boson_identity if args.family == "bose"
@@ -195,12 +202,26 @@ def _cmd_identity(args) -> tuple[list[str], list[tuple], dict]:
         checks = [check(args.p, args.q, args.gamma)]
     else:
         checks = identities.scan_identity_residuals(args.family, args.q_max, args.gamma)
-    rows = [(args.family, c.p, c.q, c.gamma, c.lhs, c.rhs, c.residual) for c in checks]
     max_residual = max(c.residual for c in checks)
     print(f"max residual over {len(checks)} fractions: {max_residual:.3e}",
           file=sys.stderr)
     fields = ["family", "p", "q", "gamma", "lhs", "rhs", "residual"]
+    rows = (_identity_lines(args.family, args.gamma, checks) if args.format == "csv" else
+            ((args.family, c.p, c.q, c.gamma, c.lhs, c.rhs, c.residual) for c in checks))
     return fields, rows, {"max_residual": max_residual}
+
+
+def _identity_lines(family: str, gamma: float, checks: list) -> Iterable[str]:
+    """The CSV lines of the identity table. gamma is formatted once, and rhs once per q
+    and parity of p, the two things it depends on; keyed by value, 0.0 == -0.0 would
+    print one for the other."""
+    gamma_text = f",{gamma!r},"
+    rhs_texts: dict[tuple[int, int], str] = {}
+    for c in checks:
+        rhs = rhs_texts.get((c.q, c.p & 1))
+        if rhs is None:
+            rhs = rhs_texts[c.q, c.p & 1] = f",{c.rhs!r},"
+        yield f"{family},{c.p},{c.q}{gamma_text}{c.lhs!r}{rhs}{c.residual!r}\n"
 
 
 _THERMO_FIELDS = ["family", "method", "chi_num", "chi_den", "q_effective",
@@ -209,7 +230,9 @@ _THERMO_FIELDS = ["family", "method", "chi_num", "chi_den", "q_effective",
 
 
 def _cmd_thermo(args) -> tuple[list[str], list[tuple], dict]:
-    spec = GasSpec(Family(args.family), args.mass, args.mu, args.degeneracy)
+    from . import thermo  # thermo and occupation load only in the commands that use them
+    from .occupation import Family
+    spec = thermo.GasSpec(Family(args.family), args.mass, args.mu, args.degeneracy)
     angle = StatAngle.from_turns(args.chi, args.q_max)
     beta = args.beta
     mapped = thermo.rotated_ensemble(spec, beta, angle)
@@ -225,7 +248,8 @@ def _cmd_thermo(args) -> tuple[list[str], list[tuple], dict]:
                 f"quadrature needs {rows} rows, one per residue and mu branch, over the "
                 f"budget of {thermo.QUADRATURE_ROW_BUDGET} rows "
                 f"(ninionics.thermo.QUADRATURE_ROW_BUDGET)")
-        f = thermo.free_energy_extrapolated(spec, beta, angle, inner_tol=args.inner_tol)
+        tol = args.inner_tol or thermo.DEFAULT_INNER_TOL
+        f = thermo.free_energy_extrapolated(spec, beta, angle, inner_tol=tol)
     # chi is printed modulo its family's period: one turn for bosons, two for fermions
     turns = (angle.bosonic() if spec.family is Family.BOSE else angle.fermionic()).turns
     eff_beta = mapped.effective_beta
@@ -245,7 +269,9 @@ _WALLS_FIELDS = ["rotating", "beta4_f", "beta4_energy", "beta4_pressure", "beta3
 
 
 def _cmd_walls(args) -> tuple[list[str], list[tuple], dict]:
-    result = thermo.crossed_walls_thermo(args.beta, args.rotating, args.inner_tol)
+    from . import thermo
+    result = thermo.crossed_walls_thermo(args.beta, args.rotating,
+                                         args.inner_tol or thermo.DEFAULT_INNER_TOL)
     tq, report = result.quantities, result.oracle
     b3, b4 = args.beta ** 3, args.beta ** 4
     oracle = ((report.oracle.energy * b4, report.oracle.entropy * b3,
@@ -264,18 +290,48 @@ def _check_rows(table: str, rows: float) -> None:
                           f"{ROW_BUDGET} rows (ninionics.errors.ROW_BUDGET)")
 
 
-def _cmd_occupation(args) -> tuple[list[str], list[tuple], dict]:
+def _check_finite(name: str, *values: float) -> None:
+    """Refuse, before any row is written, a table column with an inf or NaN value."""
+    for v in values:
+        if not math.isfinite(v):
+            raise DomainError(f"{name} is {v!r}; every value in the table must be finite")
+
+
+def _cmd_occupation(args) -> tuple[list[str], Iterable[tuple | str], dict]:
     count = len(args.xi) * args.omega_count  # a count past 2^1000 would overflow a float
     _check_rows("an occupation table", count if count.bit_length() <= 1000 else math.inf)
-    family = Family(args.family)
-    step = (args.omega_max - args.omega_min) / (args.omega_count - 1)
-    rows = []  # built whole, so a PoleError leaves the output untouched
-    for xi in args.xi:
-        for i in range(args.omega_count):
-            omega = args.omega_min + i * step
-            n = occupation_from_eps(family, xi, args.beta * (omega - args.mu))
-            rows.append((family.value, xi, omega, args.beta * omega, n))
-    return ["family", "xi", "omega", "beta_omega", "occupation"], rows, {}
+    from . import occupation
+    family = occupation.Family(args.family)
+    lo, beta, mu = args.omega_min, args.beta, args.mu
+    step = (args.omega_max - lo) / (args.omega_count - 1)
+    _check_finite("the omega step", step)
+    # each column is monotone in omega, so its two ends bound it
+    ends = (lo, lo + (args.omega_count - 1) * step)
+    _check_finite("omega", *ends)
+    _check_finite("beta*omega", *(beta * omega for omega in ends))
+    _check_finite("beta*(omega - mu)", *(beta * (omega - mu) for omega in ends))
+    # every n before any row, so a PoleError leaves the output untouched
+    eps = (beta * (lo + i * step - mu) for i in range(args.omega_count))
+    table = occupation.occupation_grid(family, args.xi, eps)
+    omegas = [lo + i * step for i in range(args.omega_count)]
+    fields = ["family", "xi", "omega", "beta_omega", "occupation"]
+    if args.format == "json":
+        return fields, ((family.value, xi, omega, beta * omega, n)
+                        for xi, ns in zip(args.xi, table) for omega, n in zip(omegas, ns)), {}
+    return fields, _occupation_lines(family.value, args.xi, omegas, beta, table), {}
+
+
+def _occupation_lines(family: str, xis: list[float], omegas: list[float], beta: float,
+                      table: list[list[float]]) -> Iterable[str]:
+    """The CSV lines of the occupation table; the omega and beta*omega text of each
+    omega is formatted once, and kept only when more than one xi reads it."""
+    tails = (f"{omega!r},{beta * omega!r}," for omega in omegas)
+    if len(xis) > 1:
+        tails = list(tails)
+    for xi, ns in zip(xis, table):
+        head = f"{family},{xi!r},"
+        for tail, n in zip(tails, ns):
+            yield f"{head}{tail}{n!r}\n"
 
 
 def _cmd_scan(args) -> tuple[list[str], Iterable[tuple | str], dict]:
@@ -288,7 +344,23 @@ def _cmd_scan(args) -> tuple[list[str], Iterable[tuple | str], dict]:
     return list(fractal.SCAN_FIELDS), produce(n, args.window), {"order": n}
 
 
+# Peak RSS per nogo row, rounded up from its growth between 100,000 and 300,000 rows in
+# fresh processes on a 2-core Xeon: 394 B (fixed), 475 B (growing), 863 B (near, whose
+# sieve grows with the count as well).
+_NOGO_ROW_BYTES = 1024
+
+
 def _cmd_nogo(args) -> tuple[list[str], list[tuple], dict]:
+    # the points and rows are built whole, so refuse before the sieve a table that
+    # would not fit; a count past 2^1000 would overflow the float estimate
+    rows = len(args.m_indices) if args.m_indices and args.mode != "near" else args.count
+    need = rows * _NOGO_ROW_BYTES if rows.bit_length() <= 1000 else math.inf
+    if need > MEMORY_BUDGET:
+        raise DomainError(
+            f"a nogo table of {rows} rows needs an estimated {need / 2 ** 20:.4g} MiB, "
+            f"over the {MEMORY_BUDGET / 2 ** 20:g} MiB memory budget "
+            f"(ninionics.errors.MEMORY_BUDGET)")
+    from . import thermo
     if args.mode == "near":
         probe = fractal.prime_ratio_sequence_near(
             args.target, args.count, args.min_denominator)
@@ -368,14 +440,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mass", type=_nonneg_float, default=0.0)
     p.add_argument("--mu", type=_finite_float, default=0.0)
     p.add_argument("--degeneracy", type=_positive_float, default=1.0)
-    p.add_argument("--inner-tol", type=_positive_float, default=thermo.DEFAULT_INNER_TOL)
+    # no default here, so that parsing does not import thermo: the handler reads
+    # thermo.DEFAULT_INNER_TOL
+    p.add_argument("--inner-tol", type=_positive_float, default=None)
     p.set_defaults(handler=_cmd_thermo)
     common(p)
 
     p = sub.add_parser("walls", help="crossed Dirichlet/Neumann walls thermodynamics")
     p.add_argument("--beta", type=_positive_float, default=1.0)
     p.add_argument("--rotating", action="store_true")
-    p.add_argument("--inner-tol", type=_positive_float, default=thermo.DEFAULT_INNER_TOL)
+    p.add_argument("--inner-tol", type=_positive_float, default=None)
     p.set_defaults(handler=_cmd_walls)
     common(p)
 

@@ -6,9 +6,11 @@ MEMORY_BUDGET = 2 ** 30  # bytes one request may allocate, arrays and Python res
 
 ROW_BUDGET = 5_000_000
 """Rows one CLI table may hold (a scan in either format, an occupation table). Measured in
-fresh processes on a 2-core Xeon VM, a scan row costs about 3 us as CSV and 8 us as JSON;
-an occupation table is built whole, at about 8 us and 176 B per row (1M rows: 7.7 s, 192 MB
-peak), so MEMORY_BUDGET holds about 6.1M. 5M admits a scan on [0, 1] up to order 4054."""
+fresh processes on a 2-core Xeon VM, a scan row costs about 3 us as CSV and 8 us as JSON.
+An occupation table holds one float per row until it is written, plus the omega columns:
+1M rows took 4.5-4.7 s and 123 MB peak as CSV over two angles (107 B per row, the most),
+5.9-6.4 s and 93 MB over one, and 10.0-10.5 s and 73 MB as JSON, so 5M rows stay well
+inside MEMORY_BUDGET. 5M admits a scan on [0, 1] up to order 4054."""
 
 
 class DomainError(ValueError):

@@ -58,7 +58,7 @@ SCAN_TERM_BUDGET = 2 * 10 ** 8
 _LIMIT_Q_EPS = 1e-6  # q * eps at which regularized_count_limit takes the ratio
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)  # slots: a scan holds one per irreducible p/q
 class IdentityCheck:
     """One evaluation of a phase-sum identity at (p, q, gamma)."""
 

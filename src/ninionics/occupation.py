@@ -17,7 +17,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, NamedTuple
+from math import cos, exp
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DomainError, PoleError
 from .rationals import StatAngle
@@ -31,6 +32,7 @@ __all__ = [
     "xi_of",
     "occupation_number",
     "occupation_from_eps",
+    "occupation_grid",
     "limit_form",
     "classify_levels",
 ]
@@ -43,6 +45,9 @@ class Family(str, Enum):
 
     BOSE = "bose"
     FERMI = "fermi"
+
+
+_BOSE = Family.BOSE  # a module global: faster to read per call than Family.BOSE
 
 
 class StatLabel(str, Enum):
@@ -100,25 +105,47 @@ def xi_of(m: int, chi: StatAngle, family: Family) -> XiValue:
     return XiValue(math.tau * float(turns), math.tau * float(canonical_turns), turns)
 
 
-def occupation_from_eps(family: Family, xi: float, eps: float) -> float:
-    """Occupation number at dimensionless energy eps = beta (omega - mu)."""
-    c = math.cos(xi)
-    s = 1.0 if family is Family.BOSE else -1.0
+def _ratio(s: float, c: float, eps: float, w: float, xi: float) -> float:
+    """The occupation formula at sign s (+1 bose, -1 fermi), c = cos(xi) and
+    w = e^{-|eps|}, the one exponential it needs."""
     if eps > 0:
         # Divide the defining ratio through by e^{2 eps}: stable for large eps.
-        w = math.exp(-eps)
         num = w * c - s * w * w
         den = w * w - 2.0 * s * w * c + 1.0
     else:
-        w = math.exp(eps)
         num = w * c - s
         den = 1.0 - 2.0 * s * w * c + w * w
     if abs(den) < DENOMINATOR_FLOOR:
-        if family is Family.BOSE and c > 0.0:
+        if s > 0.0 and c > 0.0:
             raise PoleError("Bose-Einstein pole: cos(xi) = 1 with omega = mu")
         raise PoleError(
             f"occupation denominator below {DENOMINATOR_FLOOR:g} at xi={xi!r}, eps={eps!r}")
     return num / den
+
+
+def occupation_from_eps(family: Family, xi: float, eps: float) -> float:
+    """Occupation number at dimensionless energy eps = beta (omega - mu)."""
+    return _ratio(1.0 if family is _BOSE else -1.0, cos(xi), eps,
+                  exp(-eps if eps > 0 else eps), xi)
+
+
+def occupation_grid(family: Family, xis: Sequence[float],
+                    eps_values: Iterable[float]) -> list[list[float]]:
+    """occupation_from_eps at every (xi, eps), as one list over eps per xi.
+
+    Each cos(xi) and each e^{-|eps|} is taken once, and every value is
+    bit-identical to occupation_from_eps. eps_values is read once, so a
+    generator is never held whole.
+    """
+    s = 1.0 if family is _BOSE else -1.0
+    cosines = [(xi, cos(xi)) for xi in xis]
+    table: list[list[float]] = [[] for _ in cosines]
+    appends = [column.append for column in table]
+    for eps in eps_values:
+        w = exp(-eps if eps > 0 else eps)
+        for (xi, c), append in zip(cosines, appends):
+            append(_ratio(s, c, eps, w, xi))
+    return table
 
 
 def occupation_number(params: NinionParams) -> float:

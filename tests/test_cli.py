@@ -16,9 +16,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ninionics import cli, fractal, oracle, rotor, thermo
+from ninionics import cli, fractal, identities, occupation, oracle, rotor, thermo
 from ninionics.cli import main, parse_angle
-from ninionics.errors import ROW_BUDGET, DomainError, PoleError
+from ninionics.errors import MEMORY_BUDGET, ROW_BUDGET, DomainError, PoleError
+from ninionics.occupation import Family, occupation_from_eps
 
 PI_SQ = math.pi ** 2
 
@@ -31,6 +32,19 @@ def run_cli(argv, capsys):
 
 def read_csv(text):
     return list(csv.DictReader(io.StringIO(text)))
+
+
+def expected_table(fmt, command, fields, rows, extras):
+    """The bytes csv.writer or json.dump(indent=2) writes for a table of tuple rows."""
+    if fmt == "csv":
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(fields)
+        writer.writerows(rows)
+        return out.getvalue()
+    payload = {"schema_version": cli.SCHEMA_VERSION, "command": command, **extras,
+               "rows": [dict(zip(fields, row)) for row in rows]}
+    return json.dumps(payload, indent=2) + "\n"
 
 
 class TestParseAngle:
@@ -109,6 +123,33 @@ class TestIdentityCommand:
                                   "--gamma", "40"], capsys)
         assert code == 0, err
         assert float(read_csv(out)[0]["residual"]) < 1e-17
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("argv", [
+        ["--family", "fermi", "--q-max", "30", "--gamma", "40"],
+        ["--family", "bose", "--q-max", "40", "--gamma", "0.3"],
+        ["--family", "fermi", "--p", "2", "--q", "19", "--gamma", "40"],
+        ["--family", "bose", "--p", "3", "--q", "7", "--gamma", "1"],
+    ], ids=["fermi-scan-zero-rhs", "bose-scan", "fermi-pair", "bose-pair"])
+    def test_bytes_equal_the_tuple_rows(self, capsys, argv, fmt):
+        code, out, _ = run_cli(["identity", *argv, "--format", fmt], capsys)
+        assert code == 0
+        args = cli.build_parser().parse_args(["identity", *argv])
+        if args.p is None:
+            checks = identities.scan_identity_residuals(args.family, args.q_max, args.gamma)
+        else:
+            check = (identities.check_boson_identity if args.family == "bose"
+                     else identities.check_fermion_identity)
+            checks = [check(args.p, args.q, args.gamma)]
+        if args.gamma == 40 and args.family == "fermi":
+            # e^-760 is 0, so rhs is log1p(-0.0) = -0.0 at odd p + q and 0.0 at even
+            # ones; 0.0 == -0.0, so text looked up by value would print one for the other
+            assert {repr(c.rhs) for c in checks if c.q == 19} == (
+                {"0.0", "-0.0"} if args.p is None else {"0.0"})
+        rows = [(args.family, c.p, c.q, c.gamma, c.lhs, c.rhs, c.residual) for c in checks]
+        fields = ["family", "p", "q", "gamma", "lhs", "rhs", "residual"]
+        extras = {"max_residual": max(c.residual for c in checks)}
+        assert out == expected_table(fmt, "identity", fields, rows, extras)
 
     def test_usage_error_bad_gamma(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -242,6 +283,68 @@ class TestOccupationCommand:
         assert code == 1
         assert "error[PoleError]" in err
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("argv", [
+        ["--family", "bose", "--xi", "0,pi/12,5pi/12,pi/2,pi", "--omega-count", "3000"],
+        ["--family", "fermi", "--xi", "0,pi/3,pi,2.5", "--beta", "2.7", "--mu", "1.3",
+         "--omega-min=-3", "--omega-max", "4", "--omega-count", "301"],
+        ["--family", "bose", "--xi", "pi/4", "--mu", "0.7", "--omega-min=-3",
+         "--omega-max", "4", "--omega-count", "777"],
+        ["--family", "fermi", "--xi=-7,pi/3", "--mu=-1.3", "--omega-min=-3",
+         "--omega-max", "4", "--omega-count", "500"],
+        ["--family", "bose", "--xi", "0.3,pi/2", "--mu", "0.2", "--omega-min", "5",
+         "--omega-max=-5", "--omega-count", "11"],
+    ], ids=["bose-five-angles", "fermi-mu", "bose-one-angle-mu", "fermi-negative-mu",
+            "falling-grid"])
+    def test_bytes_equal_the_per_point_rows(self, capsys, argv, fmt):
+        code, out, _ = run_cli(["occupation", *argv, "--format", fmt], capsys)
+        assert code == 0
+        args = cli.build_parser().parse_args(["occupation", *argv])
+        family = Family(args.family)
+        step = (args.omega_max - args.omega_min) / (args.omega_count - 1)
+        rows = []
+        for xi in args.xi:
+            for i in range(args.omega_count):
+                omega = args.omega_min + i * step
+                n = occupation_from_eps(family, xi, args.beta * (omega - args.mu))
+                rows.append((args.family, xi, omega, args.beta * omega, n))
+        fields = ["family", "xi", "omega", "beta_omega", "occupation"]
+        assert out == expected_table(fmt, "occupation", fields, rows, {})
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("family,xi", [("bose", "0"), ("fermi", "pi")])
+    def test_pole_leaves_no_output(self, capsys, tmp_path, family, xi, fmt):
+        # the pole is the last point: the last omega of the last angle has eps = 0
+        argv = ["occupation", "--family", family, "--xi", f"1,{xi}", "--omega-min=-1",
+                "--omega-max", "0", "--omega-count", "5", "--format", fmt]
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("error[PoleError]: ")
+        kept = tmp_path / "kept.out"
+        kept.write_text("previous\n")
+        code, out, err = run_cli(argv + ["--output", str(kept)], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("error[PoleError]: ")
+        assert os.listdir(tmp_path) == ["kept.out"]
+        assert kept.read_text() == "previous\n"
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("argv,message", [
+        (["--omega-min=-1e308", "--omega-max", "1e308", "--omega-count", "3"],
+         "the omega step is inf"),
+        (["--omega-min", "9.254299222747123e+307", "--omega-max", "1.7976931348623157e+308",
+          "--omega-count", "47"], "omega is inf"),
+        (["--beta", "1e308", "--omega-count", "2"], "beta*omega is inf"),
+        (["--mu=-1e308", "--omega-min", "1e308", "--omega-max", "1e308", "--omega-count", "2"],
+         "beta*(omega - mu) is inf"),
+    ], ids=["step", "omega", "beta-omega", "eps"])
+    def test_non_finite_value_is_refused_before_any_row(self, capsys, argv, message, fmt):
+        code, out, err = run_cli(["occupation", "--family", "bose", "--xi", "pi/4", *argv,
+                                  "--format", fmt], capsys)
+        assert (code, out) == (1, "")
+        assert err == (f"error[DomainError]: {message}; every value in the table must be "
+                       f"finite\n")
+
     def test_oversized_table_is_refused_before_any_evaluation(self, capsys):
         start = time.perf_counter()
         code, out, err = run_cli(["occupation", "--family", "bose", "--xi", "0,pi/4",
@@ -252,10 +355,10 @@ class TestOccupationCommand:
                        "over the budget of 5000000 rows (ninionics.errors.ROW_BUDGET)\n")
 
     def test_row_budget_edge(self, capsys, monkeypatch):
-        def first_point(family, xi, eps):  # reached only past the budget check
+        def first_point(family, xis, eps_values):  # reached only past the budget check
             raise PoleError("first point reached")
 
-        monkeypatch.setattr(cli, "occupation_from_eps", first_point)
+        monkeypatch.setattr(occupation, "occupation_grid", first_point)
         argv = ["occupation", "--family", "fermi", "--xi", "0,pi/2", "--omega-count"]
         code, out, err = run_cli(argv + [str(ROW_BUDGET // 2)], capsys)
         assert (code, out, err) == (1, "", "error[PoleError]: first point reached\n")
@@ -460,6 +563,43 @@ class TestNogoCommand:
         assert (code, out) == (1, "")
         assert "MiB, over the 1024 MiB memory budget" in err
 
+    @pytest.mark.parametrize("argv,rows", [
+        (["--mode", "fixed", "--count", str(2 ** 20 + 1)], 2 ** 20 + 1),
+        (["--mode", "growing", "--count", "5000000"], 5_000_000),
+        (["--mode", "near", "--count", "2000000"], 2_000_000),
+    ], ids=["fixed", "growing", "near"])
+    def test_table_over_the_memory_budget_is_refused_before_the_sieve(
+            self, capsys, monkeypatch, argv, rows):
+        def unreachable(n):
+            raise AssertionError("sieve started before the refusal")
+
+        monkeypatch.setattr(fractal, "primes_up_to", unreachable)
+        start = time.perf_counter()
+        code, out, err = run_cli(["nogo", *argv], capsys)
+        assert time.perf_counter() - start < 0.5
+        assert (code, out) == (1, "")
+        assert err == (f"error[DomainError]: a nogo table of {rows} rows needs an estimated "
+                       f"{rows * cli._NOGO_ROW_BYTES / 2 ** 20:.4g} MiB, over the 1024 MiB "
+                       f"memory budget (ninionics.errors.MEMORY_BUDGET)\n")
+
+    def test_memory_budget_edge(self, capsys, monkeypatch):
+        def probe(*args):  # reached only past the budget check
+            raise DomainError("probe reached")
+
+        monkeypatch.setattr(fractal, "prime_sequence_probe", probe)
+        edge = MEMORY_BUDGET // cli._NOGO_ROW_BYTES
+        code, out, err = run_cli(["nogo", "--count", str(edge)], capsys)
+        assert (code, out, err) == (1, "", "error[DomainError]: probe reached\n")
+        code, out, err = run_cli(["nogo", "--count", str(edge + 1)], capsys)
+        assert (code, out) == (1, "")
+        assert "MiB, over the 1024 MiB memory budget" in err
+
+    def test_m_indices_set_the_row_count(self, capsys):
+        code, out, _ = run_cli(["nogo", "--m-indices", "2,3,4", "--count", "1000000000"],
+                               capsys)
+        assert code == 0
+        assert len(read_csv(out)) == 3
+
     def test_non_positive_m_index_is_refused(self, capsys):
         code, out, err = run_cli(["nogo", "--m-indices", "5,0"], capsys)
         assert (code, out) == (1, "")
@@ -619,7 +759,12 @@ class TestUsageErrors:
          "--omega-count"),
         (["identity", "--family", "bose", "--gamma", "1", "--p", "1"], "--q"),
         (["identity", "--family", "bose", "--gamma", "1", "--q", "3"], "--p"),
-    ], ids=["one-omega-point", "p-without-q", "q-without-p"])
+        (["occupation", "--family", "bose", "--xi", ","], "--xi"),
+        (["occupation", "--family", "bose", "--xi", "0,inf"], "--xi"),
+        (["occupation", "--family", "bose", "--xi", "nan"], "--xi"),
+        (["nogo", "--m-indices", ","], "--m-indices"),
+    ], ids=["one-omega-point", "p-without-q", "q-without-p", "empty-xi", "infinite-xi",
+            "nan-xi", "empty-m-indices"])
     def test_incomplete_request_is_usage_error(self, capsys, argv, flag):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -720,6 +865,20 @@ class TestOutputFile:
         assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
         assert os.listdir(tmp_path) == ["pipe"]
         assert [r["chi_numerator"] for r in read_csv(data)] == ["0", "1", "1"]
+
+
+def test_cli_import_loads_only_what_parsing_needs():
+    # thermo and occupation load in the commands that use them, so a scan does not
+    # carry them
+    code = ("import sys, ninionics.cli\n"
+            "print(sorted(m for m in sys.modules if m.startswith('ninionics')))\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout == str(["ninionics", "ninionics.cli", "ninionics.errors",
+                              "ninionics.fractal", "ninionics.rationals"]) + "\n"
 
 
 @pytest.mark.parametrize("argv,numpy_loaded", [

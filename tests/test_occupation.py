@@ -15,6 +15,7 @@ from ninionics.occupation import (
     classify_levels,
     limit_form,
     occupation_from_eps,
+    occupation_grid,
     occupation_number,
     xi_of,
 )
@@ -110,6 +111,26 @@ class TestOccupationNumber:
     def test_fermi_ghost_pole(self):
         with pytest.raises(PoleError):
             occupation_from_eps(Family.FERMI, math.pi, 0.0)
+
+    @pytest.mark.parametrize("family", list(Family))
+    def test_grid_is_bit_identical_to_the_per_point_formula(self, family):
+        # every angle but the family's pole at eps = 0 (bose xi = 0, fermi xi = pi)
+        xis = [0.3, math.pi / 4, math.pi / 2, 2.5, -7.0,
+               math.pi if family is Family.BOSE else 0.0]
+        eps = [-800.0, -3.0, -1e-300, -0.0, 1e-300, 1e-4, 0.7, 40.0, 800.0]
+        table = occupation_grid(family, xis, iter(eps))  # a one-pass iterable
+        assert table == [[occupation_from_eps(family, xi, e) for e in eps] for xi in xis]
+        for row, xi in zip(table, xis):  # == would let -0.0 stand for 0.0
+            assert [math.copysign(1.0, n) for n in row] == [
+                math.copysign(1.0, occupation_from_eps(family, xi, e)) for e in eps]
+
+    @pytest.mark.parametrize("family,xi", [(Family.BOSE, 0.0), (Family.FERMI, math.pi)])
+    def test_grid_pole_is_the_per_point_pole(self, family, xi):
+        with pytest.raises(PoleError) as point:
+            occupation_from_eps(family, xi, 0.0)
+        with pytest.raises(PoleError) as grid:
+            occupation_grid(family, [0.5, xi], [1.0, 0.0])
+        assert str(grid.value) == str(point.value)
 
     def test_bad_beta(self):
         with pytest.raises(DomainError):
