@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import math
 import os
 import re
@@ -127,12 +126,6 @@ def _turns(text: str) -> Fraction | float:
         raise argparse.ArgumentTypeError(f"cannot parse turns {text!r}") from exc
 
 
-def _json_value(v) -> str:
-    """json.dumps(v), by the faster repr for a plain int or finite float (not np.float64)."""
-    t = type(v)
-    return repr(v) if t is int or t is float and math.isfinite(v) else json.dumps(v)
-
-
 def _write(args: argparse.Namespace, out, fieldnames: list[str],
            rows: Iterable[tuple | str], extras: dict) -> None:
     """Write rows as they arrive; JSON bytes equal json.dump(payload, indent=2) + "\n"."""
@@ -145,12 +138,20 @@ def _write(args: argparse.Namespace, out, fieldnames: list[str],
             else:
                 writer.writerow(row)
         return
+    import json  # only this path needs it: once per table, not per value
+    dumps = json.dumps
+
+    def value(v) -> str:
+        """dumps(v), by the faster repr for a plain int or finite float (not np.float64)."""
+        t = type(v)
+        return repr(v) if t is int or t is float and math.isfinite(v) else dumps(v)
+
     head = {"schema_version": SCHEMA_VERSION, "command": args.command, **extras, "rows": []}
-    out.write(json.dumps(head, indent=2)[:-3])  # up to the "[" of "rows"
-    keys = [f"\n      {json.dumps(name)}: " for name in fieldnames]
+    out.write(dumps(head, indent=2)[:-3])  # up to the "[" of "rows"
+    keys = [f"\n      {dumps(name)}: " for name in fieldnames]
     sep = ""
     for row in rows:
-        out.write(sep + "\n    {" + ",".join([k + _json_value(v) for k, v in zip(keys, row)])
+        out.write(sep + "\n    {" + ",".join([k + value(v) for k, v in zip(keys, row)])
                   + "\n    }")
         sep = ","
     out.write("\n  ]\n}\n" if sep else "]\n}\n")
@@ -398,8 +399,20 @@ def _cmd_rotor(args) -> tuple[list[str], list[tuple], dict]:
 
 # -------------------------------------------------------------------- parser
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser, as are its subcommand parsers, that takes a word such as -1/3,
+    -1e-3, -inf or -pi/4 after an option as its value. argparse reads only -5 and -.5 as
+    negative numbers and any other word starting with - as an option, so --mu -1e-3
+    lacked its argument. Every negative value the type parsers here accept matches the
+    pattern; an option such as -h does not."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-(\.?\d|pi|inf|nan)", re.IGNORECASE)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ninionics",
         description="Free-gas thermodynamics under imaginary rotation: "
                     "fractal scaling, transmutation, ninionic occupation numbers.")

@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import DomainError
 from .rationals import (_prime_bound, farey_interval, farey_pairs, farey_successor,
@@ -36,8 +35,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FractalSample:
+class FractalSample(NamedTuple):
     chi_turns: Fraction
     q: int
     ratio_energy: Fraction   # exactly q^-4
@@ -124,8 +122,7 @@ def _equal_q_consistent(samples: Sequence[FractalSample]) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class SelfSimilarityReport:
+class SelfSimilarityReport(NamedTuple):
     order: int
     window: tuple[Fraction, Fraction]
     zoom_factor: int
@@ -194,8 +191,7 @@ def self_similarity_check(order: int,
     )
 
 
-@dataclass(frozen=True)
-class SequenceProbe:
+class SequenceProbe(NamedTuple):
     """A sequence of rational angles probing one accumulation point.
 
     ``points`` holds (chi_turns, energy_ratio) ordered by decreasing distance
@@ -207,7 +203,7 @@ class SequenceProbe:
     target: float
     points: list[tuple[Fraction, Fraction]]
     limit_estimate: float
-    notices: list[str] = field(default_factory=list)
+    notices: tuple[str, ...] = ()
 
 
 def _build_probe(target: float, raw_points: list[tuple[Fraction, Fraction]],
@@ -215,7 +211,7 @@ def _build_probe(target: float, raw_points: list[tuple[Fraction, Fraction]],
     if not raw_points:
         raise DomainError("probe produced no points; all indices were skipped")
     pts = sorted(raw_points, key=lambda pr: -abs(float(pr[0]) - target))
-    return SequenceProbe(target, pts, float(pts[-1][1]), notices)
+    return SequenceProbe(target, pts, float(pts[-1][1]), tuple(notices))
 
 
 def prime_sequence_probe(n_fixed: int, m_indices: Sequence[int],

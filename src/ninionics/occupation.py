@@ -14,7 +14,6 @@ from those points the level is a genuine ninion with no classical analogue.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import cos, exp
@@ -60,8 +59,7 @@ class StatLabel(str, Enum):
     NINION = "ninion"
 
 
-@dataclass(frozen=True)
-class NinionParams:
+class NinionParams(NamedTuple):
     """Inputs of the occupation formula.
 
     Parameters
@@ -164,8 +162,7 @@ def occupation_number(params: NinionParams) -> float:
     return occupation_from_eps(params.family, params.xi, eps)
 
 
-@dataclass(frozen=True)
-class LevelClass:
+class LevelClass(NamedTuple):
     """Effective statistics of one level.
 
     ``beta_multiplier`` is the inverse-temperature stretch of the closed-form

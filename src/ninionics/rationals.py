@@ -9,9 +9,9 @@ approximation and conversion helpers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from itertools import compress
+from typing import Iterator, NamedTuple
 
 from .errors import MEMORY_BUDGET, DomainError
 
@@ -211,8 +211,8 @@ def primes_up_to(n: int) -> list[int]:
     sieve[0] = sieve[1] = 0
     for i in range(2, math.isqrt(n) + 1):
         if sieve[i]:
-            sieve[i * i::i] = bytearray(len(sieve[i * i::i]))
-    return [i for i in range(2, n + 1) if sieve[i]]
+            sieve[i * i::i] = bytes((n - i * i) // i + 1)
+    return list(compress(range(n + 1), sieve))
 
 
 def _prime_bound(index: int) -> int:
@@ -230,8 +230,7 @@ def nth_prime(index: int) -> int:
     return primes_up_to(_prime_bound(index))[index - 1]
 
 
-@dataclass(frozen=True)
-class StatAngle:
+class StatAngle(NamedTuple):
     """Statistical rotation angle chi, stored as exact turns chi / (2 pi).
 
     Turns are kept exactly as given, not reduced modulo a period: bosonic

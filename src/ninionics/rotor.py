@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,18 +50,25 @@ _POINT_BYTES = 320
 _MAX_M_CUT = (MEMORY_BUDGET // _LEVEL_BYTES - 1) // 2  # largest bare Z that fits
 
 
-@dataclass(frozen=True)
-class RotorSpec:
-    """Truncated planar rotor: levels m in [-m_cut, m_cut] with E_m = m^2/(2 inertia)."""
+class _RotorFields(NamedTuple):
+    inertia: float
+    m_cut: int
 
-    inertia: float = 1.0
-    m_cut: int = 50
 
-    def __post_init__(self) -> None:
-        if not self.inertia > 0.0:
+class RotorSpec(_RotorFields):
+    """Truncated planar rotor: levels m in [-m_cut, m_cut] with E_m = m^2/(2 inertia),
+    checked on construction."""
+
+    __slots__ = ()
+
+    def __new__(cls, inertia: float = 1.0, m_cut: int = 50) -> RotorSpec:
+        if not inertia > 0.0:
             raise DomainError("inertia must be positive")
-        if self.m_cut < 1:
+        if m_cut < 1:
             raise DomainError("m_cut must be >= 1")
+        return super().__new__(cls, inertia, m_cut)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks as well
 
     def energy(self, m: int) -> float:
         return m * m / (2.0 * self.inertia)
@@ -187,8 +194,7 @@ def zk_table(spec: RotorSpec, beta: float, chi_points: int,
                     k.real.tolist(), k.imag.tolist()))
 
 
-@dataclass(frozen=True)
-class EnsembleReport:
+class EnsembleReport(NamedTuple):
     """Everything the twist machinery produces at one angle."""
 
     Z_chi: complex
@@ -207,8 +213,7 @@ def ensemble_report(spec: RotorSpec, beta: float, chi: float,
     )
 
 
-@dataclass(frozen=True)
-class ShiftCheck:
+class ShiftCheck(NamedTuple):
     """Residual of the eigenphase action of the angular-momentum shift.
 
     Component convention: shifting every |m> to |m+1> sends the coherent

@@ -19,9 +19,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import DomainError
 from .occupation import Family, StatLabel
@@ -75,31 +74,37 @@ def _check_beta(beta: float) -> None:
                           " where beta^3, beta^4 and their inverses are normal floats")
 
 
-@dataclass(frozen=True)
-class GasSpec:
-    """Free-gas specification.
+class _GasFields(NamedTuple):
+    family: Family
+    mass: float
+    mu: float
+    degeneracy: float
+
+
+class GasSpec(_GasFields):
+    """Free-gas specification, checked on construction.
 
     Mass and chemical potential are measured in units of 1/beta through the
     combinations beta*M and beta*mu; ``degeneracy`` is a multiplicative weight
     (e.g. 2 spin states per Dirac mode).
     """
 
-    family: Family = Family.BOSE
-    mass: float = 0.0
-    mu: float = 0.0
-    degeneracy: float = 1.0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.mass >= 0.0:
+    def __new__(cls, family: Family = Family.BOSE, mass: float = 0.0, mu: float = 0.0,
+                degeneracy: float = 1.0) -> GasSpec:
+        if not mass >= 0.0:
             raise DomainError("mass must be nonnegative")
-        if not math.isfinite(self.mu):
+        if not math.isfinite(mu):
             raise DomainError("mu must be finite")
-        if not self.degeneracy > 0.0:
+        if not degeneracy > 0.0:
             raise DomainError("degeneracy must be positive")
+        return super().__new__(cls, family, mass, mu, degeneracy)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks as well
 
 
-@dataclass(frozen=True)
-class ThermoQuantities:
+class ThermoQuantities(NamedTuple):
     """Free-energy, energy, pressure and entropy densities.
 
     ``beta`` is the inverse temperature anchoring these densities; for an
@@ -144,8 +149,7 @@ def blackbody_fermion(beta: float) -> ThermoQuantities:
     return _rational_quantities(Fraction(-7, 720), beta)
 
 
-@dataclass(frozen=True)
-class MappedEnsemble:
+class MappedEnsemble(NamedTuple):
     """Non-rotating ensemble equivalent to a rotated gas.
 
     ``multiplicity`` is the signed weight applied to the non-rotating free
@@ -271,8 +275,7 @@ def odd_count_limit() -> float:
     return odd_count_ratio(1e-6)
 
 
-@dataclass(frozen=True)
-class WallsOracle:
+class WallsOracle(NamedTuple):
     """Independent per-mode evaluation of the rotating crossed-wall system.
 
     ``oracle`` composes the per-mode integral with the regularized odd-m
@@ -296,8 +299,7 @@ class WallsOracle:
     relative_deviation: float
 
 
-@dataclass(frozen=True)
-class CrossedWalls:
+class CrossedWalls(NamedTuple):
     quantities: ThermoQuantities
     oracle: WallsOracle | None
 

@@ -783,6 +783,39 @@ class TestUsageErrors:
         assert "Traceback" not in err
         assert flag in err
 
+    # argparse reads only -5 and -.5 as negative numbers; these forms it took for options
+    @pytest.mark.parametrize("argv,flag,value", [
+        (["thermo"], "--chi", "-1/3"),
+        (["thermo", "--family", "fermi", "--method", "quadrature", "--chi", "1/2"], "--mu",
+         "-1e-3"),
+        (["occupation", "--family", "bose", "--omega-count", "3"], "--xi", "-pi/4"),
+        (["occupation", "--family", "bose", "--xi", "0", "--omega-count", "3"], "--omega-max",
+         "-1.7e308"),
+    ], ids=["chi", "mu", "xi", "omega-max"])
+    def test_negative_value_as_separate_argument(self, capsys, argv, flag, value):
+        separate = run_cli([*argv, flag, value], capsys)
+        assert separate == run_cli([*argv, f"{flag}={value}"], capsys)
+        code, out, err = separate
+        assert code == 0 and out.count("\n") > 1 and err == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["thermo", "--chi"],
+        ["thermo", "--mu", "--chi", "1/2"],
+        ["thermo", "--chi", "1/2", "--mu", "-h"],
+        ["thermo", "--chi", "-x"],
+    ], ids=["at-end", "before-option", "before-help", "not-a-number"])
+    def test_missing_value_is_still_a_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "expected one argument" in capsys.readouterr().err
+
+    def test_help_still_prints_help(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["thermo", "--chi", "-1/3", "-h"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: ninionics thermo")
+
 
 class TestOutputFile:
     def test_missing_directory_is_named_error(self, capsys, tmp_path):
@@ -867,16 +900,22 @@ class TestOutputFile:
         assert [r["chi_numerator"] for r in read_csv(data)] == ["0", "1", "1"]
 
 
+def fresh_python(code, *argv):
+    """Run code in a fresh interpreter that imports this checkout's ninionics; it must
+    exit 0."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True,
+                          text=True, check=True, timeout=120)
+
+
 def test_cli_import_loads_only_what_parsing_needs():
     # thermo and occupation load in the commands that use them, so a scan does not
     # carry them
     code = ("import sys, ninionics.cli\n"
             "print(sorted(m for m in sys.modules if m.startswith('ninionics')))\n")
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True, timeout=120)
+    out = fresh_python(code)
     assert out.stdout == str(["ninionics", "ninionics.cli", "ninionics.errors",
                               "ninionics.fractal", "ninionics.rationals"]) + "\n"
 
@@ -912,12 +951,39 @@ def test_import_leaves_scipy_unloaded(argv, numpy_loaded):
             "loaded()\n"
             "status = ninionics.cli.main(sys.argv[1:]) if sys.argv[1:] else 0\n"
             "loaded()\n"
-            "sys.exit(status)\n")  # check=True: every command must succeed
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True,
-                         text=True, check=True, timeout=120)
-    lines = out.stdout.splitlines()
+            "sys.exit(status)\n")  # every command must succeed
+    lines = fresh_python(code, *argv).stdout.splitlines()
     assert lines[:2] == ["False False"] * 2  # a fresh import of the package or the CLI
     assert lines[-1] == f"{numpy_loaded} False"
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["thomae", "--fraction", "3/7"],
+    ["thermo", "--family", "fermi", "--chi", "1/3", "--method", "closed"],
+    ["walls"],
+    ["nogo", "--mode", "near", "--count", "3"],
+    ["nogo", "--mode", "fixed", "--count", "3", "--format", "json"],
+    ["occupation", "--family", "bose", "--xi", "pi/4", "--omega-count", "3"],
+    ["occupation", "--family", "bose", "--xi", "pi/4", "--omega-count", "3", "--format",
+     "json"],
+    ["scan", "--order", "5"],
+    ["scan", "--order", "5", "--format", "json"],
+    ["identity", "--family", "bose", "--q-max", "4", "--gamma", "1"],
+    ["rotor", "--m-cut", "20", "--chi-points", "4", "--format", "json"],
+    ["thermo", "--method", "quadrature", "--chi", "1/2"],
+    ["walls", "--rotating"],
+], ids=["import", "thomae", "thermo-closed", "walls", "nogo-near", "nogo-json",
+        "occupation", "occupation-json", "scan", "scan-json", "identity", "rotor-json",
+        "thermo-quadrature", "walls-rotating"])
+def test_launch_loads_no_dataclasses_and_json_only_for_json(argv):
+    # dataclasses imports inspect, ast, dis and tokenize; numpy imports inspect itself,
+    # so only the numpy-free launches can go without it
+    code = ("import sys, ninionics.cli\n"
+            "status = ninionics.cli.main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+            "print(*(m in sys.modules for m in ('dataclasses', 'inspect', 'numpy', 'json')))\n"
+            "sys.exit(status)\n")
+    dataclasses, inspect, numpy, json_ = fresh_python(code, *argv).stdout.split()[-4:]
+    assert dataclasses == "False"
+    assert inspect == "False" or numpy == "True"
+    assert json_ == str("json" in argv)

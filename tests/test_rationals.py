@@ -249,6 +249,14 @@ class TestPrimes:
         with pytest.raises(DomainError):
             primes_up_to(1)
 
+    def test_every_bound_against_trial_division(self):
+        # each n, so that every slice length (n - i^2) // i + 1 meets its edge cases
+        expected = [2]
+        for n in range(3, 600):
+            if all(n % p for p in expected):
+                expected.append(n)
+            assert primes_up_to(n) == expected, n
+
     @pytest.mark.parametrize("call", [lambda: primes_up_to(4 * 10 ** 12),
                                       lambda: nth_prime(10 ** 11)], ids=["sieve", "nth_prime"])
     def test_sieve_over_the_memory_budget_is_refused(self, call):
