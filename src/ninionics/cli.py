@@ -251,15 +251,18 @@ def _cmd_thermo(args) -> tuple[list[str], list[tuple], dict]:
                 f"(ninionics.thermo.QUADRATURE_ROW_BUDGET)")
         tol = args.inner_tol or thermo.DEFAULT_INNER_TOL
         f = thermo.free_energy_extrapolated(spec, beta, angle, inner_tol=tol)
+        _check_finite("the quadrature free energy f", f)
     # chi is printed modulo its family's period: one turn for bosons, two for fermions
     turns = (angle.bosonic() if spec.family is Family.BOSE else angle.fermionic()).turns
     eff_beta = mapped.effective_beta
-    # no closed scaling law away from the massless case
-    derived = ((-3.0 * f * beta ** 4, -f * beta ** 4, -4.0 * f * eff_beta * beta ** 3)
-               if args.mass == 0.0 else (None, None, None))
+    # no closed scaling law away from the massless case; at mu != 0 the entropy
+    # beta (E + P - mu n) needs the density n, which neither method computes
+    massless = args.mass == 0.0
+    derived = ((-3.0 * f * beta ** 4, -f * beta ** 4) if massless else (None, None))
+    entropy = -4.0 * f * eff_beta * beta ** 3 if massless and args.mu == 0.0 else None
     row = (spec.family.value, args.method, turns.numerator, turns.denominator,
            angle.denominator, mapped.out_family.value, mapped.multiplicity, beta,
-           eff_beta, f * beta ** 4, *derived)
+           eff_beta, f * beta ** 4, *derived, entropy)
     return _THERMO_FIELDS, [row], {}
 
 

@@ -15,6 +15,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import MEMORY_BUDGET, DomainError
+from .rationals import _residue_phase
 
 __all__ = [
     "GAMMA_FLOOR",
@@ -141,12 +142,7 @@ def residue_phases(family: str, p: int | np.ndarray, q: int) -> tuple[np.ndarray
     numerators gives one row of phases per numerator."""
     if q < 1:
         raise DomainError("q must be a positive integer")
-    a = np.arange(q)
-    if family == "bose":
-        return a * (p % q) % q, q
-    if family == "fermi":
-        return (2 * a + 1) * (p % (2 * q)) % (2 * q), 2 * q
-    raise DomainError(f"unknown family {family!r}")
+    return _residue_phase(family, np.arange(q), p, q)
 
 
 def _phase_sum(family: str, sign: float, p: int, q: int, gamma: float, floor: float) -> float:

@@ -189,6 +189,18 @@ def approximate_rational(x: float, q_max: int) -> Fraction:
     return min((conv, semi), key=lambda f: (abs(target - f), f.denominator, f))
 
 
+def _residue_phase(family: str, a, p, q: int):
+    """Phase k/den turns, k in [0, den), of residue a of m mod q under a rotation by p/q
+    turns: a p / q (den = q) for "bose", (2 a + 1) p / 2 q (den = 2 q) for "fermi". A
+    Family, being a str enum, selects the same. Only integer operators, so a and p may
+    be integers or integer arrays that broadcast."""
+    if family == "bose":
+        return a * (p % q) % q, q
+    if family == "fermi":
+        return (2 * a + 1) * (p % (2 * q)) % (2 * q), 2 * q
+    raise DomainError(f"unknown family {family!r}")
+
+
 def primes_up_to(n: int) -> list[int]:
     """All primes <= n, ascending (Eratosthenes sieve); requires n >= 2.
 

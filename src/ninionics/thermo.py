@@ -3,10 +3,10 @@
 Closed forms are exact rational multiples of pi^2 over powers of beta for the
 massless gases; a direct quadrature of the defining mode sums and momentum
 integrals, in ninionics.oracle, serves as an independent oracle for every one of
-them. This module needs no numpy; the oracle, and numpy with it, loads on first
-use. A rotation by rational turns p/q maps each gas onto a non-rotating ensemble
-at inverse temperature q*beta, for fermions with a parity-dependent family swap
-and a ghost sign.
+them. Neither needs numpy; the oracle loads on first use. A rotation by
+rational turns p/q maps each gas onto a non-rotating ensemble at inverse
+temperature q*beta, for fermions with a parity-dependent family swap and a
+ghost sign.
 
 Per-degree-of-freedom normalization used throughout: the regularized angular
 sum carries unit total weight, the conjugate phase pair is folded into a real
@@ -58,7 +58,7 @@ _TINY = sys.float_info.min  # beta^4 in [_TINY, 1/_TINY]: beta^3, beta^4, invers
 
 
 def __getattr__(name: str):
-    # the oracle's names stay thermo attributes; numpy loads when one is first read
+    # the oracle's names stay thermo attributes; the oracle loads when one is first read
     if name in ("free_energy_quadrature", "free_energy_extrapolated", "required_m_cut",
                 "DEFAULT_REGULATORS"):
         from . import oracle
@@ -234,10 +234,12 @@ def energy_from_free_energy(f_of_beta: Callable[[float], float], beta: float,
 # Quadrature oracle requests (the oracle itself is ninionics.oracle)
 # ----------------------------------------------------------------------------
 
-# Rows (residues times mu branches) one CLI request may integrate. On a 2-core
-# Xeon the rule does about 46k rows/s at the default inner_tol and 6k rows/s at
-# the halving cap, so a request at the budget takes about 1 s, 8 s at worst.
-QUADRATURE_ROW_BUDGET = 50_000
+# Rows (residues times mu branches) one CLI request may integrate. Conjugate
+# residues share one integral, so the rule integrates about half of them. On a
+# 2-core Xeon it does, in these rows, 12-19k rows/s at the default inner_tol and
+# 3-5k rows/s at the halving cap, so a request at the budget takes about 2 s, 8 s
+# at worst (5.4-8.3 s measured at 1/25000 and 7/25001).
+QUADRATURE_ROW_BUDGET = 25_000
 
 
 def _branches(spec: GasSpec) -> tuple[float, ...]:

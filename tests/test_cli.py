@@ -11,6 +11,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -222,9 +223,9 @@ class TestThermoCommand:
     def test_oversized_quadrature_is_refused_before_any_integral(self, capsys, monkeypatch):
         rows, exp_sinh = [], oracle._exp_sinh
 
-        def counting(tol, x0, *rest):
-            rows.append(len(x0))
-            return exp_sinh(tol, x0, *rest)
+        def counting(tol, *row):
+            rows.append(row)
+            return exp_sinh(tol, *row)
 
         monkeypatch.setattr(oracle, "_exp_sinh", counting)
         start = time.perf_counter()
@@ -235,14 +236,38 @@ class TestThermoCommand:
         assert err.startswith("error[DomainError]: quadrature needs 999983 rows, one per "
                               "residue and mu branch, over the budget of "
                               f"{thermo.QUADRATURE_ROW_BUDGET} rows")
-        # positive control: the spy sits where the oracle looks, so an admitted run trips it
+        # positive control: the spy sits where the oracle looks, so an admitted run trips it,
+        # once per distance of a/7 turns to the nearest whole turn: 0, 1/7, 2/7 and 3/7
         code, _, _ = run_cli(["thermo", "--method", "quadrature", "--chi", "1/7"], capsys)
-        assert (code, sum(rows)) == (0, 7)
+        assert (code, len(rows)) == (0, 4)
 
     def test_ten_thousand_residues_fit_the_budget(self, capsys):
         code, out, _ = run_cli(["thermo", "--method", "quadrature", "--chi", "0.7071"], capsys)
         assert code == 0
         assert read_csv(out)[0]["chi_den"] == "10000"
+
+    @pytest.mark.parametrize("mu", ["0.5", "1e-3", "-1e-3"])
+    def test_node_on_the_ghost_singularity_is_refused(self, capsys, mu):
+        # at 1/3 the fermion's phase-0 row is the bosonic logarithm at mu, and its scale
+        # beta |mu| puts the t = 0 node on the log singularity: f is inf, not printed
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(["thermo", "--family", "fermi", "--method", "quadrature",
+                                      "--chi", "1/3", "--mu", mu], capsys)
+        assert (code, out) == (1, "")
+        assert err == ("error[DomainError]: the quadrature free energy f is inf; every value "
+                       "in the table must be finite\n")
+
+    def test_massless_entropy_is_empty_at_nonzero_mu(self, capsys):
+        # the entropy is beta (E + P - mu n), not 4 beta P, once mu != 0; E = 3P still holds
+        code, out, _ = run_cli(["thermo", "--family", "fermi", "--mu", "3", "--method",
+                                "quadrature", "--chi", "0/1"], capsys)
+        assert code == 0
+        row = read_csv(out)[0]
+        f = float(row["beta4_f"])
+        assert f == pytest.approx(-(7 * PI_SQ / 720 + 9 / 24 + 81 / (48 * PI_SQ)), rel=1e-9)
+        assert (float(row["beta4_energy"]), float(row["beta4_pressure"])) == (-3 * f, -f)
+        assert row["beta3_entropy"] == ""
 
 
 class TestWallsCommand:
@@ -934,14 +959,14 @@ def test_cli_import_loads_only_what_parsing_needs():
     # the commands that compute with numpy load it, so the checks above are not vacuous
     (["identity", "--family", "bose", "--q-max", "4", "--gamma", "1"], True),
     (["rotor", "--m-cut", "20", "--chi-points", "4"], True),
-    (["thermo", "--method", "quadrature", "--chi", "1/2"], True),
-    (["walls", "--rotating"], True),
+    (["thermo", "--method", "quadrature", "--chi", "1/2"], False),
+    (["walls", "--rotating"], False),
 ], ids=["import", "thomae", "thermo-closed-bose", "thermo-closed-fermi", "walls", "nogo-near",
         "nogo-fixed", "occupation", "scan-csv", "scan-json", "identity", "rotor",
         "thermo-quadrature", "walls-rotating"])
 def test_import_leaves_scipy_unloaded(argv, numpy_loaded):
     # numpy only where a command computes with it, and scipy nowhere: the quadrature
-    # oracle is numpy only
+    # oracle is plain Python
     code = ("import sys\n"
             "def loaded():\n"
             "    print('numpy' in sys.modules, 'scipy' in sys.modules)\n"

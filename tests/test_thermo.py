@@ -319,34 +319,26 @@ class TestQuadratureOracle:
 
     @pytest.mark.parametrize("mu", [0.0, 0.5])
     def test_one_integral_per_residue_and_branch(self, monkeypatch, mu):
-        rows, chunks = [], []
-        exp_sinh, log_terms = oracle._exp_sinh, oracle._log_terms
+        # a row is the phase's distance to the nearest whole turn and a mu branch; at 2/q,
+        # q odd, the fermionic phases are the odd k/2q turns from 1/2q to 1/2, so the q
+        # residues share (q + 1)/2 distances, conjugates a and q - 1 - a pairing up
+        rows, exp_sinh = [], oracle._exp_sinh
 
-        def counting(tol, x0, *rest):
-            rows.append(len(x0))
-            return exp_sinh(tol, x0, *rest)
-
-        def chunk_size(t, x0, *rest):
-            chunks.append(len(x0))
-            return log_terms(t, x0, *rest)
+        def counting(tol, *row):
+            rows.append(row)
+            return exp_sinh(tol, *row)
 
         monkeypatch.setattr(oracle, "_exp_sinh", counting)
-        monkeypatch.setattr(oracle, "_log_terms", chunk_size)
         spec = GasSpec(Family.FERMI, mass=1.0, mu=mu)
-        for q in (13, 301):  # one chunk of rows, and several
+        for q in (13, 301):
             chi = StatAngle.from_fraction(2, q)
-            work, passes = [], []
+            work = []
             for _ in range(2):  # a repeated call must redo the work: no hidden cache
                 rows.clear()
-                chunks.clear()
                 free_energy_extrapolated(spec, 1.0, chi)
-                work.append(sum(rows))
-                passes.append(len(chunks))
-            # one table per call: one row per residue and branch, in bounded chunks
-            assert work == [2 * q if mu else q] * 2
-            assert work[0] == thermo.quadrature_rows(spec, chi)
-            assert passes[0] == passes[1]
-            assert max(chunks) == min(work[0], oracle._DE_CHUNK_ROWS)
+                assert len(set(rows)) == len(rows)  # no row integrated twice
+                work.append(len(rows))
+            assert work == [(q + 1) // 2 * (2 if mu else 1)] * 2
 
     def test_memory_bounded_at_large_q(self):
         tracemalloc.start()
