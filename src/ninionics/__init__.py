@@ -22,8 +22,8 @@ _EXPORTS = {
         "GAMMA_FLOOR", "IdentityCheck", "boson_phase_sum", "boson_identity_rhs",
         "boson_identity_residual", "check_boson_identity", "fermion_phase_sum",
         "fermion_identity_rhs", "fermion_identity_residual", "check_fermion_identity",
-        "coprime_fractions", "residue_phases", "scan_identity_residuals",
-        "SCAN_TERM_BUDGET", "regularized_count_ratio", "regularized_count_limit"),
+        "coprime_fractions", "residue_phases", "identity_class_sums",
+        "scan_identity_residuals", "regularized_count_ratio", "regularized_count_limit"),
     "occupation": (
         "Family", "StatLabel", "NinionParams", "LevelClass", "XiValue", "xi_of",
         "occupation_number", "occupation_from_eps", "occupation_grid",

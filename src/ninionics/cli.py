@@ -20,8 +20,8 @@ from fractions import Fraction
 from typing import Iterable
 
 from . import fractal
-from .errors import MEMORY_BUDGET, ROW_BUDGET, DomainError
-from .rationals import StatAngle, parse_turns, thomae
+from .errors import MEMORY_BUDGET, DomainError, check_rows
+from .rationals import StatAngle, _farey_terms_bound, parse_turns, thomae
 
 SCHEMA_VERSION = "1"
 
@@ -196,33 +196,28 @@ def _cmd_thomae(args) -> tuple[list[str], list[tuple], dict]:
 
 
 def _cmd_identity(args) -> tuple[list[str], Iterable[tuple | str], dict]:
-    from . import identities  # numpy loads only in the commands that compute with it
+    from . import identities  # each command loads only the modules it computes with
+    family, gamma = args.family, args.gamma
     if args.p is not None:  # main has checked that --p and --q come together
-        check = (identities.check_boson_identity if args.family == "bose"
-                 else identities.check_fermion_identity)
-        checks = [check(args.p, args.q, args.gamma)]
-    else:
-        checks = identities.scan_identity_residuals(args.family, args.q_max, args.gamma)
-    max_residual = max(c.residual for c in checks)
-    print(f"max residual over {len(checks)} fractions: {max_residual:.3e}",
-          file=sys.stderr)
+        check = (identities.check_boson_identity if family == "bose"
+                 else identities.check_fermion_identity)(args.p, args.q, gamma)
+        fractions, count = [(args.p, args.q)], 1
+        sums = {(args.q, args.p & 1): (check.lhs, check.rhs)}
+    else:  # every sum before the first row
+        sums = identities.identity_class_sums(family, args.q_max, gamma)
+        fractions = identities.coprime_fractions(args.q_max)
+        count = identities._coprime_count(args.q_max)
+    # the columns after p, one tuple per class (q, p & 1); keyed by value, 0.0 == -0.0
+    # would print one rhs for the other
+    tails = {key: (key[0], gamma, lhs, rhs, abs(lhs - rhs)) for key, (lhs, rhs) in sums.items()}
+    max_residual = max(tail[-1] for tail in tails.values())
+    print(f"max residual over {count} fractions: {max_residual:.3e}", file=sys.stderr)
     fields = ["family", "p", "q", "gamma", "lhs", "rhs", "residual"]
-    rows = (_identity_lines(args.family, args.gamma, checks) if args.format == "csv" else
-            ((args.family, c.p, c.q, c.gamma, c.lhs, c.rhs, c.residual) for c in checks))
-    return fields, rows, {"max_residual": max_residual}
-
-
-def _identity_lines(family: str, gamma: float, checks: list) -> Iterable[str]:
-    """The CSV lines of the identity table. gamma is formatted once, and rhs once per q
-    and parity of p, the two things it depends on; keyed by value, 0.0 == -0.0 would
-    print one for the other."""
-    gamma_text = f",{gamma!r},"
-    rhs_texts: dict[tuple[int, int], str] = {}
-    for c in checks:
-        rhs = rhs_texts.get((c.q, c.p & 1))
-        if rhs is None:
-            rhs = rhs_texts[c.q, c.p & 1] = f",{c.rhs!r},"
-        yield f"{family},{c.p},{c.q}{gamma_text}{c.lhs!r}{rhs}{c.residual!r}\n"
+    extras = {"max_residual": max_residual}
+    if args.format == "json":
+        return fields, ((family, p, *tails[q, p & 1]) for p, q in fractions), extras
+    texts = {key: "".join([f",{v!r}" for v in tail]) + "\n" for key, tail in tails.items()}
+    return fields, (f"{family},{p}{texts[q, p & 1]}" for p, q in fractions), extras
 
 
 _THERMO_FIELDS = ["family", "method", "chi_num", "chi_den", "q_effective",
@@ -287,13 +282,6 @@ def _cmd_walls(args) -> tuple[list[str], list[tuple], dict]:
     return _WALLS_FIELDS, [row], {}
 
 
-def _check_rows(table: str, rows: float) -> None:
-    """Refuse, before any row is computed, a table predicted to be over ROW_BUDGET."""
-    if rows > ROW_BUDGET:
-        raise DomainError(f"{table} has an estimated {rows:.4g} rows, over the budget of "
-                          f"{ROW_BUDGET} rows (ninionics.errors.ROW_BUDGET)")
-
-
 def _check_finite(name: str, *values: float) -> None:
     """Refuse, before any row is written, a table column with an inf or NaN value."""
     for v in values:
@@ -303,7 +291,7 @@ def _check_finite(name: str, *values: float) -> None:
 
 def _cmd_occupation(args) -> tuple[list[str], Iterable[tuple | str], dict]:
     count = len(args.xi) * args.omega_count  # a count past 2^1000 would overflow a float
-    _check_rows("an occupation table", count if count.bit_length() <= 1000 else math.inf)
+    check_rows("an occupation table", count if count.bit_length() <= 1000 else math.inf)
     from . import occupation
     family = occupation.Family(args.family)
     lo, beta, mu = args.omega_min, args.beta, args.mu
@@ -339,11 +327,8 @@ def _occupation_lines(family: str, xis: list[float], omegas: list[float], beta: 
 
 
 def _cmd_scan(args) -> tuple[list[str], Iterable[tuple | str], dict]:
-    # about 3 n^2 (hi - lo) / pi^2 rows, plus n + 1 for the error term (an upper bound on
-    # [0, 1] up to n = 20000 at least); an order past 2^500 would overflow the float
     n, (lo, hi) = args.order, args.window
-    _check_rows(f"a scan of order {n}", 3 * n ** 2 * float(hi - lo) / math.pi ** 2 + n + 1
-                if n.bit_length() <= 500 else math.inf)
+    check_rows(f"a scan of order {n}", _farey_terms_bound(n, float(hi - lo)))
     produce = fractal.iter_scan_lines if args.format == "csv" else fractal.iter_scan_rows
     return list(fractal.SCAN_FIELDS), produce(n, args.window), {"order": n}
 

@@ -5,8 +5,10 @@ __all__ = ["DomainError", "PoleError", "TruncationError", "MEMORY_BUDGET", "ROW_
 MEMORY_BUDGET = 2 ** 30  # bytes one request may allocate, arrays and Python results
 
 ROW_BUDGET = 5_000_000
-"""Rows one CLI table may hold (a scan in either format, an occupation table). Measured in
-fresh processes on a 2-core Xeon VM, a scan row costs about 3 us as CSV and 8 us as JSON.
+"""Rows one table may hold (a scan in either format, an occupation table, an identity
+scan). Measured in fresh processes on a 2-core Xeon VM, a scan row costs about 3 us as
+CSV and 8 us as JSON. The largest identity scan admitted, to q_max 4054 (4,996,542
+rows), took 8.5-9.5 s and 18 MB peak as CSV and about 45 s as JSON.
 An occupation table holds one float per row until it is written, plus the omega columns:
 1M rows took 4.5-4.7 s and 123 MB peak as CSV over two angles (107 B per row, the most),
 5.9-6.4 s and 93 MB over one, and 10.0-10.5 s and 73 MB as JSON, so 5M rows stay well
@@ -23,3 +25,10 @@ class PoleError(DomainError):
 
 class TruncationError(DomainError):
     """A truncation cap is too small for the stated tail bound."""
+
+
+def check_rows(table: str, rows: float) -> None:
+    """Refuse, before any row is computed, a table predicted to be over ROW_BUDGET."""
+    if rows > ROW_BUDGET:
+        raise DomainError(f"{table} has an estimated {rows:.4g} rows, over the budget of "
+                          f"{ROW_BUDGET} rows (ninionics.errors.ROW_BUDGET)")

@@ -3,19 +3,19 @@
 These sums are what turns a rotation phase into a temperature rescaling: the
 bosonic sum collapses q phase-shifted logarithms onto a single logarithm at
 q-fold argument, and the fermionic one does the same up to a parity sign.
-The conjugate c = +/-1 branches cancel imaginary parts, so every sum is real
-up to rounding; that cancellation is checked, not assumed.
+The conjugate c = +/-1 branches are exact conjugates, so their half sum is
+exactly the real part of the c = +1 logarithm; every sum is taken with
+math.fsum, exactly rounded whatever the order of its terms.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from typing import Iterator
 
-import numpy as np
-
-from .errors import MEMORY_BUDGET, DomainError
-from .rationals import _residue_phase
+from .errors import MEMORY_BUDGET, DomainError, check_rows
+from .rationals import _farey_terms_bound, _residue_phase
 
 __all__ = [
     "GAMMA_FLOOR",
@@ -30,31 +30,19 @@ __all__ = [
     "check_fermion_identity",
     "coprime_fractions",
     "residue_phases",
+    "identity_class_sums",
     "scan_identity_residuals",
-    "SCAN_TERM_BUDGET",
     "regularized_count_ratio",
     "regularized_count_limit",
 ]
 
 # Smallest accepted decay rate; the m = 0, c = +/-1 term diverges at gamma = 0.
 GAMMA_FLOOR = 1e-6
-
-# Conjugate pairing cancels the imaginary parts exactly, so a half sum's imaginary part
-# is rounding, bounded by _IMAG_TOL times the sum of its terms' magnitudes. The largest
-# ratio seen is 0.44 eps (every p/q with q < 200, q up to 10^6 at five p, both families).
-# The test is <=, since at large gamma every term can round to exactly 0 and so the bound.
-_IMAG_TOL = 32 * np.finfo(float).eps
-# Bytes one phase sum holds per residue, rounded up from the tracemalloc peak
-# (72 B per residue at q = 10^4 to 10^6 in both families).
-_PAIR_BYTES = 80
-# Terms one gather chunk of the scan holds; with their conjugates and the index
-# array that is about 1.5 MiB at any q.
-_GATHER_TERMS = 2 ** 15
-# Gathered terms one scan may sum: sum over q <= Q of phi(q) q, about 2 Q^3 / pi^2.
-# On a 2-core Xeon the scan took 60 ns per term at q_max 256, where the per-q and
-# per-pair work weighs most, and 25-30 ns at q_max 990 (gather, conjugate, sum and
-# one result per pair), so a scan at the budget, q_max 995, takes about 6-11 s.
-SCAN_TERM_BUDGET = 2 * 10 ** 8
+# Bytes one phase sum holds per residue, its phases, their logarithm arguments and the
+# real parts fsum reads: rounded up from the tracemalloc peak, 112-114 B per residue at
+# q = 10^4 to 10^6 in both families. The budget admits q up to about 8.9e6; at the
+# 0.6-0.8 s that q = 10^6 takes on a 2-core Xeon, that is an estimated 5-7 s.
+_PAIR_BYTES = 120
 _LIMIT_Q_EPS = 1e-6  # q * eps at which regularized_count_limit takes the ratio
 
 
@@ -62,8 +50,10 @@ class IdentityCheck:
     """One evaluation of a phase-sum identity at (p, q, gamma).
 
     Immutable, and equal and hashed by its fields as the package's NamedTuple records
-    are, but slotted: a scan holds one per irreducible p/q, and as a NamedTuple it
-    raised the peak RSS of `identity --q-max 256` by about 0.5 MB.
+    are, but slotted, 72 B against a NamedTuple's 80: scan_identity_residuals returns
+    one per irreducible p/q, about 100 B with its list slot and p. At q_max 4054, the
+    edge of errors.ROW_BUDGET, its 4,996,542 checks peaked at 571 MB RSS, inside
+    errors.MEMORY_BUDGET. The CLI builds none.
     """
 
     __slots__ = ("p", "q", "gamma", "lhs", "rhs")
@@ -113,7 +103,7 @@ def _decay(gamma: float, gamma_floor: float) -> float:
 
 
 def _validate(p: int, q: int, gamma: float, gamma_floor: float) -> float:
-    """Check the inputs of a phase sum, and that its arrays fit MEMORY_BUDGET; return
+    """Check the inputs of a phase sum, and that its lists fit MEMORY_BUDGET; return
     e^{-gamma}."""
     if q < 1:
         raise DomainError("q must be a positive integer")
@@ -128,39 +118,38 @@ def _validate(p: int, q: int, gamma: float, gamma_floor: float) -> float:
     return _decay(gamma, gamma_floor)
 
 
-def _real_part(terms: np.ndarray) -> float:
-    total = 0.5 * complex(terms.sum())
-    if not abs(total.imag) <= _IMAG_TOL * 0.5 * float(np.abs(terms).sum()):
-        raise DomainError(f"conjugate pairing left imaginary part {total.imag!r}")
-    return float(total.real)
-
-
-def residue_phases(family: str, p: int | np.ndarray, q: int) -> tuple[np.ndarray, int]:
+def residue_phases(family: str, p: int, q: int) -> tuple[list[int], int]:
     """Phases k/den turns, k in [0, den), of the residues a = 0..q-1 of m mod q under a
     rotation by p/q turns: a p / q (den = q) for "bose", (2 a + 1) p / 2 q (den = 2 q)
-    for "fermi". A Family, being a str enum, selects the same. A column array of
-    numerators gives one row of phases per numerator."""
+    for "fermi". A Family, being a str enum, selects the same."""
     if q < 1:
         raise DomainError("q must be a positive integer")
-    return _residue_phase(family, np.arange(q), p, q)
+    den = _residue_phase(family, 0, p, q)[1]
+    return [_residue_phase(family, a, p, q)[0] for a in range(q)], den
 
 
-def _phase_sum(family: str, sign: float, p: int, q: int, gamma: float, floor: float) -> float:
-    """(1/2) sum over c = +/-1 and the residues of ln(1 + sign e^{-gamma + 2 pi i c k/den})."""
-    z = _validate(p, q, gamma, floor)
-    k, den = residue_phases(family, p, q)
-    terms = np.log(1.0 + sign * z * np.exp(2j * np.pi * k / den))
-    return _real_part(np.concatenate([terms, terms.conj()]))
+def _arguments(sign: float, z: float, ks, den: int) -> list[complex]:
+    """The arguments 1 + sign z e^{2 pi i k/den} of the c = +1 logarithms. Those of
+    c = -1, at -k, are their exact conjugates: cos is even and sin odd."""
+    sz, turn = sign * z, 2.0 * math.pi / den
+    return [1.0 + cmath.rect(sz, turn * k) for k in ks]
+
+
+def _half_sum(sign: float, z: float, ks, den: int) -> float:
+    """(1/2) sum over c = +/-1 and k in ks of ln(1 + sign e^{-gamma + 2 pi i c k/den}),
+    for z = e^{-gamma}: the conjugate logarithms' imaginary parts cancel exactly, so it
+    is the exactly rounded sum of their real parts, in any order of ks.
+
+    Principal-branch logarithms; safe because z < 1 keeps every argument in the right
+    half plane."""
+    return math.fsum([cmath.log(w).real for w in _arguments(sign, z, ks, den)])
 
 
 def boson_phase_sum(p: int, q: int, gamma: float, *,
                     gamma_floor: float = GAMMA_FLOOR) -> float:
-    """(1/2) sum over c = +/-1 and m = 0..q-1 of ln(1 - e^{-gamma + 2 pi i c m p/q}).
-
-    Principal-branch complex logarithms; safe because e^{-gamma} < 1 keeps
-    every argument in the right half plane (checked).
-    """
-    return _phase_sum("bose", -1.0, p, q, gamma, gamma_floor)
+    """(1/2) sum over c = +/-1 and m = 0..q-1 of ln(1 - e^{-gamma + 2 pi i c m p/q})."""
+    z = _validate(p, q, gamma, gamma_floor)
+    return _half_sum(-1.0, z, *residue_phases("bose", p, q))
 
 
 def boson_identity_rhs(q: int, gamma: float) -> float:
@@ -180,7 +169,8 @@ def check_boson_identity(p: int, q: int, gamma: float) -> IdentityCheck:
 def fermion_phase_sum(p: int, q: int, gamma: float, *,
                       gamma_floor: float = GAMMA_FLOOR) -> float:
     """(1/2) sum over c = +/-1 and m = 0..q-1 of ln(1 + e^{-gamma + 2 pi i c (m + 1/2) p/q})."""
-    return _phase_sum("fermi", 1.0, p, q, gamma, gamma_floor)
+    z = _validate(p, q, gamma, gamma_floor)
+    return _half_sum(1.0, z, *residue_phases("fermi", p, q))
 
 
 def fermion_identity_rhs(p: int, q: int, gamma: float) -> float:
@@ -208,56 +198,55 @@ def coprime_fractions(q_max: int) -> Iterator[tuple[int, int]]:
                 yield p, q
 
 
-def scan_identity_residuals(family: str, q_max: int, gamma: float) -> list[IdentityCheck]:
-    """Evaluate one identity over every irreducible p/q with q <= q_max, q then p ascending.
+def _coprime_count(q_max: int) -> int:
+    """How many fractions coprime_fractions(q_max) yields: the sum of Euler's phi(q)
+    over q <= q_max, by a sieve."""
+    phi = list(range(q_max + 1))
+    for n in range(2, q_max + 1):
+        if phi[n] == n:  # untouched, so n is prime
+            phi[n::n] = [m - m // n for m in phi[n::n]]
+    return sum(phi) - phi[0]
 
-    For gcd(p, q) = 1 the map of residue_phases permutes the den phases, so every p
-    with the same q sums the same den logarithms, reordered. Each q takes them once
-    and gathers them for all its p, in chunks of _GATHER_TERMS terms; every lhs is
-    bit-identical to the per-pair phase sum. A scan over SCAN_TERM_BUDGET gathered
-    terms is refused before any logarithm.
+
+def identity_class_sums(family: str, q_max: int,
+                        gamma: float) -> dict[tuple[int, int], tuple[float, float]]:
+    """(lhs, rhs) of one identity for every class (q, p & 1) that holds an irreducible
+    p/q with q <= q_max, q then parity ascending.
+
+    For gcd(p, q) = 1 the map of residue_phases permutes a class of phases that depends
+    on q and the parity of p alone: all q residues (bose), or the residues of 2 q that
+    share p's parity (fermi). fsum rounds exactly in any order, so the class sum is
+    bit-identical to the per-pair phase sum of each of its numerators. A scan whose
+    table, one row per fraction, would be over errors.ROW_BUDGET is refused before
+    any logarithm.
     """
     if family not in ("bose", "fermi"):
         raise DomainError(f"unknown family {family!r}")
     if q_max < 1:
         raise DomainError("q_max must be >= 1")
-    # an int past 2^300 would overflow the float estimate itself
-    terms = 2 * q_max ** 3 / math.pi ** 2 if q_max.bit_length() <= 300 else math.inf
-    if terms > SCAN_TERM_BUDGET:
-        raise DomainError(
-            f"an identity scan to q_max {q_max} gathers an estimated {terms:.4g} terms "
-            f"(2 q_max^3 / pi^2), over the budget of {SCAN_TERM_BUDGET:.3g} terms "
-            f"(ninionics.identities.SCAN_TERM_BUDGET)")
+    check_rows(f"an identity scan to q_max {q_max}", _farey_terms_bound(q_max) - 1)
     z = _decay(gamma, GAMMA_FLOOR)
-    sign = -1.0 if family == "bose" else 1.0
-    checks = []
+    sums = {}
     for q in range(1, q_max + 1):
-        den = q if family == "bose" else 2 * q
-        logs = np.log(1.0 + sign * z * np.exp(2j * np.pi * np.arange(den) / den))
-        # the closed form and the rounding bound by the parity of p: a fermi row sums
-        # the half of the den logarithms whose phases share p's parity
-        rhs = ([boson_identity_rhs(q, gamma)] * 2 if family == "bose"
-               else [fermion_identity_rhs(par, q, gamma) for par in (0, 1)])
-        size = np.abs(logs)
-        bound = _IMAG_TOL * np.array([size.sum()] * 2 if family == "bose"
-                                     else [size[par::2].sum() for par in (0, 1)])
-        ps = np.arange(1, q + 1)
-        ps = ps[np.gcd(ps, q) == 1]
-        step = max(1, _GATHER_TERMS // q)
-        for chunk in (ps[i:i + step] for i in range(0, ps.size, step)):
-            # each row as _phase_sum lays it out, the terms then their conjugates,
-            # reduced along the row, so every lhs matches it bit for bit
-            rows = np.empty((chunk.size, 2 * q), complex)
-            np.take(logs, residue_phases(family, chunk[:, None], q)[0], out=rows[:, :q])
-            np.conjugate(rows[:, :q], out=rows[:, q:])
-            total = 0.5 * rows.sum(axis=1)
-            bad = np.flatnonzero(~(np.abs(total.imag) <= bound[chunk & 1]))
-            if bad.size:
-                raise DomainError(f"conjugate pairing left imaginary part "
-                                  f"{float(total.imag[bad[0]])!r} at {chunk[bad[0]]}/{q}")
-            checks += [IdentityCheck(p, q, gamma, lhs, rhs[p & 1])
-                       for p, lhs in zip(chunk.tolist(), total.real.tolist())]
-    return checks
+        # p = 1 is odd; an even p is coprime to q only at odd q > 1
+        parities = (0, 1) if q % 2 and q > 1 else (1,)
+        if family == "bose":
+            both = _half_sum(-1.0, z, range(q), q), boson_identity_rhs(q, gamma)
+            sums.update(((q, par), both) for par in parities)
+        else:
+            sums.update(((q, par), (_half_sum(1.0, z, range(par, 2 * q, 2), 2 * q),
+                                    fermion_identity_rhs(par, q, gamma)))
+                        for par in parities)
+    return sums
+
+
+def scan_identity_residuals(family: str, q_max: int, gamma: float) -> list[IdentityCheck]:
+    """Evaluate one identity over every irreducible p/q with q <= q_max, q then p ascending.
+
+    Every lhs is its class sum from identity_class_sums, bit-identical to the per-pair
+    phase sum."""
+    sums = identity_class_sums(family, q_max, gamma)
+    return [IdentityCheck(p, q, gamma, *sums[q, p & 1]) for p, q in coprime_fractions(q_max)]
 
 
 def regularized_count_ratio(q: int, eps: float) -> float:

@@ -189,11 +189,17 @@ def approximate_rational(x: float, q_max: int) -> Fraction:
     return min((conv, semi), key=lambda f: (abs(target - f), f.denominator, f))
 
 
+def _farey_terms_bound(n: int, width: float = 1.0) -> float:
+    """About 3 n^2 width / pi^2 + n + 1, the terms of F_n in a window of that width; an
+    upper bound on [0, 1] up to n = 20000 at least. An order past 2^500 would overflow
+    the float, so it gives inf."""
+    return 3 * n ** 2 * width / math.pi ** 2 + n + 1 if n.bit_length() <= 500 else math.inf
+
+
 def _residue_phase(family: str, a, p, q: int):
     """Phase k/den turns, k in [0, den), of residue a of m mod q under a rotation by p/q
     turns: a p / q (den = q) for "bose", (2 a + 1) p / 2 q (den = 2 q) for "fermi". A
-    Family, being a str enum, selects the same. Only integer operators, so a and p may
-    be integers or integer arrays that broadcast."""
+    Family, being a str enum, selects the same."""
     if family == "bose":
         return a * (p % q) % q, q
     if family == "fermi":

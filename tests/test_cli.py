@@ -159,9 +159,8 @@ class TestIdentityCommand:
 
     @pytest.mark.parametrize("argv,message", [
         (["--q-max", "100000"],
-         r"an identity scan to q_max 100000 gathers an estimated 2\.026e\+14 terms "
-         r"\(2 q_max\^3 / pi\^2\), over the budget of [\d.e+]+ terms "
-         r"\(ninionics\.identities\.SCAN_TERM_BUDGET\)"),
+         r"an identity scan to q_max 100000 has an estimated 3\.04e\+09 rows, over the "
+         r"budget of 5000000 rows \(ninionics\.errors\.ROW_BUDGET\)"),
         (["--p", "1", "--q", "10000000000000"],
          r"the phase sum at q = 10000000000000 needs an estimated [\d.e+]+ MiB, over the "
          r"1024 MiB memory budget \(ninionics\.errors\.MEMORY_BUDGET\)"),
@@ -956,17 +955,18 @@ def test_cli_import_loads_only_what_parsing_needs():
     (["occupation", "--family", "bose", "--xi", "pi/4", "--omega-count", "3"], False),
     (["scan", "--order", "5"], False),
     (["scan", "--order", "5", "--format", "json"], False),
-    # the commands that compute with numpy load it, so the checks above are not vacuous
-    (["identity", "--family", "bose", "--q-max", "4", "--gamma", "1"], True),
+    (["identity", "--family", "bose", "--q-max", "4", "--gamma", "1"], False),
+    (["identity", "--family", "bose", "--p", "3", "--q", "7", "--gamma", "1"], False),
+    # rotor computes with numpy and loads it, so the checks above are not vacuous
     (["rotor", "--m-cut", "20", "--chi-points", "4"], True),
     (["thermo", "--method", "quadrature", "--chi", "1/2"], False),
     (["walls", "--rotating"], False),
 ], ids=["import", "thomae", "thermo-closed-bose", "thermo-closed-fermi", "walls", "nogo-near",
-        "nogo-fixed", "occupation", "scan-csv", "scan-json", "identity", "rotor",
-        "thermo-quadrature", "walls-rotating"])
+        "nogo-fixed", "occupation", "scan-csv", "scan-json", "identity", "identity-pair",
+        "rotor", "thermo-quadrature", "walls-rotating"])
 def test_import_leaves_scipy_unloaded(argv, numpy_loaded):
-    # numpy only where a command computes with it, and scipy nowhere: the quadrature
-    # oracle is plain Python
+    # numpy only where a command computes with it, rotor alone, and scipy nowhere: the
+    # quadrature oracle and the phase sums are plain Python
     code = ("import sys\n"
             "def loaded():\n"
             "    print('numpy' in sys.modules, 'scipy' in sys.modules)\n"

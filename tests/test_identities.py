@@ -6,7 +6,6 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -103,16 +102,6 @@ class TestBosonIdentity:
         with pytest.raises(DomainError):
             fermion_phase_sum(1, 2, float("nan"))
 
-    def test_cancellation_check_raises(self, monkeypatch):
-        monkeypatch.setattr(identities, "_IMAG_TOL", -1.0)
-        with pytest.raises(DomainError, match="imaginary part"):
-            boson_phase_sum(1, 3, 1.0)
-
-    def test_scan_keeps_its_cancellation_check(self, monkeypatch):
-        monkeypatch.setattr(identities, "_IMAG_TOL", -1.0)
-        with pytest.raises(DomainError, match="imaginary part"):
-            scan_identity_residuals("fermi", 8, 1.0)
-
     @pytest.mark.parametrize("phase_sum", [boson_phase_sum, fermion_phase_sum])
     def test_memory_refusal_before_allocation(self, phase_sum):
         # a q the allocator would refuse outright; the budget check comes first
@@ -188,11 +177,10 @@ class TestResiduePhases:
         # |p| > q and, for fermions, |p| > 2 q wrap around
         k, den = identities.residue_phases("bose", p, q)
         assert den == q
-        assert [int(n) for n in k] == [Fraction(a * p, q) % 1 * q for a in range(q)]
+        assert k == [Fraction(a * p, q) % 1 * q for a in range(q)]
         k, den = identities.residue_phases(Family.FERMI, p, q)
         assert den == 2 * q
-        assert [int(n) for n in k] == [Fraction(2 * a + 1, 2 * q) * p % 1 * 2 * q
-                                       for a in range(q)]
+        assert k == [Fraction(2 * a + 1, 2 * q) * p % 1 * 2 * q for a in range(q)]
 
     @pytest.mark.parametrize("family,q", [("anyon", 3), ("bose", 0)])
     def test_rejects_bad_input(self, family, q):
@@ -200,20 +188,10 @@ class TestResiduePhases:
             identities.residue_phases(family, 1, q)
 
 
-    def test_numerator_column_gives_one_row_per_numerator(self):
-        for family in ("bose", "fermi"):
-            ps = np.array([1, 2, 4, 5, 7, 8])
-            k, den = identities.residue_phases(family, ps[:, None], 9)
-            assert k.shape == (6, 9)
-            for p, row in zip(ps, k):
-                one, one_den = identities.residue_phases(family, int(p), 9)
-                assert (den, row.tolist()) == (one_den, one.tolist())
-
-
 class TestScan:
     @pytest.mark.parametrize("family,check", [("bose", check_boson_identity),
                                               ("fermi", check_fermion_identity)])
-    @pytest.mark.parametrize("gamma", [1.0, 1e-6])
+    @pytest.mark.parametrize("gamma", [1.0, 1e-6, 0.3])
     def test_bit_identical_to_the_per_pair_sum(self, family, check, gamma):
         scan = scan_identity_residuals(family, 128, gamma)
         assert [(c.p, c.q) for c in scan] == list(coprime_fractions(128))
@@ -222,12 +200,28 @@ class TestScan:
 
     @pytest.mark.parametrize("family", ["bose", "fermi"])
     def test_rows_sum_the_phases_the_rounding_bound_counts(self, family):
-        # the scan bounds each row's rounding by the den logarithms (bose) or the half
-        # whose phases share p's parity (fermi), taken once per q: each row is exactly those
-        for p, q in coprime_fractions(40):
-            k, den = identities.residue_phases(family, p, q)
-            start, step = (0, 1) if family == "bose" else (p % 2, 2)
-            assert sorted(k.tolist()) == list(range(start, den, step)), (p, q)
+        # the scan sums each class once per q, all den residues (bose) or those that
+        # share p's parity (fermi): every coprime numerator's phases are exactly those
+        for q in [*range(1, 41), 101]:
+            for p in range(1, q + 1):
+                if math.gcd(p, q) == 1:
+                    k, den = identities.residue_phases(family, p, q)
+                    start, step = (0, 1) if family == "bose" else (p % 2, 2)
+                    assert sorted(k) == list(range(start, den, step)), (p, q)
+
+    @pytest.mark.parametrize("family", ["bose", "fermi"])
+    @pytest.mark.parametrize("gamma", [1e-6, 0.1, 1.0, 10.0, 40.0, 740.0])
+    def test_conjugate_branches_are_exact_conjugates(self, family, gamma):
+        # the c = -1 argument of every term the scan forms is the exact conjugate of the
+        # c = +1 one, and so is its logarithm: the half sum is exactly the real part
+        sign, z = (-1.0 if family == "bose" else 1.0), math.exp(-gamma)
+        for q in range(1, 65):
+            den = q if family == "bose" else 2 * q
+            ks = range(den)
+            for w, w_conj in zip(identities._arguments(sign, z, ks, den),
+                                 identities._arguments(sign, z, [-k for k in ks], den)):
+                assert w_conj == w.conjugate(), (q, w)
+                assert cmath.log(w.conjugate()) == cmath.log(w).conjugate(), (q, w)
 
     @pytest.mark.parametrize("family,check", [("bose", check_boson_identity),
                                               ("fermi", check_fermion_identity)])
@@ -240,17 +234,6 @@ class TestScan:
         for c in scan:
             assert c == check(c.p, c.q, gamma)
             assert c.residual < 1e-17
-
-    def test_chunk_boundaries_inside_one_q(self, monkeypatch):
-        # 20 terms a chunk splits q = 7..20 into several chunks and gives q > 20 one
-        # row a chunk
-        monkeypatch.setattr(identities, "_GATHER_TERMS", 20)
-        for family, check in (("bose", check_boson_identity),
-                              ("fermi", check_fermion_identity)):
-            scan = scan_identity_residuals(family, 40, 0.3)
-            assert [(c.p, c.q) for c in scan] == list(coprime_fractions(40))
-            for c in scan:
-                assert c == check(c.p, c.q, 0.3)
 
     def test_order_and_types(self):
         scan = scan_identity_residuals("fermi", 5, 1.0)
@@ -266,20 +249,10 @@ class TestScan:
         with pytest.raises(DomainError, match="gamma must be at least"):
             scan_identity_residuals("bose", 4, GAMMA_FLOOR / 10)
 
-    def test_term_estimate_tracks_the_gathered_count(self):
-        # sum over q <= 256 of phi(q) q is 3,406,801; the estimate 2 Q^3 / pi^2 is
-        # within 0.3 %, and q_max 256 sits far under the budget
-        exact = sum(q * sum(1 for p in range(1, q + 1) if math.gcd(p, q) == 1)
-                    for q in range(1, 257))
-        assert exact == 3_406_801
-        estimate = 2 * 256 ** 3 / math.pi ** 2
-        assert abs(estimate / exact - 1) < 3e-3
-        assert 50 * estimate < identities.SCAN_TERM_BUDGET
-
     @pytest.mark.parametrize("q_max", [10 ** 5, 10 ** 100, 10 ** 400])
     def test_over_budget_is_refused_before_any_work(self, q_max):
-        with pytest.raises(DomainError, match=r"gathers an estimated ([\d.e+]+|inf) terms"
-                                              r".*SCAN_TERM_BUDGET"):
+        with pytest.raises(DomainError, match=r"has an estimated ([\d.e+]+|inf) rows"
+                                              r".*ROW_BUDGET"):
             scan_identity_residuals("bose", q_max, 1.0)
 
 
@@ -293,6 +266,11 @@ class TestCoprimeFractions:
             return sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
 
         assert len(list(coprime_fractions(64))) == sum(phi(q) for q in range(1, 65))
+
+    @pytest.mark.parametrize("q_max", [1, 2, 3, 12, 101, 256])
+    def test_sieve_counts_the_fractions(self, q_max):
+        # the identity command reports this count without holding the fractions
+        assert identities._coprime_count(q_max) == len(list(coprime_fractions(q_max)))
 
 
 class TestRegularizedCount:
