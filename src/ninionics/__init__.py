@@ -6,7 +6,7 @@ ninionic occupation numbers, fractal Farey scans, and a planar-rotor
 realization of the angular-momentum generating function.
 
 Every name below resolves on first use by importing its submodule, so
-``import ninionics`` loads numpy only when a name that needs it is read.
+a launch loads only the submodules whose names it reads.
 """
 
 import importlib
@@ -38,7 +38,7 @@ _EXPORTS = {
     "rotor": (
         "RotorSpec", "EnsembleReport", "ShiftCheck", "partition_rotwisted",
         "angular_distribution", "generating_function", "zk_table", "ensemble_report",
-        "shift_eigenphase_check", "TAIL_BOUND", "RATIO_FLOOR"),
+        "shift_eigenphase_check", "TAIL_BOUND", "RATIO_FLOOR", "TERM_BUDGET"),
     "thermo": (
         "GasSpec", "ThermoQuantities", "MappedEnsemble", "WallsOracle", "CrossedWalls",
         "blackbody_scalar", "blackbody_fermion", "fermion_equivalence", "rotated_ensemble",

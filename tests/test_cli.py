@@ -491,7 +491,7 @@ class TestScanCommand:
 
 
 # one launch per command and table kind: None and bool values (walls), extras with a
-# list of notices (nogo), numpy floats (rotor) and an empty table (the scan window)
+# list of notices (nogo), a float extra (rotor's Z_0) and an empty table (the scan window)
 JSON_LAUNCHES = {
     "thomae": ["thomae", "--fraction", "3/7"],
     "identity-scan": ["identity", "--family", "bose", "--q-max", "12", "--gamma", "1"],
@@ -717,6 +717,29 @@ class TestRotorCommand:
         code, _, err = run_cli(["rotor", "--m-cut", "1000000000"], capsys)
         assert code == 1
         assert re.match(r"error\[DomainError\]: .* needs an estimated [\d.e+]+ MiB", err)
+
+    @pytest.mark.parametrize("argv", [
+        ["--m-cut", "100000", "--beta", "1e-6", "--table", "weights"],
+        ["--m-cut", "100000", "--beta", "1e-6", "--chi-points", "10000"],
+    ], ids=["weights", "zk"])
+    def test_over_term_budget_is_refused(self, capsys, argv):
+        start = time.perf_counter()
+        code, out, err = run_cli(["rotor", *argv], capsys)
+        assert time.perf_counter() - start < 0.5
+        assert (code, out) == (1, "")
+        assert re.fullmatch(r"error\[DomainError\]: .* sums an estimated [\d.e+]+ terms, over "
+                            rf"the budget of {rotor.TERM_BUDGET} terms "
+                            r"\(ninionics\.rotor\.TERM_BUDGET\)\n", err)
+
+    def test_integer_phases_print_no_negative_zero(self, capsys):
+        # Im Z is 0.0 and K = -ln(Z/Z0) is real for integer phases; -(+0.0) would be -0.0
+        code, out, _ = run_cli(["rotor", "--m-cut", "40", "--beta", "0.6",
+                                "--chi-points", "64"], capsys)
+        assert code == 0
+        rows = read_csv(out)
+        assert {(r["z_imag"], r["k_imag"]) for r in rows} == {("0.0", "0.0")}
+        assert rows[31]["k_real"] == "0.0"  # chi = 0
+        assert "-0.0" not in re.split(r"[,\n]", out)
 
     def test_vanishing_partition_names_chi(self, capsys):
         code, out, err = run_cli(
@@ -944,29 +967,10 @@ def test_cli_import_loads_only_what_parsing_needs():
                               "ninionics.fractal", "ninionics.rationals"]) + "\n"
 
 
-@pytest.mark.parametrize("argv,numpy_loaded", [
-    ([], False),
-    (["thomae", "--fraction", "3/7"], False),
-    (["thermo", "--family", "bose", "--chi", "1/3", "--method", "closed"], False),
-    (["thermo", "--family", "fermi", "--chi", "1/3", "--method", "closed"], False),
-    (["walls"], False),
-    (["nogo", "--mode", "near", "--count", "3"], False),
-    (["nogo", "--mode", "fixed", "--count", "3"], False),
-    (["occupation", "--family", "bose", "--xi", "pi/4", "--omega-count", "3"], False),
-    (["scan", "--order", "5"], False),
-    (["scan", "--order", "5", "--format", "json"], False),
-    (["identity", "--family", "bose", "--q-max", "4", "--gamma", "1"], False),
-    (["identity", "--family", "bose", "--p", "3", "--q", "7", "--gamma", "1"], False),
-    # rotor computes with numpy and loads it, so the checks above are not vacuous
-    (["rotor", "--m-cut", "20", "--chi-points", "4"], True),
-    (["thermo", "--method", "quadrature", "--chi", "1/2"], False),
-    (["walls", "--rotating"], False),
-], ids=["import", "thomae", "thermo-closed-bose", "thermo-closed-fermi", "walls", "nogo-near",
-        "nogo-fixed", "occupation", "scan-csv", "scan-json", "identity", "identity-pair",
-        "rotor", "thermo-quadrature", "walls-rotating"])
-def test_import_leaves_scipy_unloaded(argv, numpy_loaded):
-    # numpy only where a command computes with it, rotor alone, and scipy nowhere: the
-    # quadrature oracle and the phase sums are plain Python
+def loaded_after(argv, extra=""):
+    """numpy and scipy in sys.modules of a fresh child: after `import ninionics`, after
+    `import ninionics.cli`, and after the command (then `extra`) has run. The command's
+    own output lies between the second line and the last."""
     code = ("import sys\n"
             "def loaded():\n"
             "    print('numpy' in sys.modules, 'scipy' in sys.modules)\n"
@@ -975,11 +979,42 @@ def test_import_leaves_scipy_unloaded(argv, numpy_loaded):
             "import ninionics.cli\n"
             "loaded()\n"
             "status = ninionics.cli.main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+            f"{extra}"
             "loaded()\n"
             "sys.exit(status)\n")  # every command must succeed
     lines = fresh_python(code, *argv).stdout.splitlines()
-    assert lines[:2] == ["False False"] * 2  # a fresh import of the package or the CLI
-    assert lines[-1] == f"{numpy_loaded} False"
+    return [*lines[:2], lines[-1]]
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["thomae", "--fraction", "3/7"],
+    ["thermo", "--family", "bose", "--chi", "1/3", "--method", "closed"],
+    ["thermo", "--family", "fermi", "--chi", "1/3", "--method", "closed"],
+    ["walls"],
+    ["nogo", "--mode", "near", "--count", "3"],
+    ["nogo", "--mode", "fixed", "--count", "3"],
+    ["occupation", "--family", "bose", "--xi", "pi/4", "--omega-count", "3"],
+    ["scan", "--order", "5"],
+    ["scan", "--order", "5", "--format", "json"],
+    ["identity", "--family", "bose", "--q-max", "4", "--gamma", "1"],
+    ["identity", "--family", "bose", "--p", "3", "--q", "7", "--gamma", "1"],
+    ["rotor", "--m-cut", "20", "--chi-points", "4"],
+    ["rotor", "--m-cut", "20", "--table", "weights"],
+    ["thermo", "--method", "quadrature", "--chi", "1/2"],
+    ["walls", "--rotating"],
+], ids=["import", "thomae", "thermo-closed-bose", "thermo-closed-fermi", "walls", "nogo-near",
+        "nogo-fixed", "occupation", "scan-csv", "scan-json", "identity", "identity-pair",
+        "rotor", "rotor-weights", "thermo-quadrature", "walls-rotating"])
+def test_import_leaves_scipy_unloaded(argv):
+    # no command loads numpy or scipy: the rotor sums, the quadrature oracle and the
+    # phase sums are plain Python
+    assert loaded_after(argv) == ["False False"] * 3
+
+
+def test_import_check_sees_a_loaded_numpy():
+    # the positive control: the check above reads True once the child loads numpy
+    assert loaded_after([], extra="import numpy\n")[-1] == "True False"
 
 
 @pytest.mark.parametrize("argv", [
@@ -1002,13 +1037,13 @@ def test_import_leaves_scipy_unloaded(argv, numpy_loaded):
         "occupation", "occupation-json", "scan", "scan-json", "identity", "rotor-json",
         "thermo-quadrature", "walls-rotating"])
 def test_launch_loads_no_dataclasses_and_json_only_for_json(argv):
-    # dataclasses imports inspect, ast, dis and tokenize; numpy imports inspect itself,
-    # so only the numpy-free launches can go without it
+    # dataclasses imports inspect, ast, dis and tokenize; no launch loads numpy, which
+    # imports inspect itself, so every launch goes without it
     code = ("import sys, ninionics.cli\n"
             "status = ninionics.cli.main(sys.argv[1:]) if sys.argv[1:] else 0\n"
-            "print(*(m in sys.modules for m in ('dataclasses', 'inspect', 'numpy', 'json')))\n"
+            "print(*(m in sys.modules for m in ('dataclasses', 'inspect', 'json')))\n"
             "sys.exit(status)\n")
-    dataclasses, inspect, numpy, json_ = fresh_python(code, *argv).stdout.split()[-4:]
+    dataclasses, inspect, json_ = fresh_python(code, *argv).stdout.split()[-3:]
     assert dataclasses == "False"
-    assert inspect == "False" or numpy == "True"
+    assert inspect == "False"
     assert json_ == str("json" in argv)

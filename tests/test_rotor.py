@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import time
 import tracemalloc
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 from ninionics.errors import DomainError, TruncationError
 from ninionics.rotor import (
+    TERM_BUDGET,
     RotorSpec,
     angular_distribution,
     ensemble_report,
@@ -25,6 +27,14 @@ def direct_partition(spec, beta, chi, half_shift=False):
         offset = m + 0.5 if half_shift else m
         total += cmath.exp(1j * chi * offset) * math.exp(-beta * spec.energy(m))
     return total
+
+
+def assert_exact_symmetry_and_band(spec, beta, weights):
+    """R(-m) is R(m) bit for bit, and R(m) is exactly 0.0 wherever the weight is."""
+    for m in range(1, spec.m_cut + 1):
+        assert weights[-m] == weights[m]
+        if math.exp(-beta * spec.energy(m)) == 0.0:
+            assert weights[m] == 0.0
 
 
 class TestPartition:
@@ -87,6 +97,7 @@ class TestAngularDistribution:
         z0 = partition_rotwisted(spec, 1.0, 0.0).real
         for m, w in weights.items():
             assert abs(w - math.exp(-spec.energy(m)) / z0) < 1e-12
+        assert_exact_symmetry_and_band(spec, 1.0, weights)
 
     def test_normalization_and_positivity(self):
         spec = RotorSpec(1.0, 40)
@@ -127,6 +138,7 @@ class TestAngularDistribution:
         assert list(weights) == m.tolist()
         err = np.max(np.abs(np.array(list(weights.values())) - boltzmann / z0))
         assert err < 1e-12
+        assert_exact_symmetry_and_band(spec, 1.0, weights)
 
     def test_memory_is_linear_in_cut(self):
         spec = RotorSpec(1.0, 1000)
@@ -138,8 +150,26 @@ class TestAngularDistribution:
             tracemalloc.stop()
         assert peak < 16 * 2 ** 20
 
+    @pytest.mark.parametrize("call", [
+        lambda: angular_distribution(RotorSpec(1.0, 100_000), 1e-6),
+        lambda: zk_table(RotorSpec(1.0, 100_000), 1e-6, 10_000),
+    ], ids=["weights", "zk"])
+    def test_over_term_budget_refused_before_any_weight(self, call):
+        # a support of 38,626 levels: about 3e9 terms for the weights, 2e8 for the table
+        start = time.perf_counter()
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match=rf"sums an estimated [\d.e+]+ terms, over the "
+                                                  rf"budget of {TERM_BUDGET} terms"):
+                call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - start < 0.5
+        assert peak < 2 ** 20
+
     def test_oversized_request_refused_before_allocating(self):
-        spec = RotorSpec(1.0, 10 ** 9)  # about 15 GiB for the level array alone
+        spec = RotorSpec(1.0, 10 ** 9)  # hundreds of GiB for the weights dict alone
         tracemalloc.start()
         try:
             with pytest.raises(DomainError, match=r"needs an estimated [\d.e+]+ MiB"):
@@ -152,7 +182,7 @@ class TestAngularDistribution:
 
 class TestZkTable:
     @pytest.mark.parametrize("half_shift", [False, True])
-    @pytest.mark.parametrize("n", [7, 64, 200])  # folded (n < 81) and unfolded
+    @pytest.mark.parametrize("n", [7, 64, 200])  # odd and even, below and above 2 m_cut + 1
     def test_matches_direct_sum(self, n, half_shift):
         spec, beta = RotorSpec(1.0, 40), 0.6
         rows = zk_table(spec, beta, n, half_shift)
@@ -164,6 +194,11 @@ class TestZkTable:
             assert abs(complex(z_re, z_im) - z) < 1e-12
             assert abs(complex(k_re, k_im) + cmath.log(z / z0)) < 1e-12
             assert all(type(x) is float for x in (chi, z_re, z_im, k_re, k_im))
+            if not half_shift:  # Z is real and positive: Im Z and Im K are +0.0
+                assert math.copysign(1.0, z_im) == math.copysign(1.0, k_im) == 1.0
+                assert z_im == k_im == 0.0
+        if not half_shift:  # chi_{n-j} = -chi_j, and Z there is Z_j bit for bit
+            assert all(rows[j - 1][1] == rows[n - j - 1][1] for j in range(1, n))
 
     def test_vanishing_partition_names_chi(self):
         with pytest.raises(DomainError, match=r"vanishes at chi=3\.14159"):
@@ -222,6 +257,12 @@ class TestShiftEigenphase:
         chk = shift_eigenphase_check(math.pi / 3, 98, 100)
         assert chk.residual < 1e-14
 
+    @pytest.mark.parametrize("chi", [math.pi / 3, math.pi / 2, math.pi])
+    def test_wide_window_tight(self, chi):
+        # chi*m is formed exactly as a two-term product, so the residual does not grow
+        # with the window
+        assert shift_eigenphase_check(chi, 5000, 5001).residual < 1e-14
+
     def test_half_turn_phase(self):
         chk = shift_eigenphase_check(math.pi, 10, 20)
         assert chk.eigenphase.real == pytest.approx(-1.0, abs=1e-15)
@@ -230,6 +271,10 @@ class TestShiftEigenphase:
     def test_window_guard(self):
         with pytest.raises(DomainError):
             shift_eigenphase_check(0.5, 20, 20)
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match=r"below 2\*\*26"):
+            shift_eigenphase_check(0.5, 2 ** 26, 2 ** 40)
+        assert time.perf_counter() - start < 0.5
 
     def test_eigenphase_convention(self):
         # component convention: shift multiplies components by e^{-i chi}
