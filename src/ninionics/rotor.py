@@ -46,15 +46,15 @@ TAIL_BOUND = 1e-14
 # about 1e-16 * Z(0), so K = -ln(Z/Z(0)) is good to about 1e-16 / RATIO_FLOOR.
 RATIO_FLOOR = 1e-10
 # Products a_k cos(...) one request may sum: grid points summed times support levels,
-# per pass. At the budget's edge the kernel took 96 ns per term on a support of 3000
-# levels and 217 ns on one of 38 (its table reads miss the cache), so the largest
-# admitted request sums in 5-11 s.
-TERM_BUDGET = 50_000_000
+# per pass. At the budget's edge the kernel took 227 ns per term on a support of 2235
+# levels and 535 ns on one of 38 (its table reads miss the cache), so the largest
+# admitted request, a zk table of 512,818 rows, runs in about 9 s.
+TERM_BUDGET = 10_000_000
 # Bytes per level and per grid point, rounded up from tracemalloc peaks: per level one
 # weights-dict entry (88-119 B at m_cut 1e3-1e6), per point one zk row of five floats
-# with its sum, cosine-table entry and table copies (199-223 B at n = 2e3-1e6). The
-# default weights grid counts as 2 m_cut + 1 points; on a full support, where it has
-# that many, the weights took 218 B per level.
+# with its sum and cosine-table entry (199-201 B at n = 2e3-5e5). The default weights
+# grid counts as 2 m_cut + 1 points; on a full support, where it has that many, the
+# weights took 164 B per level.
 _LEVEL_BYTES = 128
 _POINT_BYTES = 256
 _MAX_M_CUT = (MEMORY_BUDGET // _LEVEL_BYTES - 1) // 2  # largest bare Z that fits
@@ -63,7 +63,6 @@ _MAX_M_CUT = (MEMORY_BUDGET // _LEVEL_BYTES - 1) // 2  # largest bare Z that fit
 _EXP_UNDERFLOW = 746.0
 _SPLIT = 2.0 ** 27 + 1.0  # Veltkamp's splitter: hi keeps the top 26 bits of a double
 _MAX_WINDOW = 2 ** 26  # hi*m and lo*m are exact for |m| <= 2**26
-_TILE_COPIES = 16  # most copies of the cosine table that a strided slice reads
 
 
 class _RotorFields(NamedTuple):
@@ -159,23 +158,12 @@ def _cosine_sums(a: list[float], n: int, count: int) -> list[float]:
 
     The cosine at j k is read from the table at j k mod n, so the phase error does
     not grow with k. The table is symmetric, entry n - k being entry k, so the sums
-    at j and n - j are equal bit for bit. A slice with step j of the table repeated
-    span / n times reads entries j k mod n for as many k as fit in the span, so the
-    table repeats as often as the largest j k needs, at most _TILE_COPIES times.
+    at j and n - j are equal bit for bit.
     """
-    table = _cosine_table(n)
-    terms = len(a)
-    span = n * min((count - 1) * (terms - 1) // n + 1, _TILE_COPIES)
-    tiled = table * (span // n)
-    sums = [fsum(a)]
-    for j in range(1, count):
-        cosines, start = [], 0
-        while len(cosines) < terms:
-            chunk = tiled[start:min(span, start + (terms - len(cosines) - 1) * j + 1):j]
-            cosines += chunk
-            start = (start + len(chunk) * j) % n
-        sums.append(fsum(map(mul, a, cosines)))
-    return sums
+    cosine = _cosine_table(n).__getitem__
+    last = len(a) - 1
+    return [fsum(map(mul, a, map(cosine, map(n.__rmod__, range(0, j * last + 1, j)))))
+            if j else fsum(a) for j in range(count)]
 
 
 def _folded(weights: list[float]) -> list[float]:
@@ -212,8 +200,8 @@ def angular_distribution(spec: RotorSpec, beta: float, n_grid: int | None = None
     polynomial of degree S, provided the grid has at least 2 S + 1 points. The
     default grid is the smallest, 2 S + 1; a caller's n_grid must have at least
     2 m_cut + 1. R(m) is exactly 0.0 for S < |m| <= m_cut, and R(-m) is R(m).
-    The half shift multiplies Z by e^{i chi/2}, which the inversion strips, so R
-    does not depend on it. Time is O(n S).
+    Time is O(n S). half_shift is accepted for compatibility and has no effect:
+    the half shift multiplies Z by e^{i chi/2}, which the inversion strips.
     """
     m_cut = spec.m_cut
     if n_grid is not None and n_grid < 2 * m_cut + 1:

@@ -113,9 +113,13 @@ class TestAngularDistribution:
     def test_minimal_exact_grid(self):
         spec = RotorSpec(1.0, 20)
         coarse = angular_distribution(spec, 1.0, n_grid=2 * 20 + 1)
-        fine = angular_distribution(spec, 1.0)
-        for m in coarse:
-            assert coarse[m] == pytest.approx(fine[m], abs=1e-12)
+        assert angular_distribution(spec, 1.0) == coarse  # the default grid, S = 20
+        # oversampled, odd and even: the even grid folds its j = n/2 point once
+        for n_grid in (4 * 20 + 1, 82):
+            fine = angular_distribution(spec, 1.0, n_grid=n_grid)
+            for m in coarse:
+                assert coarse[m] == pytest.approx(fine[m], abs=1e-12)
+            assert_exact_symmetry_and_band(spec, 1.0, fine)
 
     def test_aliasing_guard(self):
         with pytest.raises(DomainError, match="alias"):
