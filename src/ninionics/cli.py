@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from . import fractal
-from .errors import MEMORY_BUDGET, DomainError, check_rows
+from .errors import DomainError, check_budget, check_memory
 from .rationals import StatAngle, _farey_terms_bound, parse_turns, thomae
 
 SCHEMA_VERSION = "1"
@@ -238,12 +238,9 @@ def _cmd_thermo(args) -> tuple[list[str], list[tuple], dict]:
                               "use --method quadrature")
         f = thermo.ensemble_thermo(mapped).f
     else:
-        rows = thermo.quadrature_rows(spec, angle)
-        if rows > thermo.QUADRATURE_ROW_BUDGET:
-            raise DomainError(
-                f"quadrature needs {rows} rows, one per residue and mu branch, over the "
-                f"budget of {thermo.QUADRATURE_ROW_BUDGET} rows "
-                f"(ninionics.thermo.QUADRATURE_ROW_BUDGET)")
+        check_budget(f"a quadrature of one row per residue and mu branch at q = "
+                     f"{angle.denominator}", thermo.quadrature_rows(spec, angle),
+                     thermo.QUADRATURE_ROW_BUDGET, "ninionics.thermo.QUADRATURE_ROW_BUDGET")
         tol = args.inner_tol or thermo.DEFAULT_INNER_TOL
         f = thermo.free_energy_extrapolated(spec, beta, angle, inner_tol=tol)
         _check_finite("the quadrature free energy f", f)
@@ -290,8 +287,7 @@ def _check_finite(name: str, *values: float) -> None:
 
 
 def _cmd_occupation(args) -> tuple[list[str], Iterable[tuple | str], dict]:
-    count = len(args.xi) * args.omega_count  # a count past 2^1000 would overflow a float
-    check_rows("an occupation table", count if count.bit_length() <= 1000 else math.inf)
+    check_budget("an occupation table", len(args.xi) * args.omega_count)
     from . import occupation
     family = occupation.Family(args.family)
     lo, beta, mu = args.omega_min, args.beta, args.mu
@@ -328,7 +324,7 @@ def _occupation_lines(family: str, xis: list[float], omegas: list[float], beta: 
 
 def _cmd_scan(args) -> tuple[list[str], Iterable[tuple | str], dict]:
     n, (lo, hi) = args.order, args.window
-    check_rows(f"a scan of order {n}", _farey_terms_bound(n, float(hi - lo)))
+    check_budget(f"a scan of order {n}", _farey_terms_bound(n, float(hi - lo)))
     produce = fractal.iter_scan_lines if args.format == "csv" else fractal.iter_scan_rows
     return list(fractal.SCAN_FIELDS), produce(n, args.window), {"order": n}
 
@@ -341,14 +337,9 @@ _NOGO_ROW_BYTES = 1024
 
 def _cmd_nogo(args) -> tuple[list[str], list[tuple], dict]:
     # the points and rows are built whole, so refuse before the sieve a table that
-    # would not fit; a count past 2^1000 would overflow the float estimate
+    # would not fit
     rows = len(args.m_indices) if args.m_indices and args.mode != "near" else args.count
-    need = rows * _NOGO_ROW_BYTES if rows.bit_length() <= 1000 else math.inf
-    if need > MEMORY_BUDGET:
-        raise DomainError(
-            f"a nogo table of {rows} rows needs an estimated {need / 2 ** 20:.4g} MiB, "
-            f"over the {MEMORY_BUDGET / 2 ** 20:g} MiB memory budget "
-            f"(ninionics.errors.MEMORY_BUDGET)")
+    check_memory(f"a nogo table of {rows} rows", rows * _NOGO_ROW_BYTES)
     from . import thermo
     if args.mode == "near":
         probe = fractal.prime_ratio_sequence_near(

@@ -1,4 +1,7 @@
-"""Exception types and the memory and row budgets shared across the package."""
+"""Exception types, the memory and row budgets, and the one gate that refuses a request
+over any budget before its work starts."""
+
+import math
 
 __all__ = ["DomainError", "PoleError", "TruncationError", "MEMORY_BUDGET", "ROW_BUDGET"]
 
@@ -27,8 +30,24 @@ class TruncationError(DomainError):
     """A truncation cap is too small for the stated tail bound."""
 
 
-def check_rows(table: str, rows: float) -> None:
-    """Refuse, before any row is computed, a table predicted to be over ROW_BUDGET."""
-    if rows > ROW_BUDGET:
-        raise DomainError(f"{table} has an estimated {rows:.4g} rows, over the budget of "
-                          f"{ROW_BUDGET} rows (ninionics.errors.ROW_BUDGET)")
+def check_budget(request: str, estimate: int | float, budget: int = ROW_BUDGET,
+                 name: str = "ninionics.errors.ROW_BUDGET", unit: str = "rows",
+                 verb: str = "has", scale: int = 1, over: str = "") -> None:
+    """Refuse, before any work, a request whose estimate is over its budget:
+    "<request> <verb> an estimated <estimate / scale> <unit>, over <over> (<name>)",
+    over being "the budget of <budget> <unit>" unless given. The comparison is exact
+    for an int of any size; an estimate past the float range shows as inf."""
+    if estimate > budget:
+        try:
+            shown = float(estimate) / scale
+        except OverflowError:  # an int past the float range
+            shown = math.inf
+        raise DomainError(f"{request} {verb} an estimated {shown:.4g} {unit}, over "
+                          f"{over or f'the budget of {budget} {unit}'} ({name})")
+
+
+def check_memory(request: str, need_bytes: int | float) -> None:
+    """check_budget on bytes against MEMORY_BUDGET, shown in MiB: "<request> needs an
+    estimated <N> MiB, over the 1024 MiB memory budget (ninionics.errors.MEMORY_BUDGET)"."""
+    check_budget(request, need_bytes, MEMORY_BUDGET, "ninionics.errors.MEMORY_BUDGET", "MiB",
+                 "needs", 2 ** 20, f"the {MEMORY_BUDGET // 2 ** 20} MiB memory budget")

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
-from .errors import MEMORY_BUDGET, DomainError, check_rows
+from .errors import DomainError, check_budget, check_memory
 from .rationals import _farey_terms_bound, _residue_phase
 
 __all__ = [
@@ -46,45 +46,14 @@ _PAIR_BYTES = 120
 _LIMIT_Q_EPS = 1e-6  # q * eps at which regularized_count_limit takes the ratio
 
 
-class IdentityCheck:
-    """One evaluation of a phase-sum identity at (p, q, gamma).
+class IdentityCheck(NamedTuple):
+    """One evaluation of a phase-sum identity at (p, q, gamma)."""
 
-    Immutable, and equal and hashed by its fields as the package's NamedTuple records
-    are, but slotted, 72 B against a NamedTuple's 80: scan_identity_residuals returns
-    one per irreducible p/q, about 100 B with its list slot and p. At q_max 4054, the
-    edge of errors.ROW_BUDGET, its 4,996,542 checks peaked at 571 MB RSS, inside
-    errors.MEMORY_BUDGET. The CLI builds none.
-    """
-
-    __slots__ = ("p", "q", "gamma", "lhs", "rhs")
-
-    def __init__(self, p: int, q: int, gamma: float, lhs: float, rhs: float) -> None:
-        set_field = object.__setattr__
-        set_field(self, "p", p)
-        set_field(self, "q", q)
-        set_field(self, "gamma", gamma)
-        set_field(self, "lhs", lhs)
-        set_field(self, "rhs", rhs)
-
-    def __setattr__(self, name: str, value: object = None) -> None:
-        raise AttributeError(f"IdentityCheck is immutable; cannot set or delete {name!r}")
-
-    __delattr__ = __setattr__
-
-    def _key(self) -> tuple[int, int, float, float, float]:
-        return self.p, self.q, self.gamma, self.lhs, self.rhs
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not IdentityCheck:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return "IdentityCheck(p={!r}, q={!r}, gamma={!r}, lhs={!r}, rhs={!r})".format(
-            *self._key())
+    p: int
+    q: int
+    gamma: float
+    lhs: float
+    rhs: float
 
     @property
     def residual(self) -> float:
@@ -109,12 +78,7 @@ def _validate(p: int, q: int, gamma: float, gamma_floor: float) -> float:
         raise DomainError("q must be a positive integer")
     if math.gcd(p, q) != 1:
         raise DomainError(f"{p}/{q} is not an irreducible fraction")
-    need_bytes = q * _PAIR_BYTES
-    if need_bytes > MEMORY_BUDGET:
-        raise DomainError(
-            f"the phase sum at q = {q} needs an estimated {need_bytes / 2 ** 20:.4g} MiB, "
-            f"over the {MEMORY_BUDGET / 2 ** 20:g} MiB memory budget "
-            f"(ninionics.errors.MEMORY_BUDGET)")
+    check_memory(f"the phase sum at q = {q}", q * _PAIR_BYTES)
     return _decay(gamma, gamma_floor)
 
 
@@ -224,7 +188,7 @@ def identity_class_sums(family: str, q_max: int,
         raise DomainError(f"unknown family {family!r}")
     if q_max < 1:
         raise DomainError("q_max must be >= 1")
-    check_rows(f"an identity scan to q_max {q_max}", _farey_terms_bound(q_max) - 1)
+    check_budget(f"an identity scan to q_max {q_max}", _farey_terms_bound(q_max) - 1)
     z = _decay(gamma, GAMMA_FLOOR)
     sums = {}
     for q in range(1, q_max + 1):

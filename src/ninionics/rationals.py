@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import compress
 from typing import Iterator, NamedTuple
 
-from .errors import MEMORY_BUDGET, DomainError
+from .errors import DomainError, check_memory
 
 __all__ = [
     "ReducedFraction",
@@ -220,11 +220,7 @@ def primes_up_to(n: int) -> list[int]:
     # 2^1000 would overflow the float estimate itself
     need_bytes = (1.5 * n + _PRIME_BYTES * 1.25506 * n / math.log(n)
                   if n.bit_length() <= 1000 else math.inf)
-    if need_bytes > MEMORY_BUDGET:
-        raise DomainError(
-            f"a prime sieve up to {n} needs an estimated {need_bytes / 2 ** 20:.4g} MiB, "
-            f"over the {MEMORY_BUDGET / 2 ** 20:g} MiB memory budget "
-            f"(ninionics.errors.MEMORY_BUDGET)")
+    check_memory(f"a prime sieve up to {n}", need_bytes)
     sieve = bytearray([1]) * (n + 1)
     sieve[0] = sieve[1] = 0
     for i in range(2, math.isqrt(n) + 1):

@@ -23,7 +23,7 @@ from math import cos, fsum, sin
 from operator import mul
 from typing import NamedTuple
 
-from .errors import MEMORY_BUDGET, DomainError, TruncationError
+from .errors import MEMORY_BUDGET, DomainError, TruncationError, check_budget, check_memory
 
 __all__ = [
     "RotorSpec",
@@ -94,12 +94,8 @@ def _check_request(spec: RotorSpec, beta: float, grid_points: int = 0) -> int:
 
     Returns an upper bound on the support S, found without computing a weight.
     """
-    need_bytes = _LEVEL_BYTES * (2 * spec.m_cut + 1) + _POINT_BYTES * grid_points
-    if need_bytes > MEMORY_BUDGET:
-        raise DomainError(
-            f"m_cut={spec.m_cut} with {grid_points} grid points needs an estimated "
-            f"{need_bytes / 2 ** 20:.4g} MiB, over the {MEMORY_BUDGET / 2 ** 20:g} MiB "
-            f"memory budget (ninionics.errors.MEMORY_BUDGET)")
+    check_memory(f"m_cut={spec.m_cut} with {grid_points} grid points",
+                 _LEVEL_BYTES * (2 * spec.m_cut + 1) + _POINT_BYTES * grid_points)
     if not beta > 0.0:
         raise DomainError("beta must be positive")
     tail = math.exp(-beta * spec.energy(spec.m_cut))
@@ -118,11 +114,8 @@ def _check_request(spec: RotorSpec, beta: float, grid_points: int = 0) -> int:
 
 def _check_terms(spec: RotorSpec, grid_points: int, terms: int) -> None:
     """Refuse, before any weight is computed, a request over TERM_BUDGET."""
-    if terms > TERM_BUDGET:
-        raise DomainError(
-            f"m_cut={spec.m_cut} on {grid_points} grid points sums an estimated "
-            f"{terms:.4g} terms, over the budget of {TERM_BUDGET} terms "
-            f"(ninionics.rotor.TERM_BUDGET)")
+    check_budget(f"m_cut={spec.m_cut} on {grid_points} grid points", terms, TERM_BUDGET,
+                 "ninionics.rotor.TERM_BUDGET", "terms", "sums")
 
 
 def _support_weights(spec: RotorSpec, beta: float) -> list[float]:

@@ -74,6 +74,18 @@ def _check_beta(beta: float) -> None:
                           " where beta^3, beta^4 and their inverses are normal floats")
 
 
+def _effective_beta(q: int, beta: float) -> float:
+    """q * beta, refused with the range of _check_beta when it is infinite. For a q past
+    the float range the product raises OverflowError, so it counts as infinite."""
+    try:
+        effective = q * beta
+    except OverflowError:
+        effective = math.inf
+    if effective == math.inf:
+        _check_beta(effective)
+    return effective
+
+
 class _GasFields(NamedTuple):
     family: Family
     mass: float
@@ -172,9 +184,10 @@ def fermion_equivalence(p: int, q: int, beta: float = 1.0) -> MappedEnsemble:
     _check_beta(beta)
     if q < 1 or math.gcd(p, q) != 1:
         raise DomainError(f"{p}/{q} is not an irreducible fraction")
+    effective = _effective_beta(q, beta)
     if (p + q) % 2 == 1:
-        return MappedEnsemble(q * beta, StatLabel.FERMION, 1.0)
-    return MappedEnsemble(q * beta, StatLabel.BOSON_GHOST, -2.0)
+        return MappedEnsemble(effective, StatLabel.FERMION, 1.0)
+    return MappedEnsemble(effective, StatLabel.BOSON_GHOST, -2.0)
 
 
 def rotated_ensemble(spec: GasSpec, beta: float, chi: StatAngle) -> MappedEnsemble:
@@ -186,7 +199,8 @@ def rotated_ensemble(spec: GasSpec, beta: float, chi: StatAngle) -> MappedEnsemb
     """
     _check_beta(beta)
     if spec.family is Family.BOSE:
-        return MappedEnsemble(chi.denominator * beta, StatLabel.BOSON, spec.degeneracy)
+        return MappedEnsemble(_effective_beta(chi.denominator, beta), StatLabel.BOSON,
+                              spec.degeneracy)
     turns = chi.fermionic().turns
     mapped = fermion_equivalence(turns.numerator, turns.denominator, beta)
     weight = spec.degeneracy if mapped.multiplicity > 0 else -spec.degeneracy

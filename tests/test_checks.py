@@ -40,6 +40,20 @@ def test_no_check_lives_in_an_assert(path):
 
 @pytest.mark.parametrize("path", sorted(Path(ninionics.__file__).parent.glob("*.py")),
                          ids=lambda p: p.name)
+def test_no_budget_refusal_is_written_by_hand(path):
+    # errors.check_budget is the one gate: its comparison is exact for an int of any
+    # size, and a copy that formats its own estimate can overflow on a huge input
+    if path.name == "errors.py":
+        return
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.JoinedStr)
+             and any(isinstance(part, ast.Constant) and "an estimated" in part.value
+                     for part in node.values)]
+    assert lines == [], f"{path.name} formats a budget refusal at lines {lines}"
+
+
+@pytest.mark.parametrize("path", sorted(Path(ninionics.__file__).parent.glob("*.py")),
+                         ids=lambda p: p.name)
 def test_no_module_imports_scipy(path):
     # the package has no runtime dependency: scipy and numpy come only with the test
     # extra, for the reference values and the bench checks

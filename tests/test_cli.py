@@ -232,9 +232,9 @@ class TestThermoCommand:
                                  capsys)
         assert time.perf_counter() - start < 1.0
         assert (code, out, rows) == (1, "", [])
-        assert err.startswith("error[DomainError]: quadrature needs 999983 rows, one per "
-                              "residue and mu branch, over the budget of "
-                              f"{thermo.QUADRATURE_ROW_BUDGET} rows")
+        assert err.startswith("error[DomainError]: a quadrature of one row per residue and mu "
+                              "branch at q = 999983 has an estimated 1e+06 rows, over the "
+                              f"budget of {thermo.QUADRATURE_ROW_BUDGET} rows")
         # positive control: the spy sits where the oracle looks, so an admitted run trips it,
         # once per distance of a/7 turns to the nearest whole turn: 0, 1/7, 2/7 and 3/7
         code, _, _ = run_cli(["thermo", "--method", "quadrature", "--chi", "1/7"], capsys)
@@ -676,6 +676,41 @@ class TestBetaRange:
         code, out, _ = run_cli(["thermo", "--beta", "1e76", "--chi", "1/2"], capsys)
         assert code == 0
         assert float(read_csv(out)[0]["beta4_f"]) == pytest.approx(-PI_SQ / 1440.0, rel=1e-12)
+
+
+HUGE = str(10 ** 401 + 1)  # past the float range, so a float estimate of it overflows
+
+
+class TestHugeIntegers:
+    @pytest.mark.parametrize("argv", [
+        ["identity", "--family", "bose", "--gamma", "1", "--p", "1", "--q", HUGE],
+        ["identity", "--family", "bose", "--gamma", "1", "--q-max", HUGE],
+        ["rotor", "--m-cut", HUGE, "--table", "weights"],
+        ["rotor", "--m-cut", HUGE, "--table", "zk"],
+        ["rotor", "--chi-points", HUGE],
+        ["nogo", "--mode", "fixed", "--count", HUGE],
+        ["nogo", "--mode", "growing", "--count", HUGE],
+        ["nogo", "--mode", "near", "--count", HUGE],
+        ["nogo", "--prime-index", HUGE],
+        ["nogo", "--mode", "near", "--min-denominator", HUGE],
+        ["occupation", "--family", "bose", "--xi", "0", "--omega-count", HUGE],
+        ["scan", "--order", HUGE],
+        ["thermo", "--family", "bose", "--method", "closed", "--chi", f"1/{HUGE}"],
+        ["thermo", "--family", "fermi", "--method", "closed", "--chi", f"1/{HUGE}"],
+        ["thermo", "--family", "bose", "--method", "quadrature", "--chi", f"1/{HUGE}"],
+        ["thermo", "--family", "fermi", "--method", "quadrature", "--chi", f"1/{HUGE}"],
+    ], ids=["identity-q", "identity-q-max", "rotor-m-cut-weights", "rotor-m-cut-zk",
+            "rotor-chi-points", "nogo-count-fixed", "nogo-count-growing", "nogo-count-near",
+            "nogo-prime-index", "nogo-min-denominator", "occupation-omega-count",
+            "scan-order", "thermo-closed-bose", "thermo-closed-fermi",
+            "thermo-quadrature-bose", "thermo-quadrature-fermi"])
+    def test_is_refused_as_a_domain_error(self, capsys, argv):
+        start = time.perf_counter()
+        code, out, err = run_cli(argv, capsys)
+        assert time.perf_counter() - start < 0.5
+        assert (code, out) == (1, "")
+        assert err.startswith("error[DomainError]: ") and err.count("\n") == 1, err[:200]
+        assert "Traceback" not in err
 
 
 class TestRotorCommand:
