@@ -15,9 +15,9 @@ _EXPORTS = {
     "errors": ("DomainError", "PoleError", "TruncationError", "MEMORY_BUDGET", "ROW_BUDGET"),
     "fractal": (
         "FractalSample", "SelfSimilarityReport", "SequenceProbe", "sample_at",
-        "iter_fractal_scan", "fractal_scan", "SCAN_FIELDS", "iter_scan_rows",
-        "iter_scan_lines", "self_similarity_check", "prime_sequence_probe",
-        "prime_ratio_sequence_near", "discontinuity_witness"),
+        "iter_fractal_scan", "fractal_scan", "SCAN_FIELDS", "iter_scan_lines",
+        "self_similarity_check", "prime_sequence_probe", "prime_ratio_sequence_near",
+        "discontinuity_witness"),
     "identities": (
         "GAMMA_FLOOR", "IdentityCheck", "boson_phase_sum", "boson_identity_rhs",
         "boson_identity_residual", "check_boson_identity", "fermion_phase_sum",

@@ -10,7 +10,6 @@ error.
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import os
 import re
@@ -128,15 +127,19 @@ def _turns(text: str) -> Fraction | float:
 
 def _write(args: argparse.Namespace, out, fieldnames: list[str],
            rows: Iterable[tuple | str], extras: dict) -> None:
-    """Write rows as they arrive; JSON bytes equal json.dump(payload, indent=2) + "\n"."""
+    """Write rows as they arrive; JSON bytes equal json.dump(payload, indent=2) + "\n".
+
+    A str row is a CSV line its producer formatted, and JSON writes its cells under
+    their keys. Every such cell is the repr of an int or of a finite float, which is
+    its own JSON text and starts with a digit or "-", or a bare word, which JSON quotes.
+    """
     if args.format == "csv":
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(fieldnames)
-        for row in rows:  # a str row is a CSV line its producer formatted
-            if isinstance(row, str):
-                out.write(row)
-            else:
-                writer.writerow(row)
+        # no field name or cell holds a comma, a quote or a newline, so plain joins
+        # write the bytes csv.writer(lineterminator="\n") would
+        out.write(",".join(fieldnames) + "\n")
+        for row in rows:
+            out.write(row if isinstance(row, str)
+                      else ",".join(["" if v is None else str(v) for v in row]) + "\n")
         return
     import json  # only this path needs it: once per table, not per value
     dumps = json.dumps
@@ -146,12 +149,17 @@ def _write(args: argparse.Namespace, out, fieldnames: list[str],
         t = type(v)
         return repr(v) if t is int or t is float and math.isfinite(v) else dumps(v)
 
+    def cell(text: str) -> str:
+        return text if text[0] in "-0123456789" else dumps(text)
+
     head = {"schema_version": SCHEMA_VERSION, "command": args.command, **extras, "rows": []}
     out.write(dumps(head, indent=2)[:-3])  # up to the "[" of "rows"
     keys = [f"\n      {dumps(name)}: " for name in fieldnames]
     sep = ""
     for row in rows:
-        out.write(sep + "\n    {" + ",".join([k + value(v) for k, v in zip(keys, row)])
+        texts = (map(cell, row[:-1].split(",")) if isinstance(row, str)
+                 else map(value, row))
+        out.write(sep + "\n    {" + ",".join([k + v for k, v in zip(keys, texts)])
                   + "\n    }")
         sep = ","
     out.write("\n  ]\n}\n" if sep else "]\n}\n")
@@ -195,7 +203,7 @@ def _cmd_thomae(args) -> tuple[list[str], list[tuple], dict]:
     return fields, [row], {}
 
 
-def _cmd_identity(args) -> tuple[list[str], Iterable[tuple | str], dict]:
+def _cmd_identity(args) -> tuple[list[str], Iterable[str], dict]:
     from . import identities  # each command loads only the modules it computes with
     family, gamma = args.family, args.gamma
     if args.p is not None:  # main has checked that --p and --q come together
@@ -214,8 +222,6 @@ def _cmd_identity(args) -> tuple[list[str], Iterable[tuple | str], dict]:
     print(f"max residual over {count} fractions: {max_residual:.3e}", file=sys.stderr)
     fields = ["family", "p", "q", "gamma", "lhs", "rhs", "residual"]
     extras = {"max_residual": max_residual}
-    if args.format == "json":
-        return fields, ((family, p, *tails[q, p & 1]) for p, q in fractions), extras
     texts = {key: "".join([f",{v!r}" for v in tail]) + "\n" for key, tail in tails.items()}
     return fields, (f"{family},{p}{texts[q, p & 1]}" for p, q in fractions), extras
 
@@ -243,7 +249,7 @@ def _cmd_thermo(args) -> tuple[list[str], list[tuple], dict]:
                      thermo.QUADRATURE_ROW_BUDGET, "ninionics.thermo.QUADRATURE_ROW_BUDGET")
         tol = args.inner_tol or thermo.DEFAULT_INNER_TOL
         f = thermo.free_energy_extrapolated(spec, beta, angle, inner_tol=tol)
-        _check_finite("the quadrature free energy f", f)
+    _check_finite(f"the {args.method} free energy f", f)
     # chi is printed modulo its family's period: one turn for bosons, two for fermions
     turns = (angle.bosonic() if spec.family is Family.BOSE else angle.fermionic()).turns
     eff_beta = mapped.effective_beta
@@ -286,7 +292,7 @@ def _check_finite(name: str, *values: float) -> None:
             raise DomainError(f"{name} is {v!r}; every value in the table must be finite")
 
 
-def _cmd_occupation(args) -> tuple[list[str], Iterable[tuple | str], dict]:
+def _cmd_occupation(args) -> tuple[list[str], Iterable[str], dict]:
     check_budget("an occupation table", len(args.xi) * args.omega_count)
     from . import occupation
     family = occupation.Family(args.family)
@@ -303,9 +309,6 @@ def _cmd_occupation(args) -> tuple[list[str], Iterable[tuple | str], dict]:
     table = occupation.occupation_grid(family, args.xi, eps)
     omegas = [lo + i * step for i in range(args.omega_count)]
     fields = ["family", "xi", "omega", "beta_omega", "occupation"]
-    if args.format == "json":
-        return fields, ((family.value, xi, omega, beta * omega, n)
-                        for xi, ns in zip(args.xi, table) for omega, n in zip(omegas, ns)), {}
     return fields, _occupation_lines(family.value, args.xi, omegas, beta, table), {}
 
 
@@ -322,11 +325,10 @@ def _occupation_lines(family: str, xis: list[float], omegas: list[float], beta: 
             yield f"{head}{tail}{n!r}\n"
 
 
-def _cmd_scan(args) -> tuple[list[str], Iterable[tuple | str], dict]:
+def _cmd_scan(args) -> tuple[list[str], Iterable[str], dict]:
     n, (lo, hi) = args.order, args.window
     check_budget(f"a scan of order {n}", _farey_terms_bound(n, float(hi - lo)))
-    produce = fractal.iter_scan_lines if args.format == "csv" else fractal.iter_scan_rows
-    return list(fractal.SCAN_FIELDS), produce(n, args.window), {"order": n}
+    return list(fractal.SCAN_FIELDS), fractal.iter_scan_lines(n, args.window), {"order": n}
 
 
 # Peak RSS per nogo row, rounded up from its growth between 100,000 and 300,000 rows in
@@ -367,8 +369,7 @@ def _cmd_rotor(args) -> tuple[list[str], list[tuple], dict]:
     from . import rotor
     spec = rotor.RotorSpec(args.inertia, args.m_cut)
     if args.table == "weights":
-        weights = rotor.angular_distribution(spec, args.beta, half_shift=args.half_shift)
-        fields, rows = ["m", "weight"], sorted(weights.items())
+        fields, rows = ["m", "weight"], sorted(rotor.angular_distribution(spec, args.beta).items())
     else:
         fields = ["chi", "z_real", "z_imag", "k_real", "k_imag"]
         rows = rotor.zk_table(spec, args.beta, args.chi_points, args.half_shift)
@@ -480,7 +481,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m-cut", type=_positive_int, default=50)
     p.add_argument("--beta", type=_positive_float, default=1.0)
     p.add_argument("--half-shift", action="store_true",
-                   help="use half-integer phase offsets (fermionic convention)")
+                   help="use half-integer phase offsets (fermionic convention) in the "
+                        "zk table")
     p.add_argument("--table", choices=("zk", "weights"), default="zk")
     p.add_argument("--chi-points", type=_positive_int, default=64)
     p.set_defaults(handler=_cmd_rotor)

@@ -9,13 +9,13 @@ MEMORY_BUDGET = 2 ** 30  # bytes one request may allocate, arrays and Python res
 
 ROW_BUDGET = 5_000_000
 """Rows one table may hold (a scan in either format, an occupation table, an identity
-scan). Measured in fresh processes on a 2-core Xeon VM, a scan row costs about 3 us as
-CSV and 8 us as JSON. The largest identity scan admitted, to q_max 4054 (4,996,542
-rows), took 8.5-9.5 s and 18 MB peak as CSV and about 45 s as JSON.
-An occupation table holds one float per row until it is written, plus the omega columns:
-1M rows took 4.5-4.7 s and 123 MB peak as CSV over two angles (107 B per row, the most),
-5.9-6.4 s and 93 MB over one, and 10.0-10.5 s and 73 MB as JSON, so 5M rows stay well
-inside MEMORY_BUDGET. 5M admits a scan on [0, 1] up to order 4054."""
+scan). Medians of three fresh launches on a 2-core Xeon VM: a scan row costs about 3 us
+as CSV and 7 us as JSON (order 4054, 15.0 and 34.5 s). The largest identity scan
+admitted, to q_max 4054 (4,996,542 rows), took 8.2 s as CSV and 28.6 s as JSON, at
+19 MB peak. An occupation table holds one float per row until it is written, plus the
+omega columns' text when more than one angle reads it: 1M rows over two angles took
+2.9 s as CSV and 7.9 s as JSON, both at 123 MB peak (107 B per row, the most), so 5M
+rows stay well inside MEMORY_BUDGET. 5M admits a scan on [0, 1] up to order 4054."""
 
 
 class DomainError(ValueError):

@@ -26,7 +26,6 @@ __all__ = [
     "iter_fractal_scan",
     "fractal_scan",
     "SCAN_FIELDS",
-    "iter_scan_rows",
     "iter_scan_lines",
     "self_similarity_check",
     "prime_sequence_probe",
@@ -72,27 +71,17 @@ SCAN_FIELDS = ("chi_numerator", "chi_denominator", "chi_real", "q",
                "energy_ratio", "entropy_ratio")
 
 
-def iter_scan_rows(order: int,
-                   window: tuple[Fraction | int | str, Fraction | int | str] = (0, 1),
-                   ) -> Iterator[tuple[int, int, float, int, float, float]]:
-    """The output form of :func:`iter_fractal_scan`: one row per sample, in SCAN_FIELDS order.
-
-    Built from integer pairs without Fraction objects. Integer true division
-    is correctly rounded, so every float equals ``float()`` of the exact
-    rational it stands for (chi, q^-4, q^-3).
-    """
-    for c, d in farey_pairs(order, window[0], window[1]):
-        yield c, d, c / d, d, 1 / d ** 4, 1 / d ** 3
-
-
 def iter_scan_lines(order: int,
                     window: tuple[Fraction | int | str, Fraction | int | str] = (0, 1),
                     ) -> Iterator[str]:
-    """The CSV text of each :func:`iter_scan_rows` row, newline-terminated, no header.
+    """The output form of :func:`iter_fractal_scan`: one CSV line per sample in
+    SCAN_FIELDS order, newline-terminated, no header.
 
-    Byte-identical to ``csv.writer(lineterminator="\\n")`` over the rows. The
-    columns that depend on q alone are formatted once per q while the call's
-    cache holds at most ``_LINE_CACHE_SIZE`` denominators; a full cache is emptied.
+    Built from integer pairs without Fraction objects. Integer true division
+    is correctly rounded, so every float is the repr of ``float()`` of the exact
+    rational it stands for (chi, q^-4, q^-3). The columns that depend on q alone
+    are formatted once per q while the call's cache holds at most
+    ``_LINE_CACHE_SIZE`` denominators; a full cache is emptied.
     """
     tails: dict[int, str] = {}
     for c, d in farey_pairs(order, window[0], window[1]):

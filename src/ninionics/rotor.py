@@ -183,8 +183,8 @@ def partition_rotwisted(spec: RotorSpec, beta: float, chi: float,
     return z * cmath.exp(0.5j * chi) if half_shift else z
 
 
-def angular_distribution(spec: RotorSpec, beta: float, n_grid: int | None = None,
-                         half_shift: bool = False) -> dict[int, float]:
+def angular_distribution(spec: RotorSpec, beta: float,
+                         n_grid: int | None = None) -> dict[int, float]:
     """Angular-momentum weights R(m) by Fourier inversion of Z(chi)/Z(0).
 
     Z is sampled on the equispaced grid chi_j = -pi + 2 pi j / n over (-pi, pi],
@@ -193,8 +193,8 @@ def angular_distribution(spec: RotorSpec, beta: float, n_grid: int | None = None
     polynomial of degree S, provided the grid has at least 2 S + 1 points. The
     default grid is the smallest, 2 S + 1; a caller's n_grid must have at least
     2 m_cut + 1. R(m) is exactly 0.0 for S < |m| <= m_cut, and R(-m) is R(m).
-    Time is O(n S). half_shift is accepted for compatibility and has no effect:
-    the half shift multiplies Z by e^{i chi/2}, which the inversion strips.
+    Time is O(n S). The weights are the same under the half-integer phases, whose
+    shift multiplies Z by e^{i chi/2}, which the inversion strips.
     """
     m_cut = spec.m_cut
     if n_grid is not None and n_grid < 2 * m_cut + 1:
@@ -283,7 +283,7 @@ def ensemble_report(spec: RotorSpec, beta: float, chi: float,
         Z_chi=partition_rotwisted(spec, beta, chi, half_shift),
         Z_0=partition_rotwisted(spec, beta, 0.0, half_shift).real,
         K=generating_function(spec, beta, chi, half_shift),
-        R=angular_distribution(spec, beta, half_shift=half_shift),
+        R=angular_distribution(spec, beta),
     )
 
 

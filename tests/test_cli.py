@@ -257,6 +257,20 @@ class TestThermoCommand:
         assert err == ("error[DomainError]: the quadrature free energy f is inf; every value "
                        "in the table must be finite\n")
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("argv, f", [
+        (["--chi", "1/1", "--beta", "1.3e-77", "--degeneracy", "1000"], "-inf"),
+        # the ghost branch's negative weight flips the sign of f
+        (["--family", "fermi", "--chi", "1/3", "--beta", "1e-76", "--degeneracy", "1e308"],
+         "inf"),
+    ])
+    def test_closed_form_overflow_is_refused(self, capsys, argv, f, fmt):
+        # the degeneracy over beta^4 overflows f; JSON would print it as -Infinity, not JSON
+        code, out, err = run_cli(["thermo", *argv, "--format", fmt], capsys)
+        assert (code, out) == (1, "")
+        assert err == (f"error[DomainError]: the closed free energy f is {f}; every value "
+                       "in the table must be finite\n")
+
     def test_massless_entropy_is_empty_at_nonzero_mu(self, capsys):
         # the entropy is beta (E + P - mu n), not 4 beta P, once mu != 0; E = 3P still holds
         code, out, _ = run_cli(["thermo", "--family", "fermi", "--mu", "3", "--method",
@@ -417,21 +431,6 @@ class TestScanCommand:
             main(["scan", "--order", "3", "--window", "1,0"])
         assert exc.value.code == 2
 
-    # sha256 of the exact outputs, as bench/digests.json records them
-    @pytest.mark.parametrize("argv, digest", [
-        (["--order", "700"],
-         "d769d38e2237029d85a2edc354f923abf8320a9d5b9a9671072196ef5074add9"),
-        (["--order", "100000", "--window", "39371/60000,3281/5000"],
-         "6a6570534987f5c39937dc9397d5b3b574869e2c071fb752b899d49bd90e41de"),
-        (["--order", "200", "--format", "json"],
-         "57cec6baa7b610864b720037554ca434552b79352211061a4acb31d40d95864e"),
-    ])
-    def test_pinned_bytes(self, capsys, tmp_path, argv, digest):
-        target = tmp_path / "scan.out"
-        code, _, _ = run_cli(["scan", *argv, "--output", str(target)], capsys)
-        assert code == 0
-        assert hashlib.sha256(target.read_bytes()).hexdigest() == digest
-
     @staticmethod
     def assert_refused_before_enumeration(capsys, monkeypatch, producer, fmt):
         def unreachable(order, window):
@@ -450,7 +449,7 @@ class TestScanCommand:
 
     def test_json_scan_over_the_memory_budget_is_refused(self, capsys, monkeypatch):
         # the row budget refuses it now that JSON streams in constant memory
-        self.assert_refused_before_enumeration(capsys, monkeypatch, "iter_scan_rows", "json")
+        self.assert_refused_before_enumeration(capsys, monkeypatch, "iter_scan_lines", "json")
 
     def test_csv_scan_over_the_row_budget_is_refused(self, capsys, monkeypatch):
         self.assert_refused_before_enumeration(capsys, monkeypatch, "iter_scan_lines", "csv")
@@ -469,12 +468,12 @@ class TestScanCommand:
         assert err.startswith(f"error[DomainError]: a scan of order {order} has an "
                               f"estimated inf rows, ")
 
-    @pytest.mark.parametrize("fmt, producer", [("csv", "iter_scan_lines"),
-                                               ("json", "iter_scan_rows")])
-    def test_row_budget_edge_on_the_full_window(self, capsys, monkeypatch, fmt, producer):
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_row_budget_edge_on_the_full_window(self, capsys, monkeypatch, fmt):
         # 3 n^2 / pi^2 + n + 1 is 4,999,670 rows at order 4054 and 5,002,136 at 4055
         calls = []
-        monkeypatch.setattr(fractal, producer, lambda order, window: calls.append(order) or ())
+        monkeypatch.setattr(fractal, "iter_scan_lines",
+                            lambda order, window: calls.append(order) or ())
         code, _, _ = run_cli(["scan", "--order", "4054", "--format", fmt], capsys)
         assert (code, calls) == (0, [4054])
         code, out, err = run_cli(["scan", "--order", "4055", "--format", fmt], capsys)
@@ -488,6 +487,20 @@ class TestScanCommand:
         payload = json.loads(out)
         assert len(payload["rows"]) == 50_672
         assert all(row["q"] == row["chi_denominator"] for row in payload["rows"])
+
+
+BENCH_DIGESTS = json.loads((Path(__file__).parents[1] / "bench" / "digests.json").read_text())
+
+
+class TestBenchDigests:
+    # ids without spaces, as some test-report parsers split on them
+    @pytest.mark.parametrize("key", BENCH_DIGESTS, ids=lambda key: key.replace(" ", "_"))
+    def test_pinned_digest(self, capsys, tmp_path, key):
+        # each key is the argv of a launch with exact output, its value the sha256 of it
+        target = tmp_path / "table.out"
+        code, _, _ = run_cli([*key.split(), "--output", str(target)], capsys)
+        assert code == 0
+        assert hashlib.sha256(target.read_bytes()).hexdigest() == BENCH_DIGESTS[key]
 
 
 # one launch per command and table kind: None and bool values (walls), extras with a
@@ -508,6 +521,19 @@ JSON_LAUNCHES = {
     "rotor-weights": ["rotor", "--table", "weights", "--m-cut", "10"],
     "rotor-zk": ["rotor", "--chi-points", "4", "--m-cut", "10"],
 }
+# the launches whose handler formats each row as CSV text
+TEXT_LAUNCHES = {name: argv for name, argv in JSON_LAUNCHES.items()
+                 if argv[0] in ("identity", "occupation", "scan")}
+
+
+def typed(cell):
+    """A CSV cell as the value it holds: an int, else a float, else the word."""
+    for kind in (int, float):
+        try:
+            return kind(cell)
+        except ValueError:
+            pass
+    return cell
 
 
 class TestStreamedJson:
@@ -518,9 +544,33 @@ class TestStreamedJson:
         assert code == 0
         args = cli.build_parser().parse_args(argv)
         fields, rows, extras = args.handler(args)
+        rows = [[typed(c) for c in row[:-1].split(",")] if isinstance(row, str) else row
+                for row in rows]
         payload = {"schema_version": cli.SCHEMA_VERSION, "command": args.command, **extras,
                    "rows": [dict(zip(fields, row)) for row in rows]}
         assert out == json.dumps(payload, indent=2) + "\n"
+
+    @pytest.mark.parametrize("argv", TEXT_LAUNCHES.values(), ids=TEXT_LAUNCHES.keys())
+    def test_json_rows_equal_the_typed_csv_rows(self, capsys, argv):
+        args = cli.build_parser().parse_args(argv)
+        assert all(isinstance(row, str) for row in args.handler(args)[1])
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        csv_rows = [{k: typed(v) for k, v in row.items()} for row in read_csv(out)]
+        code, out, _ = run_cli([*argv, "--format", "json"], capsys)
+        assert code == 0
+        # compared as JSON text, so -0.0 and 0.0 or 1 and 1.0 do not pass for each other
+        assert json.dumps(json.loads(out)["rows"]) == json.dumps(csv_rows)
+
+    def test_text_row_cells_encode_as_json_dump_does(self):
+        line = "fermi,-0.0,1e-300,-3,2.5e+20,7\n"
+        fields = [f"col{i}" for i in range(6)]
+        out = io.StringIO()
+        cli._write(argparse.Namespace(format="json", command="probe"), out, fields,
+                   iter([line, line]), {})
+        row = dict(zip(fields, ["fermi", -0.0, 1e-300, -3, 2.5e20, 7]))
+        payload = {"schema_version": "1", "command": "probe", "rows": [row, row]}
+        assert out.getvalue() == json.dumps(payload, indent=2) + "\n"
 
     def test_every_value_kind_encodes_as_json_dump_does(self):
         row = (True, None, float("nan"), -0.0, 'a "quoted" \\ str', np.float64(1.5), False,
@@ -932,11 +982,11 @@ class TestOutputFile:
     # every CSV scan streams; 4054 is the highest order the row budget admits on [0, 1]
     @pytest.mark.parametrize("order", ["4054", "3"])
     def test_failed_streamed_scan_leaves_no_file(self, capsys, tmp_path, monkeypatch, order):
-        self.fail_mid_stream(monkeypatch, "iter_scan_lines")  # the CSV producer
+        self.fail_mid_stream(monkeypatch, "iter_scan_lines")
         self.assert_failed_scans_leave_no_file(capsys, tmp_path, ["scan", "--order", order])
 
     def test_failed_json_scan_leaves_no_file(self, capsys, tmp_path, monkeypatch):
-        self.fail_mid_stream(monkeypatch, "iter_scan_rows")  # the JSON producer
+        self.fail_mid_stream(monkeypatch, "iter_scan_lines")  # JSON writes its cells
         self.assert_failed_scans_leave_no_file(
             capsys, tmp_path, ["scan", "--order", "3", "--format", "json"])
 
@@ -996,10 +1046,11 @@ def test_cli_import_loads_only_what_parsing_needs():
     # thermo and occupation load in the commands that use them, so a scan does not
     # carry them
     code = ("import sys, ninionics.cli\n"
-            "print(sorted(m for m in sys.modules if m.startswith('ninionics')))\n")
+            "print(sorted(m for m in sys.modules if m.startswith('ninionics')))\n"
+            "print('csv' in sys.modules, 'json' in sys.modules)\n")
     out = fresh_python(code)
     assert out.stdout == str(["ninionics", "ninionics.cli", "ninionics.errors",
-                              "ninionics.fractal", "ninionics.rationals"]) + "\n"
+                              "ninionics.fractal", "ninionics.rationals"]) + "\nFalse False\n"
 
 
 def loaded_after(argv, extra=""):

@@ -15,13 +15,24 @@ from ninionics.fractal import (
     fractal_scan,
     iter_fractal_scan,
     iter_scan_lines,
-    iter_scan_rows,
     prime_ratio_sequence_near,
     prime_sequence_probe,
     sample_at,
     self_similarity_check,
 )
 from ninionics.rationals import nth_prime, thomae
+
+
+def float_row(sample):
+    """A sample's row in SCAN_FIELDS order, each float rounded from its exact rational."""
+    chi = sample.chi_turns
+    return (chi.numerator, chi.denominator, float(chi), sample.q,
+            float(sample.ratio_energy), float(sample.ratio_entropy))
+
+
+def parse_line(line):
+    c, d, chi, q, energy, entropy = line.split(",")
+    return int(c), int(d), float(chi), int(q), float(energy), float(entropy)
 
 
 class TestScan:
@@ -59,16 +70,14 @@ class TestScan:
 
     def test_rows_are_the_float_form_of_the_samples(self):
         window = (Fraction(1, 5), Fraction(3, 4))
-        rows = list(iter_scan_rows(40, window))
-        assert rows == [(s.chi_turns.numerator, s.chi_turns.denominator,
-                         float(s.chi_turns), s.q, float(s.ratio_energy),
-                         float(s.ratio_entropy))
-                        for s in iter_fractal_scan(40, window)]
+        rows = [parse_line(line) for line in iter_scan_lines(40, window)]
+        assert rows == [float_row(s) for s in iter_fractal_scan(40, window)]
 
     def test_row_floats_correctly_rounded_past_2_53(self):
         # q > 2^13 puts q^4 past 2^53, where 1.0 / q**4 rounds twice
         lo = Fraction(31415, 100_000)
-        rows = list(iter_scan_rows(20_000, (lo, lo + Fraction(1, 10_000))))
+        rows = [parse_line(line)
+                for line in iter_scan_lines(20_000, (lo, lo + Fraction(1, 10_000)))]
         big = [r for r in rows if r[3] > 2 ** 13]
         assert len(big) > 5_000
         for c, d, chi, q, energy, entropy in big:
@@ -82,12 +91,13 @@ class TestScan:
 
 def csv_text(order, window):
     out = io.StringIO()
-    csv.writer(out, lineterminator="\n").writerows(iter_scan_rows(order, window))
+    csv.writer(out, lineterminator="\n").writerows(
+        map(float_row, iter_fractal_scan(order, window)))
     return out.getvalue()
 
 
 class TestScanLines:
-    """iter_scan_lines writes the bytes csv.writer writes over iter_scan_rows."""
+    """iter_scan_lines writes the bytes csv.writer writes over the exact samples' floats."""
 
     @pytest.mark.parametrize("order", range(1, 61))
     def test_full_window(self, order):
@@ -113,7 +123,7 @@ class TestScanLines:
         # 8,928 distinct q in 30,372 rows: the cache is emptied 7 times and about
         # 1,300 rows still hit it
         window = (Fraction(1, 3), Fraction(1, 3) + Fraction(1, 1_000))
-        distinct = {row[3] for row in iter_scan_rows(10_000, window)}
+        distinct = {s.q for s in iter_fractal_scan(10_000, window)}
         assert len(distinct) > fractal._LINE_CACHE_SIZE
         assert "".join(iter_scan_lines(10_000, window)) == csv_text(10_000, window)
 

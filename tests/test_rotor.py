@@ -127,7 +127,7 @@ class TestAngularDistribution:
 
     def test_half_shift_inversion_exact(self):
         spec = RotorSpec(1.0, 25)
-        weights = angular_distribution(spec, 1.0, half_shift=True)
+        weights = ensemble_report(spec, 1.0, 0.7, half_shift=True).R
         z0 = partition_rotwisted(spec, 1.0, 0.0).real
         for m, w in weights.items():
             assert abs(w - math.exp(-spec.energy(m)) / z0) < 1e-12
