@@ -16,6 +16,7 @@ import re
 import shutil
 import sys
 from fractions import Fraction
+from itertools import islice
 from typing import Iterable
 
 from . import fractal
@@ -37,15 +38,16 @@ def parse_angle(text: str) -> float:
             x = float(text)
         except ValueError as exc:
             raise argparse.ArgumentTypeError(f"cannot parse angle {text!r}") from exc
-        if not math.isfinite(x):
-            raise argparse.ArgumentTypeError(f"angle {text!r} must be finite")
-        return x
-    sign = -1.0 if m.group("sign") == "-" else 1.0
-    coef = float(m.group("coef")) if m.group("coef") else 1.0
-    den = float(m.group("den")) if m.group("den") else 1.0
-    if den == 0.0:
-        raise argparse.ArgumentTypeError("angle denominator must be nonzero")
-    return sign * coef * math.pi / den
+    else:
+        sign = -1.0 if m.group("sign") == "-" else 1.0
+        coef = float(m.group("coef")) if m.group("coef") else 1.0
+        den = float(m.group("den")) if m.group("den") else 1.0
+        if den == 0.0:
+            raise argparse.ArgumentTypeError("angle denominator must be nonzero")
+        x = sign * coef * math.pi / den  # inf, or nan as inf/inf, for a huge coefficient
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"angle {text!r} must be finite")
+    return x
 
 
 def _positive_float(text: str) -> float:
@@ -307,22 +309,28 @@ def _cmd_occupation(args) -> tuple[list[str], Iterable[str], dict]:
     # every n before any row, so a PoleError leaves the output untouched
     eps = (beta * (lo + i * step - mu) for i in range(args.omega_count))
     table = occupation.occupation_grid(family, args.xi, eps)
-    omegas = [lo + i * step for i in range(args.omega_count)]
+    omegas = (lo + i * step for i in range(args.omega_count))
     fields = ["family", "xi", "omega", "beta_omega", "occupation"]
     return fields, _occupation_lines(family.value, args.xi, omegas, beta, table), {}
 
 
-def _occupation_lines(family: str, xis: list[float], omegas: list[float], beta: float,
-                      table: list[list[float]]) -> Iterable[str]:
-    """The CSV lines of the occupation table; the omega and beta*omega text of each
-    omega is formatted once, and kept only when more than one xi reads it."""
+_OCCUPATION_BLOCK = 4096  # omega lines per block of joined omega text
+
+
+def _occupation_lines(family: str, xis: list[float], omegas: Iterable[float], beta: float,
+                      table: Iterable[Iterable[float]]) -> Iterable[str]:
+    """The CSV lines of the occupation table. Each omega's omega and beta*omega text is
+    formatted once, into newline-joined blocks of _OCCUPATION_BLOCK lines that each xi
+    splits in turn; the blocks are kept only when more than one xi reads them."""
     tails = (f"{omega!r},{beta * omega!r}," for omega in omegas)
+    blocks = iter(lambda: "\n".join(islice(tails, _OCCUPATION_BLOCK)), "")
     if len(xis) > 1:
-        tails = list(tails)
+        blocks = list(blocks)
     for xi, ns in zip(xis, table):
-        head = f"{family},{xi!r},"
-        for tail, n in zip(tails, ns):
-            yield f"{head}{tail}{n!r}\n"
+        head, ns = f"{family},{xi!r},", iter(ns)
+        for block in blocks:
+            for tail, n in zip(block.split("\n"), ns):
+                yield f"{head}{tail}{n!r}\n"
 
 
 def _cmd_scan(args) -> tuple[list[str], Iterable[str], dict]:

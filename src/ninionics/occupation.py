@@ -14,6 +14,7 @@ from those points the level is a genuine ninion with no classical analogue.
 from __future__ import annotations
 
 import math
+from array import array
 from enum import Enum
 from fractions import Fraction
 from math import cos, exp
@@ -128,16 +129,16 @@ def occupation_from_eps(family: Family, xi: float, eps: float) -> float:
 
 
 def occupation_grid(family: Family, xis: Sequence[float],
-                    eps_values: Iterable[float]) -> list[list[float]]:
-    """occupation_from_eps at every (xi, eps), as one list over eps per xi.
+                    eps_values: Iterable[float]) -> list[array]:
+    """occupation_from_eps at every (xi, eps), as one array('d') over eps per xi.
 
     Each cos(xi) and each e^{-|eps|} is taken once, and every value is
     bit-identical to occupation_from_eps. eps_values is read once, so a
-    generator is never held whole.
+    generator is never held whole; each n is stored as 8 bytes, not a float.
     """
     s = 1.0 if family is _BOSE else -1.0
     cosines = [(xi, cos(xi)) for xi in xis]
-    table: list[list[float]] = [[] for _ in cosines]
+    table = [array("d") for _ in cosines]
     appends = [column.append for column in table]
     for eps in eps_values:
         w = exp(-eps if eps > 0 else eps)

@@ -16,6 +16,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ninionics import cli, fractal, identities, occupation, oracle, rotor, thermo
 from ninionics.cli import main, parse_angle
@@ -23,6 +25,11 @@ from ninionics.errors import MEMORY_BUDGET, ROW_BUDGET, DomainError, PoleError
 from ninionics.occupation import Family, occupation_from_eps
 
 PI_SQ = math.pi ** 2
+NINES = "9" * 400  # a coefficient past the float range
+OCCUPATION_BLOCK = cli._OCCUPATION_BLOCK
+# decimals of up to 400 digits, some past the float range
+DECIMALS = st.one_of(st.builds(str.__mul__, st.sampled_from("0123456789"), st.integers(1, 400)),
+                     st.from_regex(r"\d{1,20}(\.\d{1,20})?", fullmatch=True))
 
 
 def run_cli(argv, capsys):
@@ -64,6 +71,18 @@ class TestParseAngle:
     def test_rejects_junk(self):
         with pytest.raises(Exception):
             parse_angle("pie")
+
+    @given(st.one_of(
+        st.text("0123456789.+-eEinfatypi/ _", max_size=30),
+        st.builds("{}{}pi/{}".format, st.sampled_from(["", "-", "+"]), DECIMALS, DECIMALS),
+        st.from_regex(cli._ANGLE_RE, fullmatch=True),
+    ))
+    def test_every_accepted_angle_is_finite(self, text):
+        try:
+            x = parse_angle(text)
+        except argparse.ArgumentTypeError:
+            return
+        assert math.isfinite(x)
 
 
 class TestThomaeCommand:
@@ -335,6 +354,20 @@ class TestOccupationCommand:
     ], ids=["bose-five-angles", "fermi-mu", "bose-one-angle-mu", "fermi-negative-mu",
             "falling-grid"])
     def test_bytes_equal_the_per_point_rows(self, capsys, argv, fmt):
+        self.assert_per_point_bytes(capsys, argv, fmt)
+
+    # the omega text is held in blocks of OCCUPATION_BLOCK lines: each side of one block
+    # and of two
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("xi", ["pi/4", "0.3,pi/2,-7"], ids=["one-angle", "three-angles"])
+    @pytest.mark.parametrize("count", [OCCUPATION_BLOCK - 1, OCCUPATION_BLOCK,
+                                       OCCUPATION_BLOCK + 1, 2 * OCCUPATION_BLOCK + 1])
+    def test_bytes_at_block_boundaries(self, capsys, count, xi, fmt):
+        argv = ["--family", "fermi", "--xi", xi, "--mu", "0.4", "--omega-count", str(count)]
+        self.assert_per_point_bytes(capsys, argv, fmt)
+
+    @staticmethod
+    def assert_per_point_bytes(capsys, argv, fmt):
         code, out, _ = run_cli(["occupation", *argv, "--format", fmt], capsys)
         assert code == 0
         args = cli.build_parser().parse_args(["occupation", *argv])
@@ -391,6 +424,19 @@ class TestOccupationCommand:
         assert (code, out) == (1, "")
         assert err == ("error[DomainError]: an occupation table has an estimated 2e+08 rows, "
                        "over the budget of 5000000 rows (ninionics.errors.ROW_BUDGET)\n")
+
+    def test_bench_shaped_table_in_compact_memory(self):
+        # 3 angles x 30,000 omega; a float object per n and a str per omega peaked at
+        # 6.6 MiB, an array per angle and blocks of joined omega text at 2.6 MiB
+        tracemalloc.start()
+        try:
+            code = main(["occupation", "--family", "bose", "--xi", "0pi/12,5pi/12,11pi/12",
+                         "--omega-count", "30000", "--output", os.devnull])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 4 * 2 ** 20
 
     def test_row_budget_edge(self, capsys, monkeypatch):
         def first_point(family, xis, eps_values):  # reached only past the budget check
@@ -894,9 +940,13 @@ class TestUsageErrors:
         (["occupation", "--family", "bose", "--xi", ","], "--xi"),
         (["occupation", "--family", "bose", "--xi", "0,inf"], "--xi"),
         (["occupation", "--family", "bose", "--xi", "nan"], "--xi"),
+        (["occupation", "--family", "bose", "--xi", NINES + "pi"], "--xi"),
+        (["occupation", "--family", "bose", "--xi", "-" + NINES + "pi"], "--xi"),
+        (["occupation", "--family", "bose", "--xi", f"{NINES}pi/{NINES}"], "--xi"),
         (["nogo", "--m-indices", ","], "--m-indices"),
     ], ids=["one-omega-point", "p-without-q", "q-without-p", "empty-xi", "infinite-xi",
-            "nan-xi", "empty-m-indices"])
+            "nan-xi", "infinite-pi-xi", "minus-infinite-pi-xi", "nan-pi-xi",
+            "empty-m-indices"])
     def test_incomplete_request_is_usage_error(self, capsys, argv, flag):
         with pytest.raises(SystemExit) as exc:
             main(argv)

@@ -119,7 +119,9 @@ class TestOccupationNumber:
                math.pi if family is Family.BOSE else 0.0]
         eps = [-800.0, -3.0, -1e-300, -0.0, 1e-300, 1e-4, 0.7, 40.0, 800.0]
         table = occupation_grid(family, xis, iter(eps))  # a one-pass iterable
-        assert table == [[occupation_from_eps(family, xi, e) for e in eps] for xi in xis]
+        # each column is an array('d'), which never equals a list
+        assert [list(column) for column in table] == [
+            [occupation_from_eps(family, xi, e) for e in eps] for xi in xis]
         for row, xi in zip(table, xis):  # == would let -0.0 stand for 0.0
             assert [math.copysign(1.0, n) for n in row] == [
                 math.copysign(1.0, occupation_from_eps(family, xi, e)) for e in eps]
