@@ -32,13 +32,13 @@ _EXPORTS = {
         "free_energy_quadrature", "free_energy_extrapolated", "required_m_cut",
         "DEFAULT_REGULATORS"),
     "rationals": (
-        "ReducedFraction", "StatAngle", "reduce_fraction", "thomae", "farey_sequence",
-        "farey_interval", "farey_pairs", "farey_bracket", "farey_successor",
-        "approximate_rational", "parse_turns", "primes_up_to", "nth_prime"),
+        "StatAngle", "reduce_fraction", "thomae", "farey_sequence", "farey_interval",
+        "farey_pairs", "farey_bracket", "farey_successor", "approximate_rational",
+        "parse_turns", "primes_up_to", "nth_prime"),
     "rotor": (
-        "RotorSpec", "EnsembleReport", "ShiftCheck", "partition_rotwisted",
-        "angular_distribution", "generating_function", "zk_table", "ensemble_report",
-        "shift_eigenphase_check", "TAIL_BOUND", "RATIO_FLOOR", "TERM_BUDGET"),
+        "RotorSpec", "ShiftCheck", "partition_rotwisted", "angular_distribution",
+        "generating_function", "zk_table", "shift_eigenphase_check", "TAIL_BOUND",
+        "RATIO_FLOOR", "TERM_BUDGET"),
     "thermo": (
         "GasSpec", "ThermoQuantities", "MappedEnsemble", "WallsOracle", "CrossedWalls",
         "blackbody_scalar", "blackbody_fermion", "fermion_equivalence", "rotated_ensemble",

@@ -16,7 +16,6 @@ from typing import Iterator, NamedTuple
 from .errors import DomainError, check_memory
 
 __all__ = [
-    "ReducedFraction",
     "StatAngle",
     "reduce_fraction",
     "thomae",
@@ -30,11 +29,6 @@ __all__ = [
     "primes_up_to",
     "nth_prime",
 ]
-
-# Canonical lowest-terms rational with positive denominator; stdlib Fraction
-# already guarantees every invariant we need (gcd(|num|, den) = 1, den >= 1,
-# zero as 0/1, value-based ordering and hashing).
-ReducedFraction = Fraction
 
 _PRIME_BYTES = 40  # a list slot and an int object, rounded up
 

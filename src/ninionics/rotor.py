@@ -21,19 +21,17 @@ import math
 from itertools import pairwise
 from math import cos, fsum, sin
 from operator import mul
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .errors import MEMORY_BUDGET, DomainError, TruncationError, check_budget, check_memory
 
 __all__ = [
     "RotorSpec",
-    "EnsembleReport",
     "ShiftCheck",
     "partition_rotwisted",
     "angular_distribution",
     "generating_function",
     "zk_table",
-    "ensemble_report",
     "shift_eigenphase_check",
     "TAIL_BOUND",
     "MEMORY_BUDGET",
@@ -50,11 +48,13 @@ RATIO_FLOOR = 1e-10
 # levels and 535 ns on one of 38 (its table reads miss the cache), so the largest
 # admitted request, a zk table of 512,818 rows, runs in about 9 s.
 TERM_BUDGET = 10_000_000
-# Bytes per level and per grid point, rounded up from tracemalloc peaks: per level one
-# weights-dict entry (88-119 B at m_cut 1e3-1e6), per point one zk row of five floats
-# with its sum and cosine-table entry (199-201 B at n = 2e3-5e5). The default weights
-# grid counts as 2 m_cut + 1 points; on a full support, where it has that many, the
-# weights took 164 B per level.
+# Bytes per level and per grid point, from tracemalloc peaks: per level one weights-dict
+# entry (88-119 B at m_cut 1e3-1e6), per point a cosine-table entry and a half-grid sum
+# (36 B for the zk table, whose rows stream, at n = 2e3-5e5; 61-75 B for the weights
+# grid at n = 2e3-1e5). The point figure is above both: it is kept from when every zk
+# row was held (199-201 B a point), so the budget admits the same requests. The default
+# weights grid counts as 2 m_cut + 1 points; on a full support, where it has that many,
+# the weights took 164 B per level.
 _LEVEL_BYTES = 128
 _POINT_BYTES = 256
 _MAX_M_CUT = (MEMORY_BUDGET // _LEVEL_BYTES - 1) // 2  # largest bare Z that fits
@@ -110,6 +110,11 @@ def _check_request(spec: RotorSpec, beta: float, grid_points: int = 0) -> int:
             f"m_cut={spec.m_cut} leaves Boltzmann tail {tail:.3e} >= {TAIL_BOUND:g}; {hint}")
     support_sq = 2.0 * spec.inertia * _EXP_UNDERFLOW / beta
     return spec.m_cut if support_sq >= spec.m_cut ** 2 else math.isqrt(int(support_sq))
+
+
+def _check_chi(chi: float) -> None:
+    if not math.isfinite(chi):
+        raise DomainError(f"chi must be finite, got {chi!r}")
 
 
 def _check_terms(spec: RotorSpec, grid_points: int, terms: int) -> None:
@@ -176,6 +181,7 @@ def _grid_sums(folded: list[float], n: int) -> list[float]:
 def partition_rotwisted(spec: RotorSpec, beta: float, chi: float,
                         half_shift: bool = False) -> complex:
     """Z(beta, chi) = sum_m e^{i chi (m + 1/2 if half_shift else m)} e^{-beta E_m}."""
+    _check_chi(chi)
     _check_request(spec, beta)
     # the terms at m and -m are conjugates, so the integer-phase Z is real
     folded = _folded(_support_weights(spec, beta))
@@ -242,12 +248,14 @@ def _vanishing(chi: float, ratio: float) -> DomainError:
 
 
 def zk_table(spec: RotorSpec, beta: float, chi_points: int,
-             half_shift: bool = False) -> list[tuple[float, float, float, float, float]]:
+             half_shift: bool = False) -> Iterator[tuple[float, float, float, float, float]]:
     """Rows (chi, Re Z, Im Z, Re K, Im K) on chi_j = -pi + 2 pi j / n, j = 1..n.
 
     Z on half the grid is one pass of cosine sums, Z_{n-j} being Z_j; K =
     -ln(Z/Z(0)) on the principal branch, as in generating_function. For integer
-    phases Im Z is 0.0. Raises DomainError at the first chi where Z vanishes.
+    phases Im Z is 0.0. Raises DomainError at the first chi where Z vanishes,
+    before it returns; the rows are then yielded one at a time, so only the
+    half-grid sums are held.
     """
     n = chi_points
     support = _check_request(spec, beta, n)
@@ -255,36 +263,24 @@ def zk_table(spec: RotorSpec, beta: float, chi_points: int,
     folded = _folded(_support_weights(spec, beta))
     z0 = fsum(folded)
     sums = _grid_sums(folded, n)
-    rows = []
-    for j in range(1, n + 1):
-        chi = -math.pi + 2.0 * math.pi * j / n
-        z = sums[min(j % n, n - j % n)]
+
+    def grid() -> Iterator[tuple[float, float]]:
+        """(chi_j, integer-phase Z at chi_j) for j = 1..n."""
+        for j in range(1, n + 1):
+            yield -math.pi + 2.0 * math.pi * j / n, sums[min(j % n, n - j % n)]
+
+    for chi, z in grid():
         if abs(z) < RATIO_FLOOR * z0:
             raise _vanishing(chi, abs(z / z0))
-        if half_shift:
-            z = z * cmath.exp(0.5j * chi)
-        k = _minus_log(z / z0)
-        rows.append((chi, z.real, z.imag, k.real, k.imag))
-    return rows
 
+    def rows() -> Iterator[tuple[float, float, float, float, float]]:
+        for chi, z in grid():
+            if half_shift:
+                z = z * cmath.exp(0.5j * chi)
+            k = _minus_log(z / z0)
+            yield chi, z.real, z.imag, k.real, k.imag
 
-class EnsembleReport(NamedTuple):
-    """Everything the twist machinery produces at one angle."""
-
-    Z_chi: complex
-    Z_0: float
-    K: complex
-    R: dict[int, float]
-
-
-def ensemble_report(spec: RotorSpec, beta: float, chi: float,
-                    half_shift: bool = False) -> EnsembleReport:
-    return EnsembleReport(
-        Z_chi=partition_rotwisted(spec, beta, chi, half_shift),
-        Z_0=partition_rotwisted(spec, beta, 0.0, half_shift).real,
-        K=generating_function(spec, beta, chi, half_shift),
-        R=angular_distribution(spec, beta),
-    )
+    return rows()
 
 
 class ShiftCheck(NamedTuple):
@@ -306,6 +302,7 @@ def shift_eigenphase_check(chi: float, window: int, m_cut: int) -> ShiftCheck:
     boundary component injected by the truncation is excluded, which is why
     window < m_cut is required. Only the window is computed, in O(1) memory.
     """
+    _check_chi(chi)
     if m_cut < 1:
         raise DomainError("m_cut must be >= 1")
     if not 0 <= window < m_cut:

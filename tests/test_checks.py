@@ -22,8 +22,18 @@ from ninionics.errors import DomainError
     lambda: identities.regularized_count_ratio(2, math.nan),
     lambda: rotor.RotorSpec(math.nan, 5),
     lambda: rotor.angular_distribution(rotor.RotorSpec(1.0, 5), math.nan),
+    # a non-finite chi, NaN or either infinity
+    *[lambda chi=chi, call=call: call(chi)
+      for chi in (math.nan, math.inf, -math.inf) for call in (
+          lambda chi: rotor.partition_rotwisted(rotor.RotorSpec(1.0, 10), 1.0, chi),
+          lambda chi: rotor.partition_rotwisted(rotor.RotorSpec(1.0, 10), 1.0, chi, True),
+          lambda chi: rotor.generating_function(rotor.RotorSpec(1.0, 10), 1.0, chi),
+          lambda chi: rotor.shift_eigenphase_check(chi, 3, 10))],
 ], ids=["beta", "mass", "mu", "degeneracy", "required_m_cut", "odd_count_ratio",
-        "regularized_count_ratio", "inertia", "rotor_beta"])
+        "regularized_count_ratio", "inertia", "rotor_beta",
+        *[f"{name}_{chi}" for chi in ("nan", "inf", "-inf")
+          for name in ("partition", "half_shift_partition", "generating_function",
+                       "shift_eigenphase")]])
 def test_nan_is_a_domain_error(call):
     with pytest.raises(DomainError):
         call()
@@ -113,10 +123,9 @@ RECORDS = {
     "LevelClass": lambda: occupation.limit_form(occupation.Family.BOSE, 0.3),
     "IdentityCheck": lambda: identities.check_boson_identity(2, 5, 0.4),
     "RotorSpec": lambda: rotor.RotorSpec(0.5, 20),
-    "EnsembleReport": lambda: rotor.ensemble_report(rotor.RotorSpec(1.0, 25), 1.0, 0.9),
     "ShiftCheck": lambda: rotor.shift_eigenphase_check(0.3, 3, 10),
 }
-UNHASHABLE = {"SequenceProbe", "EnsembleReport"}  # they hold a list or a dict
+UNHASHABLE = {"SequenceProbe"}  # it holds a list
 
 
 @pytest.mark.parametrize("name", RECORDS)

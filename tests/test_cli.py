@@ -1040,6 +1040,28 @@ class TestOutputFile:
         self.assert_failed_scans_leave_no_file(
             capsys, tmp_path, ["scan", "--order", "3", "--format", "json"])
 
+    # each streamed table, refused by a budget or by a value it cannot give: every
+    # refusal comes before the first row, so nothing is written anywhere
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("argv", [
+        ["scan", "--order", "4055"],
+        ["identity", "--family", "bose", "--gamma", "1", "--q-max", "100000"],
+        ["occupation", "--family", "bose", "--xi", "1,0", "--omega-min=-1",
+         "--omega-max", "0", "--omega-count", "5"],
+        ["rotor", "--beta", "0.05", "--m-cut", "1000", "--chi-points", "2"],
+        ["rotor", "--m-cut", "100000", "--beta", "1e-6", "--chi-points", "10000"],
+    ], ids=["scan-rows", "identity-rows", "occupation-pole", "rotor-vanishing", "rotor-terms"])
+    def test_refused_table_leaves_existing_file(self, capsys, tmp_path, argv, fmt):
+        argv = [*argv, "--format", fmt]
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (1, "")
+        assert re.fullmatch(r"error\[\w+\]: [^\n]+\n", err)
+        kept = tmp_path / "kept.out"
+        kept.write_bytes(b"previous\n")
+        assert run_cli(argv + ["--output", str(kept)], capsys) == (1, "", err)
+        assert os.listdir(tmp_path) == ["kept.out"]
+        assert kept.read_bytes() == b"previous\n"
+
     def test_success_replaces_existing_file(self, capsys, tmp_path):
         target = tmp_path / "scan.csv"
         target.write_text("previous\n")

@@ -12,7 +12,6 @@ from ninionics.rotor import (
     TERM_BUDGET,
     RotorSpec,
     angular_distribution,
-    ensemble_report,
     generating_function,
     partition_rotwisted,
     shift_eigenphase_check,
@@ -127,10 +126,13 @@ class TestAngularDistribution:
 
     def test_half_shift_inversion_exact(self):
         spec = RotorSpec(1.0, 25)
-        weights = ensemble_report(spec, 1.0, 0.7, half_shift=True).R
+        weights = angular_distribution(spec, 1.0)
         z0 = partition_rotwisted(spec, 1.0, 0.0).real
         for m, w in weights.items():
             assert abs(w - math.exp(-spec.energy(m)) / z0) < 1e-12
+        # the same weights under the half-integer phases give the half-shifted Z
+        synth = sum(w * cmath.exp(0.7j * (m + 0.5)) for m, w in weights.items())
+        assert abs(synth - partition_rotwisted(spec, 1.0, 0.7, half_shift=True) / z0) < 1e-12
 
     def test_large_cut_matches_boltzmann(self):
         # 40001 levels: a dense inversion kernel would need tens of GB
@@ -189,7 +191,7 @@ class TestZkTable:
     @pytest.mark.parametrize("n", [7, 64, 200])  # odd and even, below and above 2 m_cut + 1
     def test_matches_direct_sum(self, n, half_shift):
         spec, beta = RotorSpec(1.0, 40), 0.6
-        rows = zk_table(spec, beta, n, half_shift)
+        rows = list(zk_table(spec, beta, n, half_shift))
         z0 = direct_partition(spec, beta, 0.0).real
         assert len(rows) == n
         for j, (chi, z_re, z_im, k_re, k_im) in enumerate(rows, start=1):
@@ -207,6 +209,18 @@ class TestZkTable:
     def test_vanishing_partition_names_chi(self):
         with pytest.raises(DomainError, match=r"vanishes at chi=3\.14159"):
             zk_table(RotorSpec(1.0, 1000), 0.05, 2)
+
+    def test_rows_stream_in_half_grid_memory(self):
+        # only the half-grid sums and the cosine table are held, about 36 B a point;
+        # holding every row would take about 200 B a point, 38 MiB here
+        tracemalloc.start()
+        try:
+            for _ in zk_table(RotorSpec(1.0, 400), 1.0, 200_000):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2 ** 20
 
 
 class TestGeneratingFunction:
@@ -243,12 +257,6 @@ class TestGeneratingFunction:
             synth = sum(w * cmath.exp(1j * chi * m) for m, w in weights.items())
             ratio = partition_rotwisted(spec, 1.0, chi) / z0
             assert abs(synth - ratio) < 1e-12
-
-    def test_report_bundle(self):
-        rep = ensemble_report(RotorSpec(1.0, 25), 1.0, 0.9)
-        assert rep.Z_0 > 0
-        assert abs(cmath.exp(-rep.K) - rep.Z_chi / rep.Z_0) < 1e-12
-        assert abs(sum(rep.R.values()) - 1.0) < 1e-12
 
 
 class TestShiftEigenphase:
