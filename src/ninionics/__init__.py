@@ -37,8 +37,7 @@ _EXPORTS = {
         "parse_turns", "primes_up_to", "nth_prime"),
     "rotor": (
         "RotorSpec", "ShiftCheck", "partition_rotwisted", "angular_distribution",
-        "generating_function", "zk_table", "shift_eigenphase_check", "TAIL_BOUND",
-        "RATIO_FLOOR", "TERM_BUDGET"),
+        "generating_function", "zk_table", "shift_eigenphase_check", "TAIL_BOUND", "TERM_BUDGET"),
     "thermo": (
         "GasSpec", "ThermoQuantities", "MappedEnsemble", "WallsOracle", "CrossedWalls",
         "blackbody_scalar", "blackbody_fermion", "fermion_equivalence", "rotated_ensemble",

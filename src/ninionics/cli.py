@@ -122,9 +122,12 @@ def _angle_list(text: str) -> list[float]:
 def _turns(text: str) -> Fraction | float:
     """Turns as written; StatAngle.from_turns approximates a decimal with --q-max."""
     try:
-        return parse_turns(text)
+        turns = parse_turns(text)
     except ValueError as exc:  # DomainError (p/0) is a ValueError too
         raise argparse.ArgumentTypeError(f"cannot parse turns {text!r}") from exc
+    if isinstance(turns, float) and not math.isfinite(turns):  # a Fraction is finite
+        raise argparse.ArgumentTypeError(f"turns {text!r} must be finite")
+    return turns
 
 
 def _write(args: argparse.Namespace, out, fieldnames: list[str],

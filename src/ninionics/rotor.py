@@ -1,17 +1,20 @@
 """Planar-rotor ensemble: a finite, exactly solvable angular-momentum system.
 
-Z(beta, chi) = sum_m e^{i chi m} w_m with w_m = e^{-beta E_m} over a truncated
-spectrum E_m = m^2 / (2 I) realizes the twisted partition function concretely.
-Every weight past the support S, the largest m <= m_cut with w_m > 0.0 in
-double precision, is exactly 0.0, so every sum stops at S. For integer phases
-Z is real, Z(chi) = w_0 + 2 sum_{m=1..S} w_m cos(m chi); the half-integer
-variant is e^{i chi/2} times that. On the equispaced grid
-chi_j = -pi + 2 pi j / n, Z at every point and the inversion of Z(chi)/Z(0) to
-the per-m weights are cosine sums sum_k a_k cos(2 pi j k / n), each exactly
-rounded by math.fsum: O(n S) time per pass over the grid. The generating
-function is the logarithm of the partition-function ratio. A request whose
-estimated memory exceeds MEMORY_BUDGET, or whose predicted terms exceed
-TERM_BUDGET, is refused before any weight is computed.
+Z(beta, chi) = sum_m e^{i chi m} w_m with w_m = e^{-beta E_m} and E_m = m^2 / (2 I)
+realizes the twisted partition function concretely. The rotor is the untruncated
+one: m_cut is a numerical cutoff, and TruncationError refuses one whose tail weight
+is not below TAIL_BOUND. For integer phases Z is real and even in chi; the
+half-integer variant is e^{i chi/2} times it. By Jacobi's imaginary transformation
+(DLMF 20.7(viii)), Z(chi) = sqrt(2 pi I / beta) sum_k e^{-I (chi - 2 pi k)^2 / (2 beta)},
+a sum of positive terms, so Z > 0 at every chi. ln Z is summed on whichever side, that
+one or the direct sum over the support, has fewer terms (at most about 23), and the
+generating function K = -ln(Z(chi)/Z(0)) is ln Z(0) - ln Z(chi): finite where Z
+underflows to 0.0. The weights R(m) are the Fourier inversion of Z on the grid
+chi_j = -pi + 2 pi j / n, cosine sums exactly rounded by math.fsum over the support S,
+the largest m <= m_cut with w_m > 0.0 in double precision: O(n S) time. A request
+whose estimated memory exceeds MEMORY_BUDGET, an inversion whose predicted terms
+exceed TERM_BUDGET, or a Z/K table over ROW_BUDGET rows is refused before any weight
+is computed.
 """
 
 from __future__ import annotations
@@ -35,24 +38,20 @@ __all__ = [
     "shift_eigenphase_check",
     "TAIL_BOUND",
     "MEMORY_BUDGET",
-    "RATIO_FLOOR",
     "TERM_BUDGET",
 ]
 
 TAIL_BOUND = 1e-14
-# Smallest |Z(chi)/Z(0)| at which K is reported. Z carries a rounding error of
-# about 1e-16 * Z(0), so K = -ln(Z/Z(0)) is good to about 1e-16 / RATIO_FLOOR.
-RATIO_FLOOR = 1e-10
-# Products a_k cos(...) one request may sum: grid points summed times support levels,
-# per pass. At the budget's edge the kernel took 227 ns per term on a support of 2235
-# levels and 535 ns on one of 38 (its table reads miss the cache), so the largest
-# admitted request, a zk table of 512,818 rows, runs in about 9 s.
+# Products a_k cos(...) the weights inversion may sum: grid points summed times support
+# levels, per pass. At the budget's edge the kernel took 227 ns per term on a support of
+# 2235 levels, the widest admitted on the default grid, and 535 ns on one of 38 (its
+# table reads miss the cache). The Z/K table sums no such products: ROW_BUDGET bounds it.
 TERM_BUDGET = 10_000_000
-# Bytes per level and per grid point, from tracemalloc peaks: per level one weights-dict
-# entry (88-119 B at m_cut 1e3-1e6), per point a cosine-table entry and a half-grid sum
-# (36 B for the zk table, whose rows stream, at n = 2e3-5e5; 61-75 B for the weights
-# grid at n = 2e3-1e5). The point figure is above both: it is kept from when every zk
-# row was held (199-201 B a point), so the budget admits the same requests. The default
+# Bytes per level and per grid point of the weights inversion, from tracemalloc peaks:
+# per level one weights-dict entry (88-119 B at m_cut 1e3-1e6), per point a cosine-table
+# entry and a half-grid sum (61-75 B at n = 2e3-1e5). The point figure is above that: it
+# is kept from when the Z/K table held its rows, so the budget admits the same weights
+# requests. The Z/K table holds nothing per angle and counts no points. The default
 # weights grid counts as 2 m_cut + 1 points; on a full support, where it has that many,
 # the weights took 164 B per level.
 _LEVEL_BYTES = 128
@@ -94,7 +93,8 @@ def _check_request(spec: RotorSpec, beta: float, grid_points: int = 0) -> int:
 
     Returns an upper bound on the support S, found without computing a weight.
     """
-    check_memory(f"m_cut={spec.m_cut} with {grid_points} grid points",
+    points = f" with {grid_points} grid points" if grid_points else ""
+    check_memory(f"m_cut={spec.m_cut}{points}",
                  _LEVEL_BYTES * (2 * spec.m_cut + 1) + _POINT_BYTES * grid_points)
     if not beta > 0.0:
         raise DomainError("beta must be positive")
@@ -115,12 +115,6 @@ def _check_request(spec: RotorSpec, beta: float, grid_points: int = 0) -> int:
 def _check_chi(chi: float) -> None:
     if not math.isfinite(chi):
         raise DomainError(f"chi must be finite, got {chi!r}")
-
-
-def _check_terms(spec: RotorSpec, grid_points: int, terms: int) -> None:
-    """Refuse, before any weight is computed, a request over TERM_BUDGET."""
-    check_budget(f"m_cut={spec.m_cut} on {grid_points} grid points", terms, TERM_BUDGET,
-                 "ninionics.rotor.TERM_BUDGET", "terms", "sums")
 
 
 def _support_weights(spec: RotorSpec, beta: float) -> list[float]:
@@ -164,29 +158,38 @@ def _cosine_sums(a: list[float], n: int, count: int) -> list[float]:
             if j else fsum(a) for j in range(count)]
 
 
-def _folded(weights: list[float]) -> list[float]:
-    """(w_0, 2 w_1, ..., 2 w_S): the terms of Z(0), the levels m and -m taken together."""
-    return [weights[0], *[2.0 * w for w in weights[1:]]]
+def _ln_z(spec: RotorSpec, beta: float, chi: float) -> float:
+    """ln Z for integer phases at chi in [0, pi], from the side with fewer terms above
+    e^{-746}: the dual sqrt(2 pi I / beta) sum_k e^{-a (chi - t)^2}, a = I / (2 beta),
+    t = 2 pi k, each term taken relative to k = 0 (about R / pi + 1 of them, R^2 =
+    1492 beta / I + chi^2), or the direct w_0 + 2 sum w_m cos(m chi) (S + 1 terms, S^2 =
+    1492 I / beta). The counts multiply to about 475, so at most about 23 are summed. The
+    direct side is taken above beta / I ~ 3, where w_1 < 0.21 and nothing cancels."""
+    reach_sq = 2.0 * _EXP_UNDERFLOW * beta / spec.inertia + chi * chi  # R^2, inf if huge
+    support_sq = 2.0 * _EXP_UNDERFLOW * spec.inertia / beta
+    if reach_sq < math.pi ** 2 * support_sq:
+        a, reach, turn = spec.inertia / (2.0 * beta), math.sqrt(reach_sq), 2.0 * math.pi
+        ts = [turn * k for k in range(math.ceil((chi - reach) / turn),
+                                      math.floor((chi + reach) / turn) + 1)]
+        return (0.5 * math.log(turn * spec.inertia / beta) - a * chi * chi
+                + math.log(fsum([math.exp(-a * t * (t - 2.0 * chi)) for t in ts])))
+    return math.log(fsum([1.0, *[2.0 * math.exp(-beta * spec.energy(m)) * cos(m * chi)
+                                 for m in range(1, math.isqrt(int(support_sq)) + 1)]]))
 
 
-def _grid_sums(folded: list[float], n: int) -> list[float]:
-    """Z(chi_j) for integer phases at chi_j = -pi + 2 pi j / n, j = 0..n//2.
-
-    e^{i chi_j m} = (-1)^m e^{2 pi i j m / n}, and Z is even in chi, so Z_j is the
-    cosine sum of a_k = (-1)^k folded_k. Z_{n-j} is Z_j.
-    """
-    return _cosine_sums([-c if k % 2 else c for k, c in enumerate(folded)], n, n // 2 + 1)
+def _reduced_chi(chi: float) -> float:
+    """|chi| reduced to [0, pi]: the integer-phase Z is even and 2 pi periodic."""
+    _check_chi(chi)
+    return abs(math.remainder(chi, 2.0 * math.pi))
 
 
 def partition_rotwisted(spec: RotorSpec, beta: float, chi: float,
                         half_shift: bool = False) -> complex:
     """Z(beta, chi) = sum_m e^{i chi (m + 1/2 if half_shift else m)} e^{-beta E_m}."""
-    _check_chi(chi)
+    folded = _reduced_chi(chi)
     _check_request(spec, beta)
-    # the terms at m and -m are conjugates, so the integer-phase Z is real
-    folded = _folded(_support_weights(spec, beta))
-    z = complex(fsum([c * cos(chi * m) for m, c in enumerate(folded)]), 0.0)
-    return z * cmath.exp(0.5j * chi) if half_shift else z
+    z = math.exp(_ln_z(spec, beta, folded))
+    return z * cmath.exp(0.5j * chi) if half_shift else complex(z, 0.0)
 
 
 def angular_distribution(spec: RotorSpec, beta: float,
@@ -209,11 +212,14 @@ def angular_distribution(spec: RotorSpec, beta: float,
             f"need >= {2 * m_cut + 1}")
     bound = _check_request(spec, beta, n_grid or 2 * m_cut + 1)
     n = n_grid or 2 * bound + 1
-    _check_terms(spec, n, 2 * (n // 2 + 1) * (bound + 1))
-    folded = _folded(_support_weights(spec, beta))
+    check_budget(f"m_cut={m_cut} on {n} grid points", 2 * (n // 2 + 1) * (bound + 1),
+                 TERM_BUDGET, "ninionics.rotor.TERM_BUDGET", "terms", "sums")
+    weights = _support_weights(spec, beta)
+    folded = [weights[0], *[2.0 * w for w in weights[1:]]]  # levels m and -m together
     support = len(folded) - 1
     n = n_grid or 2 * support + 1
-    z = _grid_sums(folded, n)
+    # Z_j at chi_j, j <= n/2: e^{i chi_j m} = (-1)^m e^{2 pi i j m / n}, Z is even in chi
+    z = _cosine_sums([-c if k % 2 else c for k, c in enumerate(folded)], n, n // 2 + 1)
     # Z_{n-j} = Z_j: fold the sum over j onto j <= n/2
     paired = [2.0 * zj for zj in z]
     paired[0] = z[0]
@@ -226,59 +232,40 @@ def angular_distribution(spec: RotorSpec, beta: float,
     return dict(zip(range(-m_cut, m_cut + 1), right[:0:-1] + right))
 
 
-def _minus_log(ratio: complex | float) -> complex:
-    """-ln ratio on the principal branch, never with a -0.0 part (0.0 - x is +0.0 at x = 0)."""
-    log = cmath.log(ratio)
-    return complex(0.0 - log.real, 0.0 - log.imag)
-
-
 def generating_function(spec: RotorSpec, beta: float, chi: float,
                         half_shift: bool = False) -> complex:
-    """K = -ln(Z(beta, chi) / Z(beta, 0)), principal branch."""
-    z0 = partition_rotwisted(spec, beta, 0.0, half_shift).real
-    ratio = partition_rotwisted(spec, beta, chi, half_shift) / z0
-    if abs(ratio) < RATIO_FLOOR:
-        raise _vanishing(chi, abs(ratio))
-    return _minus_log(ratio)
-
-
-def _vanishing(chi: float, ratio: float) -> DomainError:
-    return DomainError(f"partition function vanishes at chi={chi!r}: |Z/Z0| = {ratio:.3e} "
-                       f"is below the floor {RATIO_FLOOR:g}; K undefined there")
+    """K = -ln(Z(beta, chi) / Z(beta, 0)) = ln Z(0) - ln Z(chi), principal branch."""
+    folded = _reduced_chi(chi)
+    _check_request(spec, beta)
+    phase = cmath.phase(cmath.exp(0.5j * chi)) if half_shift else 0.0
+    # 0.0 - x is +0.0 at x = 0, so no part is -0.0
+    return complex(_ln_z(spec, beta, 0.0) - _ln_z(spec, beta, folded), 0.0 - phase)
 
 
 def zk_table(spec: RotorSpec, beta: float, chi_points: int,
              half_shift: bool = False) -> Iterator[tuple[float, float, float, float, float]]:
     """Rows (chi, Re Z, Im Z, Re K, Im K) on chi_j = -pi + 2 pi j / n, j = 1..n.
 
-    Z on half the grid is one pass of cosine sums, Z_{n-j} being Z_j; K =
-    -ln(Z/Z(0)) on the principal branch, as in generating_function. For integer
-    phases Im Z is 0.0. Raises DomainError at the first chi where Z vanishes,
-    before it returns; the rows are then yielded one at a time, so only the
-    half-grid sums are held.
+    Each row is formed as it is yielded, from ln Z at |chi_j| = pi |2 j - n| / n, so
+    rows j and n - j share ln Z bit for bit; K = ln Z(0) - ln Z(chi) on the principal
+    branch, as in generating_function. For integer phases Im Z and Im K are 0.0. Every
+    refusal, ROW_BUDGET's included, comes before it returns.
     """
     n = chi_points
-    support = _check_request(spec, beta, n)
-    _check_terms(spec, n, (n // 2 + 1) * (support + 1))
-    folded = _folded(_support_weights(spec, beta))
-    z0 = fsum(folded)
-    sums = _grid_sums(folded, n)
-
-    def grid() -> Iterator[tuple[float, float]]:
-        """(chi_j, integer-phase Z at chi_j) for j = 1..n."""
-        for j in range(1, n + 1):
-            yield -math.pi + 2.0 * math.pi * j / n, sums[min(j % n, n - j % n)]
-
-    for chi, z in grid():
-        if abs(z) < RATIO_FLOOR * z0:
-            raise _vanishing(chi, abs(z / z0))
+    check_budget(f"a Z/K table of {n} angles", n)
+    _check_request(spec, beta)
+    ln_z0 = _ln_z(spec, beta, 0.0)
 
     def rows() -> Iterator[tuple[float, float, float, float, float]]:
-        for chi, z in grid():
+        for j in range(1, n + 1):
+            chi = -math.pi + 2.0 * math.pi * j / n
+            ln_z = _ln_z(spec, beta, math.pi * abs(2 * j - n) / n)
+            z, k = math.exp(ln_z), ln_z0 - ln_z
             if half_shift:
-                z = z * cmath.exp(0.5j * chi)
-            k = _minus_log(z / z0)
-            yield chi, z.real, z.imag, k.real, k.imag
+                unit = cmath.exp(0.5j * chi)
+                yield chi, z * unit.real, z * unit.imag, k, 0.0 - cmath.phase(unit)
+            else:
+                yield chi, z, 0.0, k, 0.0
 
     return rows()
 

@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import csv
 import hashlib
 import io
@@ -16,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ninionics import cli, fractal, identities, occupation, oracle, rotor, thermo
@@ -851,8 +852,7 @@ class TestRotorCommand:
 
     @pytest.mark.parametrize("argv", [
         ["--m-cut", "100000", "--beta", "1e-6", "--table", "weights"],
-        ["--m-cut", "100000", "--beta", "1e-6", "--chi-points", "10000"],
-    ], ids=["weights", "zk"])
+    ], ids=["weights"])
     def test_over_term_budget_is_refused(self, capsys, argv):
         start = time.perf_counter()
         code, out, err = run_cli(["rotor", *argv], capsys)
@@ -872,22 +872,83 @@ class TestRotorCommand:
         assert rows[31]["k_real"] == "0.0"  # chi = 0
         assert "-0.0" not in re.split(r"[,\n]", out)
 
-    def test_vanishing_partition_names_chi(self, capsys):
+    # K at the cusp chi = pi, where Z(pi)/Z(0) is 2.4e-14 and 3.8e-43; values from the
+    # decimal oracle in test_rotor.py
+    @pytest.mark.parametrize("beta,m_cut,k", [("0.154", "200", 31.351022952847064),
+                                              ("0.05", "1000", 98.00289683033363)])
+    def test_k_at_the_cusp(self, capsys, beta, m_cut, k):
         code, out, err = run_cli(
-            ["rotor", "--beta", "0.05", "--m-cut", "1000", "--chi-points", "2"], capsys)
-        assert code == 1
-        assert out == ""
-        assert "error[DomainError]: partition function vanishes at chi=3.14159" in err
+            ["rotor", "--beta", beta, "--m-cut", m_cut, "--chi-points", "2"], capsys)
+        assert (code, err) == (0, "")
+        first, last = read_csv(out)
+        assert (first["chi"], first["k_real"]) == ("0.0", "0.0")
+        assert float(last["chi"]) == math.pi
+        assert float(last["k_real"]) == pytest.approx(k, rel=1e-13)
+        assert float(last["z_real"]) == pytest.approx(
+            float(first["z_real"]) * math.exp(-k), rel=1e-13)
 
-    def test_ratio_below_rounding_floor_is_refused(self, capsys):
-        # |Z(pi)/Z(0)| = 2.4e-14 here, within a few hundred ulps of Z(0): K(pi) would
-        # carry an error of about 2e-3, so it is refused rather than printed
-        code, out, err = run_cli(
-            ["rotor", "--beta", "0.154", "--m-cut", "200", "--chi-points", "2"], capsys)
-        assert code == 1
-        assert out == ""
-        assert "error[DomainError]: partition function vanishes at chi=3.14159" in err
-        assert f"below the floor {rotor.RATIO_FLOOR:g}" in err
+    def test_wide_support_table_is_admitted(self, capsys):
+        # a support of 38,626 levels and a K of 4.9e6 at pi, where Z underflows to 0.0
+        start = time.perf_counter()
+        code, out, err = run_cli(["rotor", "--m-cut", "100000", "--beta", "1e-6",
+                                  "--chi-points", "10000", "--format", "json"], capsys)
+        assert time.perf_counter() - start < 1.0
+        assert (code, err) == (0, "")
+        rows = json.loads(out)["rows"]
+        assert len(rows) == 10_000
+        assert rows[-1]["z_real"] == 0.0
+        assert rows[-1]["k_real"] == pytest.approx(PI_SQ / 2e-6 - math.log(2.0), rel=1e-13)
+
+    # beta/I = 1e300: every weight but w_0 is 0.0, so Z = 1 and K = 0 at every angle
+    @pytest.mark.parametrize("argv", [["--beta", "1e300"], ["--inertia", "1e-300"]],
+                             ids=["beta", "inertia"])
+    def test_extreme_ratio_prints_unit_z(self, capsys, argv):
+        code, out, err = run_cli(["rotor", *argv], capsys)
+        assert (code, err) == (0, "")
+        rows = read_csv(out)
+        assert len(rows) == 64
+        assert {(r["z_real"], r["z_imag"], r["k_real"], r["k_imag"]) for r in rows} == {
+            ("1.0", "0.0", "0.0", "0.0")}
+
+
+def _reject_constant(name: str):
+    raise ValueError(f"JSON output holds {name}")
+
+
+@st.composite
+def rotor_scales(draw):
+    """(beta, I), each log-uniform over [1e-300, 1e300]; half the draws put I within 15
+    decades of beta, where most requests are admitted."""
+    beta = draw(st.floats(-300.0, 300.0))
+    near = st.floats(-15.0, 15.0).map(lambda r: min(300.0, max(-300.0, beta + r)))
+    return 10.0 ** beta, 10.0 ** draw(st.one_of(st.floats(-300.0, 300.0), near))
+
+
+class TestRotorContract:
+    """Every Z/K request exits 0 with a finite K >= 0 in every row, or 1 with one error
+    line and nothing on stdout; JSON never holds NaN or Infinity."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(rotor_scales(), st.integers(1, 10_000), st.integers(1, 64), st.booleans(),
+           st.sampled_from(["csv", "json"]))
+    def test_exit_and_k(self, scales, m_cut, points, half_shift, fmt):
+        beta, inertia = scales
+        argv = ["rotor", "--beta", repr(beta), "--inertia", repr(inertia), "--m-cut",
+                str(m_cut), "--chi-points", str(points), "--format", fmt]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv + ["--half-shift"] * half_shift)
+        out, err = out.getvalue(), err.getvalue()
+        assert code in (0, 1)
+        if code == 1:
+            assert out == "" and re.fullmatch(r"error\[\w+\]: [^\n]+\n", err)
+            return
+        if fmt == "json":
+            ks = [row["k_real"] for row in json.loads(out, parse_constant=_reject_constant)["rows"]]
+        else:
+            ks = [float(row["k_real"]) for row in read_csv(out)]
+        assert len(ks) == points
+        assert all(math.isfinite(k) and k >= 0.0 for k in ks)
 
 
 class TestDeterminism:
@@ -956,7 +1017,8 @@ class TestUsageErrors:
         assert "error[" not in err
 
     @pytest.mark.parametrize("flag,command", [("--chi", "thermo"), ("--fraction", "thomae")])
-    @pytest.mark.parametrize("text", ["abc", "1/x", "1/0", "1.5/2"])
+    @pytest.mark.parametrize("text", ["abc", "1/x", "1/0", "1.5/2", "nan", "inf", "-inf",
+                                      "1e400"])
     def test_bad_turns_are_usage_errors(self, capsys, flag, command, text):
         with pytest.raises(SystemExit) as exc:
             main([command, flag, text])
@@ -1048,9 +1110,9 @@ class TestOutputFile:
         ["identity", "--family", "bose", "--gamma", "1", "--q-max", "100000"],
         ["occupation", "--family", "bose", "--xi", "1,0", "--omega-min=-1",
          "--omega-max", "0", "--omega-count", "5"],
-        ["rotor", "--beta", "0.05", "--m-cut", "1000", "--chi-points", "2"],
-        ["rotor", "--m-cut", "100000", "--beta", "1e-6", "--chi-points", "10000"],
-    ], ids=["scan-rows", "identity-rows", "occupation-pole", "rotor-vanishing", "rotor-terms"])
+        ["rotor", "--chi-points", "5000001"],
+        ["rotor", "--m-cut", "2", "--beta", "0.1"],
+    ], ids=["scan-rows", "identity-rows", "occupation-pole", "rotor-rows", "rotor-truncation"])
     def test_refused_table_leaves_existing_file(self, capsys, tmp_path, argv, fmt):
         argv = [*argv, "--format", fmt]
         code, out, err = run_cli(argv, capsys)

@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+from decimal import Decimal, localcontext
 import time
 import tracemalloc
 
@@ -26,6 +27,22 @@ def direct_partition(spec, beta, chi, half_shift=False):
         offset = m + 0.5 if half_shift else m
         total += cmath.exp(1j * chi * offset) * math.exp(-beta * spec.energy(m))
     return total
+
+
+def decimal_k(beta, m_cut, quarter_turns, inertia=1.0):
+    """Independent oracle for K at chi = quarter_turns * pi / 2, where cos(m chi) is 0 or
+    +-1: the direct sum over |m| <= m_cut in decimal at 400 digits, more than
+    K / ln 10 + 40. A weight below 10^-400 of w_0 = 1 changes neither sum."""
+    with localcontext(prec=400):
+        scale = Decimal(beta) / (2 * Decimal(inertia))
+        z0 = zchi = Decimal(1)
+        for m in range(1, m_cut + 1):
+            if scale * m * m > 922:  # 400 ln 10 < 922
+                break
+            w = (-scale * m * m).exp()
+            z0 += 2 * w
+            zchi += 2 * w * (1, 0, -1, 0)[m * quarter_turns % 4]
+        return float((z0 / zchi).ln())
 
 
 def assert_exact_symmetry_and_band(spec, beta, weights):
@@ -158,10 +175,9 @@ class TestAngularDistribution:
 
     @pytest.mark.parametrize("call", [
         lambda: angular_distribution(RotorSpec(1.0, 100_000), 1e-6),
-        lambda: zk_table(RotorSpec(1.0, 100_000), 1e-6, 10_000),
-    ], ids=["weights", "zk"])
+    ], ids=["weights"])
     def test_over_term_budget_refused_before_any_weight(self, call):
-        # a support of 38,626 levels: about 3e9 terms for the weights, 2e8 for the table
+        # a support of 38,626 levels: about 3e9 terms
         start = time.perf_counter()
         tracemalloc.start()
         try:
@@ -206,21 +222,82 @@ class TestZkTable:
         if not half_shift:  # chi_{n-j} = -chi_j, and Z there is Z_j bit for bit
             assert all(rows[j - 1][1] == rows[n - j - 1][1] for j in range(1, n))
 
-    def test_vanishing_partition_names_chi(self):
-        with pytest.raises(DomainError, match=r"vanishes at chi=3\.14159"):
-            zk_table(RotorSpec(1.0, 1000), 0.05, 2)
+    # Z(pi)/Z(0) is 2.4e-14 at beta 0.154 and 3e-213 at beta 0.01: the direct sum in
+    # double precision cancels to noise there, and the dual sum does not
+    @pytest.mark.parametrize("beta,m_cut,quarter_turns,k", [
+        (0.154, 200, 2, 31.351022952847064),
+        (0.05, 1000, 2, 98.00289683033363),
+        (0.05, 1000, 1, 24.674011002723397),
+        (0.01, 2000, 2, 492.78707287390796),
+    ])
+    def test_k_matches_decimal_oracle(self, beta, m_cut, quarter_turns, k):
+        assert decimal_k(beta, m_cut, quarter_turns) == pytest.approx(k, rel=1e-13)
+        spec = RotorSpec(1.0, m_cut)
+        chi = quarter_turns * math.pi / 2
+        assert generating_function(spec, beta, chi).real == pytest.approx(k, rel=1e-13)
+        assert generating_function(spec, beta, -chi).real == pytest.approx(k, rel=1e-13)
+        # rows n/4 and n on a four-point grid: chi = -pi/2 and pi
+        row = list(zk_table(spec, beta, 4))[(0, 0, 3)[quarter_turns]]
+        assert row[3] == pytest.approx(k, rel=1e-13)
+        assert row[1] == pytest.approx(
+            partition_rotwisted(spec, beta, 0.0).real * math.exp(-k), rel=1e-13)
+
+    def test_k_past_the_underflow_of_z(self):
+        # only the k = 0 dual term is above e^-746 at chi = 1, so K = I chi^2 / (2 beta)
+        assert generating_function(RotorSpec(1.0, 20_000), 1e-3, 1.0).real == pytest.approx(
+            500.0, rel=1e-13)
+        # at chi = pi the terms k = 0 and 1 are equal: K = I pi^2 / (2 beta) - ln 2,
+        # and Z = Z(0) e^{-K} underflows to 0.0
+        spec, beta = RotorSpec(1.0, 100_000), 1e-6
+        assert generating_function(spec, beta, math.pi).real == pytest.approx(
+            math.pi ** 2 / (2 * beta) - math.log(2.0), rel=1e-13)
+        assert partition_rotwisted(spec, beta, math.pi) == 0.0
+
+    def test_wide_support_is_admitted(self):
+        # a support of 38,626 levels, but at most two dual terms a point
+        start = time.perf_counter()
+        rows = list(zk_table(RotorSpec(1.0, 100_000), 1e-6, 10_000))
+        assert time.perf_counter() - start < 0.5
+        # chi = -pi/2 and pi: K = I chi^2 / (2 beta), less ln 2 at pi, where the dual
+        # terms k = 0 and 1 are equal
+        assert rows[2499][3] == pytest.approx(math.pi ** 2 / 8e-6, rel=1e-13)
+        assert rows[-1][3] == pytest.approx(math.pi ** 2 / 2e-6 - math.log(2.0), rel=1e-13)
+        assert all(math.isfinite(k) and k >= 0.0 for _, _, _, k, _ in rows)
+
+    @pytest.mark.parametrize("beta,inertia", [
+        (0.01, 1.0), (0.1, 1.0), (0.3, 1.0), (1.0, 1.0), (3.0, 1.0), (3.14, 1.0), (10.0, 1.0),
+        (100.0, 1.0), (2.5, 0.25), (0.4, 7.0)])
+    def test_dual_matches_direct_sum(self, beta, inertia):
+        # the direct fsum is exactly rounded, but its terms carry about one ulp of Z(0)
+        # each, so it is a reference to 1e-13 relative plus a few ulps of Z(0)
+        spec = RotorSpec(inertia, 4000)
+        support = math.isqrt(int(2 * 746 * inertia / beta))  # w_m is 0.0 past it
+        levels = range(-support, support + 1)
+        w = [math.exp(-beta * spec.energy(m)) for m in levels]
+        z0 = math.fsum(w)
+        chis = [math.pi * i / 128 for i in range(129)] + [-2.0, 7.5, -40.0]
+        rows = {chi: row[1] for row in zk_table(spec, beta, 200) for chi in [row[0]]}
+        assert partition_rotwisted(spec, beta, 0.0).real == pytest.approx(z0, rel=1e-14)
+        for chi in chis + list(rows):
+            direct = math.fsum([c * math.cos(m * chi) for m, c in zip(levels, w)])
+            if abs(direct) < 1e-10 * z0:
+                continue
+            tol = 1e-13 * abs(direct) + 4 * 2.0 ** -52 * z0
+            assert abs(partition_rotwisted(spec, beta, chi).real - direct) <= tol
+            if chi in rows:
+                assert abs(rows[chi] - direct) <= tol
 
     def test_rows_stream_in_half_grid_memory(self):
-        # only the half-grid sums and the cosine table are held, about 36 B a point;
-        # holding every row would take about 200 B a point, 38 MiB here
+        # a row is formed as it is yielded, and nothing is held per angle, not even Z on
+        # half the grid; holding every row would take about 200 B a point, 10 MiB here
         tracemalloc.start()
         try:
-            for _ in zk_table(RotorSpec(1.0, 400), 1.0, 200_000):
+            for _ in zk_table(RotorSpec(1.0, 400), 1.0, 50_000):
                 pass
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 12 * 2 ** 20
+        assert peak < 2 ** 20
 
 
 class TestGeneratingFunction:
