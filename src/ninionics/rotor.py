@@ -186,9 +186,9 @@ def _reduced_chi(chi: float) -> float:
 def partition_rotwisted(spec: RotorSpec, beta: float, chi: float,
                         half_shift: bool = False) -> complex:
     """Z(beta, chi) = sum_m e^{i chi (m + 1/2 if half_shift else m)} e^{-beta E_m}."""
-    folded = _reduced_chi(chi)
+    reduced = _reduced_chi(chi)
     _check_request(spec, beta)
-    z = math.exp(_ln_z(spec, beta, folded))
+    z = math.exp(_ln_z(spec, beta, reduced))
     return z * cmath.exp(0.5j * chi) if half_shift else complex(z, 0.0)
 
 
@@ -235,11 +235,11 @@ def angular_distribution(spec: RotorSpec, beta: float,
 def generating_function(spec: RotorSpec, beta: float, chi: float,
                         half_shift: bool = False) -> complex:
     """K = -ln(Z(beta, chi) / Z(beta, 0)) = ln Z(0) - ln Z(chi), principal branch."""
-    folded = _reduced_chi(chi)
+    reduced = _reduced_chi(chi)
     _check_request(spec, beta)
     phase = cmath.phase(cmath.exp(0.5j * chi)) if half_shift else 0.0
     # 0.0 - x is +0.0 at x = 0, so no part is -0.0
-    return complex(_ln_z(spec, beta, 0.0) - _ln_z(spec, beta, folded), 0.0 - phase)
+    return complex(_ln_z(spec, beta, 0.0) - _ln_z(spec, beta, reduced), 0.0 - phase)
 
 
 def zk_table(spec: RotorSpec, beta: float, chi_points: int,
