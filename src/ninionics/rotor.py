@@ -88,28 +88,30 @@ class RotorSpec(_RotorFields):
         return m * m / (2.0 * self.inertia)
 
 
-def _check_request(spec: RotorSpec, beta: float, grid_points: int = 0) -> int:
+def _check_request(spec: RotorSpec, beta: float, grid_points: int = 0) -> float:
     """Refuse a request before anything is allocated: over budget, beta, tail.
 
-    Returns an upper bound on the support S, found without computing a weight.
+    Returns r = beta / I, inf past the double range; every later step reads only r, so
+    a huge or tiny beta or I overflows nothing that r does not. Z and K hold nothing
+    per level, but the level budget still bounds their m_cut: past the truncation
+    check it keeps r >= 3.7e-12, so K(pi) = pi^2 / (2 r) stays below 1.4e12.
     """
-    points = f" with {grid_points} grid points" if grid_points else ""
-    check_memory(f"m_cut={spec.m_cut}{points}",
+    check_memory(f"m_cut={spec.m_cut} with {grid_points} grid points",
                  _LEVEL_BYTES * (2 * spec.m_cut + 1) + _POINT_BYTES * grid_points)
     if not beta > 0.0:
         raise DomainError("beta must be positive")
-    tail = math.exp(-beta * spec.energy(spec.m_cut))
+    r = beta / spec.inertia
+    tail = math.exp(-r * (spec.m_cut * spec.m_cut) / 2.0)
     if tail >= TAIL_BOUND:
         # a float product: inf on overflow, never an exception
-        need_sq = 2.0 * spec.inertia * math.log(1.0 / TAIL_BOUND) / beta
+        need_sq = 2.0 * math.log(1.0 / TAIL_BOUND) * (spec.inertia / beta)
         if need_sq >= _MAX_M_CUT ** 2:
             hint = f"no m_cut within the memory budget (at most {_MAX_M_CUT}) suffices"
         else:
             hint = f"need m_cut >= {math.isqrt(int(need_sq)) + 1}"
         raise TruncationError(
             f"m_cut={spec.m_cut} leaves Boltzmann tail {tail:.3e} >= {TAIL_BOUND:g}; {hint}")
-    support_sq = 2.0 * spec.inertia * _EXP_UNDERFLOW / beta
-    return spec.m_cut if support_sq >= spec.m_cut ** 2 else math.isqrt(int(support_sq))
+    return r
 
 
 def _check_chi(chi: float) -> None:
@@ -117,11 +119,11 @@ def _check_chi(chi: float) -> None:
         raise DomainError(f"chi must be finite, got {chi!r}")
 
 
-def _support_weights(spec: RotorSpec, beta: float) -> list[float]:
-    """w_m = e^{-beta E_m} for m = 0..S; every later weight is exactly 0.0."""
-    weights = []
-    for m in range(spec.m_cut + 1):
-        w = math.exp(-beta * spec.energy(m))
+def _support_weights(r: float, m_cut: int) -> list[float]:
+    """w_m = e^{-r m^2 / 2} for m = 0..S; every later weight is exactly 0.0."""
+    weights = [1.0]
+    for m in range(1, m_cut + 1):
+        w = math.exp(-r * (m * m) / 2.0)
         if w == 0.0:
             break
         weights.append(w)
@@ -158,22 +160,23 @@ def _cosine_sums(a: list[float], n: int, count: int) -> list[float]:
             if j else fsum(a) for j in range(count)]
 
 
-def _ln_z(spec: RotorSpec, beta: float, chi: float) -> float:
-    """ln Z for integer phases at chi in [0, pi], from the side with fewer terms above
-    e^{-746}: the dual sqrt(2 pi I / beta) sum_k e^{-a (chi - t)^2}, a = I / (2 beta),
+def _ln_z(r: float, chi: float) -> float:
+    """ln Z for integer phases at chi in [0, pi] and r = beta / I > 0, from the side
+    with fewer terms above e^{-746}: the dual sqrt(2 pi / r) sum_k e^{-(chi - t)^2 / (2 r)},
     t = 2 pi k, each term taken relative to k = 0 (about R / pi + 1 of them, R^2 =
-    1492 beta / I + chi^2), or the direct w_0 + 2 sum w_m cos(m chi) (S + 1 terms, S^2 =
-    1492 I / beta). The counts multiply to about 475, so at most about 23 are summed. The
-    direct side is taken above beta / I ~ 3, where w_1 < 0.21 and nothing cancels."""
-    reach_sq = 2.0 * _EXP_UNDERFLOW * beta / spec.inertia + chi * chi  # R^2, inf if huge
-    support_sq = 2.0 * _EXP_UNDERFLOW * spec.inertia / beta
+    1492 r + chi^2), or the direct 1 + 2 sum e^{-r m^2 / 2} cos(m chi) (S + 1 terms,
+    S^2 = 1492 / r). The counts multiply to about 475, so at most about 23 are summed.
+    The direct side is taken above r ~ 3, where w_1 < 0.21 and nothing cancels. Only r
+    enters, so no product of beta or I can overflow; at r = inf the direct sum is 1."""
+    reach_sq = 2.0 * _EXP_UNDERFLOW * r + chi * chi  # R^2, inf if r is
+    support_sq = 2.0 * _EXP_UNDERFLOW / r  # S^2, 0.0 if r is inf
     if reach_sq < math.pi ** 2 * support_sq:
-        a, reach, turn = spec.inertia / (2.0 * beta), math.sqrt(reach_sq), 2.0 * math.pi
+        reach, turn = math.sqrt(reach_sq), 2.0 * math.pi
         ts = [turn * k for k in range(math.ceil((chi - reach) / turn),
                                       math.floor((chi + reach) / turn) + 1)]
-        return (0.5 * math.log(turn * spec.inertia / beta) - a * chi * chi
-                + math.log(fsum([math.exp(-a * t * (t - 2.0 * chi)) for t in ts])))
-    return math.log(fsum([1.0, *[2.0 * math.exp(-beta * spec.energy(m)) * cos(m * chi)
+        return (0.5 * (math.log(turn) - math.log(r)) - chi * chi / (2.0 * r)
+                + math.log(fsum([math.exp(-t * (t - 2.0 * chi) / (2.0 * r)) for t in ts])))
+    return math.log(fsum([1.0, *[2.0 * math.exp(-r * (m * m) / 2.0) * cos(m * chi)
                                  for m in range(1, math.isqrt(int(support_sq)) + 1)]]))
 
 
@@ -187,8 +190,7 @@ def partition_rotwisted(spec: RotorSpec, beta: float, chi: float,
                         half_shift: bool = False) -> complex:
     """Z(beta, chi) = sum_m e^{i chi (m + 1/2 if half_shift else m)} e^{-beta E_m}."""
     reduced = _reduced_chi(chi)
-    _check_request(spec, beta)
-    z = math.exp(_ln_z(spec, beta, reduced))
+    z = math.exp(_ln_z(_check_request(spec, beta), reduced))
     return z * cmath.exp(0.5j * chi) if half_shift else complex(z, 0.0)
 
 
@@ -210,11 +212,13 @@ def angular_distribution(spec: RotorSpec, beta: float,
         raise DomainError(
             f"a {n_grid}-point angle grid aliases band limit {m_cut}; "
             f"need >= {2 * m_cut + 1}")
-    bound = _check_request(spec, beta, n_grid or 2 * m_cut + 1)
+    r = _check_request(spec, beta, n_grid or 2 * m_cut + 1)
+    support_sq = 2.0 * _EXP_UNDERFLOW / r  # w_m is 0.0 past its root
+    bound = m_cut if support_sq >= m_cut * m_cut else math.isqrt(int(support_sq))
     n = n_grid or 2 * bound + 1
     check_budget(f"m_cut={m_cut} on {n} grid points", 2 * (n // 2 + 1) * (bound + 1),
                  TERM_BUDGET, "ninionics.rotor.TERM_BUDGET", "terms", "sums")
-    weights = _support_weights(spec, beta)
+    weights = _support_weights(r, m_cut)
     folded = [weights[0], *[2.0 * w for w in weights[1:]]]  # levels m and -m together
     support = len(folded) - 1
     n = n_grid or 2 * support + 1
@@ -236,10 +240,10 @@ def generating_function(spec: RotorSpec, beta: float, chi: float,
                         half_shift: bool = False) -> complex:
     """K = -ln(Z(beta, chi) / Z(beta, 0)) = ln Z(0) - ln Z(chi), principal branch."""
     reduced = _reduced_chi(chi)
-    _check_request(spec, beta)
+    r = _check_request(spec, beta)
     phase = cmath.phase(cmath.exp(0.5j * chi)) if half_shift else 0.0
     # 0.0 - x is +0.0 at x = 0, so no part is -0.0
-    return complex(_ln_z(spec, beta, 0.0) - _ln_z(spec, beta, reduced), 0.0 - phase)
+    return complex(_ln_z(r, 0.0) - _ln_z(r, reduced), 0.0 - phase)
 
 
 def zk_table(spec: RotorSpec, beta: float, chi_points: int,
@@ -253,13 +257,13 @@ def zk_table(spec: RotorSpec, beta: float, chi_points: int,
     """
     n = chi_points
     check_budget(f"a Z/K table of {n} angles", n)
-    _check_request(spec, beta)
-    ln_z0 = _ln_z(spec, beta, 0.0)
+    r = _check_request(spec, beta)
+    ln_z0 = _ln_z(r, 0.0)
 
     def rows() -> Iterator[tuple[float, float, float, float, float]]:
         for j in range(1, n + 1):
             chi = -math.pi + 2.0 * math.pi * j / n
-            ln_z = _ln_z(spec, beta, math.pi * abs(2 * j - n) / n)
+            ln_z = _ln_z(r, math.pi * abs(2 * j - n) / n)
             z, k = math.exp(ln_z), ln_z0 - ln_z
             if half_shift:
                 unit = cmath.exp(0.5j * chi)

@@ -899,6 +899,43 @@ class TestRotorCommand:
         assert rows[-1]["z_real"] == 0.0
         assert rows[-1]["k_real"] == pytest.approx(PI_SQ / 2e-6 - math.log(2.0), rel=1e-13)
 
+    # beta and I near the top of the double range, where beta * 1492 or 2 pi I overflow:
+    # only their ratio is used, so the output is that of beta = I = 1, byte for byte
+    @pytest.mark.parametrize("table", ["zk", "weights"])
+    def test_huge_beta_and_inertia_print_unit_ratio(self, capsys, table):
+        argv = ["rotor", "--table", table, "--format", "json"]
+        code, out, err = run_cli(argv + ["--beta", "1e306", "--inertia", "1e306"], capsys)
+        assert (code, err) == (0, "")
+        assert out == run_cli(argv, capsys)[1]
+
+    def test_huge_inertia_prints_finite_k(self, capsys):
+        # beta/I = 1e-8: Z(0) = sqrt(2 pi / r), and K(pi) = pi^2 / (2 r) - ln 2
+        code, out, err = run_cli(["rotor", "--inertia", "1e308", "--beta", "1e300",
+                                  "--m-cut", "100000", "--chi-points", "4", "--format",
+                                  "json"], capsys)
+        assert (code, err) == (0, "")
+        payload = json.loads(out, parse_constant=_reject_constant)
+        assert payload["Z_0"] == pytest.approx(math.sqrt(2e8 * math.pi), rel=1e-13)
+        assert payload["rows"][-1]["k_real"] == pytest.approx(
+            PI_SQ * 5e7 - math.log(2.0), rel=1e-13)
+
+    def test_subnormal_beta_and_inertia(self, capsys):
+        # beta/I = 5 from two subnormals; 1/I alone overflows, which once dropped w_1
+        r = 5e-310 / 1e-310
+        code, out, err = run_cli(["rotor", "--inertia", "1e-310", "--beta", "5e-310",
+                                  "--format", "json"], capsys)
+        assert (code, err) == (0, "")
+        z0 = math.fsum([1.0] + [2.0 * math.exp(-r * m * m / 2) for m in range(1, 20)])
+        assert json.loads(out)["Z_0"] == pytest.approx(z0, rel=1e-15)
+
+    def test_tiny_inertia_is_truncated_on_beta_over_inertia(self, capsys):
+        # beta/I = 1e-7 leaves a tail of e^{-0.2} at m_cut 2000, although 1/I overflows
+        code, out, err = run_cli(["rotor", "--inertia", "1e-305", "--beta", "1e-312",
+                                  "--m-cut", "2000", "--table", "weights"], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("error[TruncationError]: m_cut=2000 leaves Boltzmann tail "
+                              "8.187e-01")
+
     # beta/I = 1e300: every weight but w_0 is 0.0, so Z = 1 and K = 0 at every angle
     @pytest.mark.parametrize("argv", [["--beta", "1e300"], ["--inertia", "1e-300"]],
                              ids=["beta", "inertia"])
@@ -917,11 +954,13 @@ def _reject_constant(name: str):
 
 @st.composite
 def rotor_scales(draw):
-    """(beta, I), each log-uniform over [1e-300, 1e300]; half the draws put I within 15
-    decades of beta, where most requests are admitted."""
-    beta = draw(st.floats(-300.0, 300.0))
-    near = st.floats(-15.0, 15.0).map(lambda r: min(300.0, max(-300.0, beta + r)))
-    return 10.0 ** beta, 10.0 ** draw(st.one_of(st.floats(-300.0, 300.0), near))
+    """(beta, I), each log-uniform over the positive doubles, 5e-324 to 1.78e308; half
+    the draws put I within 15 decades of beta, where most requests are admitted."""
+    low, high = -323.3, 308.25  # 10 ** low rounds to 5e-324
+    exponents = st.floats(low, high)
+    beta = draw(exponents)
+    near = st.floats(-15.0, 15.0).map(lambda r: min(high, max(low, beta + r)))
+    return 10.0 ** beta, 10.0 ** draw(st.one_of(exponents, near))
 
 
 class TestRotorContract:
