@@ -266,6 +266,9 @@ def _cmd_thermo(args) -> tuple[list[str], list[tuple], dict]:
     row = (spec.family.value, args.method, turns.numerator, turns.denominator,
            angle.denominator, mapped.out_family.value, mapped.multiplicity, beta,
            eff_beta, f * beta ** 4, *derived, entropy)
+    for name, value in zip(_THERMO_FIELDS, row):  # a finite f can still overflow E or s
+        if isinstance(value, float):
+            _check_finite(name, value)
     return _THERMO_FIELDS, [row], {}
 
 

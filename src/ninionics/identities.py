@@ -60,18 +60,18 @@ class IdentityCheck(NamedTuple):
         return abs(self.lhs - self.rhs)
 
 
-def _decay(gamma: float, gamma_floor: float) -> float:
-    """Return e^{-gamma}, checked to lie in (0, 1), for gamma at or above the floor."""
-    if gamma < gamma_floor:
+def _decay(gamma: float) -> float:
+    """Return e^{-gamma}, checked to lie in (0, 1), for gamma at or above GAMMA_FLOOR."""
+    if gamma < GAMMA_FLOOR:
         raise DomainError(
-            f"gamma must be at least {gamma_floor:g}; the m = 0 term diverges at gamma = 0")
+            f"gamma must be at least {GAMMA_FLOOR:g}; the m = 0 term diverges at gamma = 0")
     z = math.exp(-gamma)
     if not 0.0 < z < 1.0:
         raise DomainError(f"e^-gamma = {z!r} must lie strictly between 0 and 1")
     return z
 
 
-def _validate(p: int, q: int, gamma: float, gamma_floor: float) -> float:
+def _validate(p: int, q: int, gamma: float) -> float:
     """Check the inputs of a phase sum, and that its lists fit MEMORY_BUDGET; return
     e^{-gamma}."""
     if q < 1:
@@ -79,7 +79,7 @@ def _validate(p: int, q: int, gamma: float, gamma_floor: float) -> float:
     if math.gcd(p, q) != 1:
         raise DomainError(f"{p}/{q} is not an irreducible fraction")
     check_memory(f"the phase sum at q = {q}", q * _PAIR_BYTES)
-    return _decay(gamma, gamma_floor)
+    return _decay(gamma)
 
 
 def residue_phases(family: str, p: int, q: int) -> tuple[list[int], int]:
@@ -109,10 +109,9 @@ def _half_sum(sign: float, z: float, ks, den: int) -> float:
     return math.fsum([cmath.log(w).real for w in _arguments(sign, z, ks, den)])
 
 
-def boson_phase_sum(p: int, q: int, gamma: float, *,
-                    gamma_floor: float = GAMMA_FLOOR) -> float:
+def boson_phase_sum(p: int, q: int, gamma: float) -> float:
     """(1/2) sum over c = +/-1 and m = 0..q-1 of ln(1 - e^{-gamma + 2 pi i c m p/q})."""
-    z = _validate(p, q, gamma, gamma_floor)
+    z = _validate(p, q, gamma)
     return _half_sum(-1.0, z, *residue_phases("bose", p, q))
 
 
@@ -130,10 +129,9 @@ def check_boson_identity(p: int, q: int, gamma: float) -> IdentityCheck:
                          boson_identity_rhs(q, gamma))
 
 
-def fermion_phase_sum(p: int, q: int, gamma: float, *,
-                      gamma_floor: float = GAMMA_FLOOR) -> float:
+def fermion_phase_sum(p: int, q: int, gamma: float) -> float:
     """(1/2) sum over c = +/-1 and m = 0..q-1 of ln(1 + e^{-gamma + 2 pi i c (m + 1/2) p/q})."""
-    z = _validate(p, q, gamma, gamma_floor)
+    z = _validate(p, q, gamma)
     return _half_sum(1.0, z, *residue_phases("fermi", p, q))
 
 
@@ -189,7 +187,7 @@ def identity_class_sums(family: str, q_max: int,
     if q_max < 1:
         raise DomainError("q_max must be >= 1")
     check_budget(f"an identity scan to q_max {q_max}", _farey_terms_bound(q_max) - 1)
-    z = _decay(gamma, GAMMA_FLOOR)
+    z = _decay(gamma)
     sums = {}
     for q in range(1, q_max + 1):
         # p = 1 is odd; an even p is coprime to q only at odd q > 1

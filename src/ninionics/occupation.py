@@ -200,8 +200,8 @@ _COS_MAP = {
 }
 
 
-def limit_form(family: Family, xi_canonical: float, *, cos_tol: float = 1e-12) -> LevelClass:
-    """Classify a level by cos(xi): {1, 0, -1} give classical forms, else ninion.
+def limit_form(family: Family, xi_canonical: float) -> LevelClass:
+    """Classify a level by cos(xi): {1, 0, -1} within 1e-12 give classical forms, else ninion.
 
     The classification is the one induced by the occupation formula itself:
     cos(xi) = 0 halves the temperature of the surviving form, cos(xi) = -1
@@ -209,7 +209,7 @@ def limit_form(family: Family, xi_canonical: float, *, cos_tol: float = 1e-12) -
     """
     c = math.cos(xi_canonical)
     for target in (1, 0, -1):
-        if abs(c - target) <= cos_tol:
+        if abs(c - target) <= 1e-12:
             return _COS_MAP[(family, target)]
     return LevelClass(StatLabel.NINION, 1)
 

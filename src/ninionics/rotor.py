@@ -2,19 +2,19 @@
 
 Z(beta, chi) = sum_m e^{i chi m} w_m with w_m = e^{-beta E_m} and E_m = m^2 / (2 I)
 realizes the twisted partition function concretely. The rotor is the untruncated
-one: m_cut is a numerical cutoff, and TruncationError refuses one whose tail weight
-is not below TAIL_BOUND. For integer phases Z is real and even in chi; the
-half-integer variant is e^{i chi/2} times it. By Jacobi's imaginary transformation
-(DLMF 20.7(viii)), Z(chi) = sqrt(2 pi I / beta) sum_k e^{-I (chi - 2 pi k)^2 / (2 beta)},
-a sum of positive terms, so Z > 0 at every chi. ln Z is summed on whichever side, that
-one or the direct sum over the support, has fewer terms (at most about 23), and the
-generating function K = -ln(Z(chi)/Z(0)) is ln Z(0) - ln Z(chi): finite where Z
-underflows to 0.0. The weights R(m) are the Fourier inversion of Z on the grid
-chi_j = -pi + 2 pi j / n, cosine sums exactly rounded by math.fsum over the support S,
-the largest m <= m_cut with w_m > 0.0 in double precision: O(n S) time. A request
-whose estimated memory exceeds MEMORY_BUDGET, an inversion whose predicted terms
-exceed TERM_BUDGET, or a Z/K table over ROW_BUDGET rows is refused before any weight
-is computed.
+one: m_cut, at most 4194303, is a numerical cutoff, and TruncationError refuses one
+whose tail weight is not below TAIL_BOUND. For integer phases Z is real and even in
+chi; the half-integer variant is e^{i chi/2} times it. By Jacobi's imaginary
+transformation (DLMF 20.7(viii)), Z = sqrt(2 pi I / beta) sum_k e^{-I (chi - 2 pi k)^2 /
+(2 beta)}, a sum of positive terms, so Z > 0 at every chi. ln Z is summed on whichever
+side, that one or the direct sum over the support, has fewer terms (at most about 23),
+and K = -ln(Z(chi)/Z(0)) is ln Z(0) - ln Z(chi): finite where Z underflows to 0.0. The
+weights R(m) are the Fourier inversion of Z on its one exact grid chi_j = -pi +
+2 pi j / n, n = 2 S + 1: cosine sums exactly rounded by math.fsum over the support S,
+the largest m <= m_cut with w_m > 0.0 in double precision, in O(S^2) time. A weights
+request whose estimated memory exceeds errors.MEMORY_BUDGET, an inversion whose
+predicted terms exceed TERM_BUDGET, or a Z/K table over ROW_BUDGET rows is refused
+before any weight is computed.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from math import cos, fsum, sin
 from operator import mul
 from typing import Iterator, NamedTuple
 
-from .errors import MEMORY_BUDGET, DomainError, TruncationError, check_budget, check_memory
+from .errors import DomainError, TruncationError, check_budget, check_memory
 
 __all__ = [
     "RotorSpec",
@@ -37,7 +37,6 @@ __all__ = [
     "zk_table",
     "shift_eigenphase_check",
     "TAIL_BOUND",
-    "MEMORY_BUDGET",
     "TERM_BUDGET",
 ]
 
@@ -47,16 +46,12 @@ TAIL_BOUND = 1e-14
 # 2235 levels, the widest admitted on the default grid, and 535 ns on one of 38 (its
 # table reads miss the cache). The Z/K table sums no such products: ROW_BUDGET bounds it.
 TERM_BUDGET = 10_000_000
-# Bytes per level and per grid point of the weights inversion, from tracemalloc peaks:
-# per level one weights-dict entry (88-119 B at m_cut 1e3-1e6), per point a cosine-table
-# entry and a half-grid sum (61-75 B at n = 2e3-1e5). The point figure is above that: it
-# is kept from when the Z/K table held its rows, so the budget admits the same weights
-# requests. The Z/K table holds nothing per angle and counts no points. The default
-# weights grid counts as 2 m_cut + 1 points; on a full support, where it has that many,
-# the weights took 164 B per level.
-_LEVEL_BYTES = 128
-_POINT_BYTES = 256
-_MAX_M_CUT = (MEMORY_BUDGET // _LEVEL_BYTES - 1) // 2  # largest bare Z that fits
+# Bytes per level of the weights inversion, from tracemalloc peaks: a weights-dict entry
+# (88-119 B at m_cut 1e3-1e6) and, per point of its grid of 2 S + 1, a cosine-table entry
+# and a half-grid sum (61-75 B at n = 2e3-1e5); 164 B per level on a full support. 384 B,
+# 128 per level and 256 per point, admits m_cut up to 1398100.
+_LEVEL_BYTES = 384
+_MAX_M_CUT = 2 ** 22 - 1  # the largest m_cut accepted; _check_request says why
 # e^{-x} is 0.0 in double precision for every x above about 745.13, so beta E_m < 746
 # holds on the whole support
 _EXP_UNDERFLOW = 746.0
@@ -88,16 +83,16 @@ class RotorSpec(_RotorFields):
         return m * m / (2.0 * self.inertia)
 
 
-def _check_request(spec: RotorSpec, beta: float, grid_points: int = 0) -> float:
-    """Refuse a request before anything is allocated: over budget, beta, tail.
+def _check_request(spec: RotorSpec, beta: float) -> float:
+    """Refuse a request before anything is allocated: m_cut range, beta, tail.
 
     Returns r = beta / I, inf past the double range; every later step reads only r, so
-    a huge or tiny beta or I overflows nothing that r does not. Z and K hold nothing
-    per level, but the level budget still bounds their m_cut: past the truncation
-    check it keeps r >= 3.7e-12, so K(pi) = pi^2 / (2 r) stays below 1.4e12.
+    a huge or tiny beta or I overflows nothing that r does not. Z and K allocate nothing
+    per level, so memory does not bound m_cut; the range does, because past the
+    truncation check it keeps r >= 3.7e-12, so K(pi) = pi^2 / (2 r) stays below 1.4e12.
     """
-    check_memory(f"m_cut={spec.m_cut} with {grid_points} grid points",
-                 _LEVEL_BYTES * (2 * spec.m_cut + 1) + _POINT_BYTES * grid_points)
+    if spec.m_cut > _MAX_M_CUT:
+        raise DomainError(f"m_cut must be at most {_MAX_M_CUT}")
     if not beta > 0.0:
         raise DomainError("beta must be positive")
     r = beta / spec.inertia
@@ -106,7 +101,7 @@ def _check_request(spec: RotorSpec, beta: float, grid_points: int = 0) -> float:
         # a float product: inf on overflow, never an exception
         need_sq = 2.0 * math.log(1.0 / TAIL_BOUND) * (spec.inertia / beta)
         if need_sq >= _MAX_M_CUT ** 2:
-            hint = f"no m_cut within the memory budget (at most {_MAX_M_CUT}) suffices"
+            hint = f"no m_cut up to {_MAX_M_CUT} suffices"
         else:
             hint = f"need m_cut >= {math.isqrt(int(need_sq)) + 1}"
         raise TruncationError(
@@ -194,41 +189,33 @@ def partition_rotwisted(spec: RotorSpec, beta: float, chi: float,
     return z * cmath.exp(0.5j * chi) if half_shift else complex(z, 0.0)
 
 
-def angular_distribution(spec: RotorSpec, beta: float,
-                         n_grid: int | None = None) -> dict[int, float]:
+def angular_distribution(spec: RotorSpec, beta: float) -> dict[int, float]:
     """Angular-momentum weights R(m) by Fourier inversion of Z(chi)/Z(0).
 
     Z is sampled on the equispaced grid chi_j = -pi + 2 pi j / n over (-pi, pi],
     and R(m) = (-1)^m / (n Z(0)) sum_j Z_j cos(2 pi j m / n), dividing by n Z(0)
     last. The trapezoid rule is exact for the truncated Z, a trigonometric
-    polynomial of degree S, provided the grid has at least 2 S + 1 points. The
-    default grid is the smallest, 2 S + 1; a caller's n_grid must have at least
-    2 m_cut + 1. R(m) is exactly 0.0 for S < |m| <= m_cut, and R(-m) is R(m).
-    Time is O(n S). The weights are the same under the half-integer phases, whose
-    shift multiplies Z by e^{i chi/2}, which the inversion strips.
+    polynomial of degree S, on a grid of 2 S + 1 points, the one taken. R(m) is
+    exactly 0.0 for S < |m| <= m_cut, and R(-m) is R(m). Time is O(S^2). The weights
+    are the same under the half-integer phases, whose shift multiplies Z by
+    e^{i chi/2}, which the inversion strips.
     """
     m_cut = spec.m_cut
-    if n_grid is not None and n_grid < 2 * m_cut + 1:
-        raise DomainError(
-            f"a {n_grid}-point angle grid aliases band limit {m_cut}; "
-            f"need >= {2 * m_cut + 1}")
-    r = _check_request(spec, beta, n_grid or 2 * m_cut + 1)
+    check_memory(f"m_cut={m_cut} with {2 * m_cut + 1} grid points",
+                 _LEVEL_BYTES * (2 * m_cut + 1))
+    r = _check_request(spec, beta)
     support_sq = 2.0 * _EXP_UNDERFLOW / r  # w_m is 0.0 past its root
     bound = m_cut if support_sq >= m_cut * m_cut else math.isqrt(int(support_sq))
-    n = n_grid or 2 * bound + 1
-    check_budget(f"m_cut={m_cut} on {n} grid points", 2 * (n // 2 + 1) * (bound + 1),
+    check_budget(f"m_cut={m_cut} on {2 * bound + 1} grid points", 2 * (bound + 1) ** 2,
                  TERM_BUDGET, "ninionics.rotor.TERM_BUDGET", "terms", "sums")
     weights = _support_weights(r, m_cut)
     folded = [weights[0], *[2.0 * w for w in weights[1:]]]  # levels m and -m together
     support = len(folded) - 1
-    n = n_grid or 2 * support + 1
-    # Z_j at chi_j, j <= n/2: e^{i chi_j m} = (-1)^m e^{2 pi i j m / n}, Z is even in chi
-    z = _cosine_sums([-c if k % 2 else c for k, c in enumerate(folded)], n, n // 2 + 1)
-    # Z_{n-j} = Z_j: fold the sum over j onto j <= n/2
-    paired = [2.0 * zj for zj in z]
-    paired[0] = z[0]
-    if n % 2 == 0:
-        paired[-1] = z[-1]
+    n = 2 * support + 1
+    # Z_j at chi_j, j <= S: e^{i chi_j m} = (-1)^m e^{2 pi i j m / n}, Z is even in chi
+    z = _cosine_sums([-c if k % 2 else c for k, c in enumerate(folded)], n, support + 1)
+    # Z_{n-j} = Z_j: fold the sum over j onto j <= S
+    paired = [z[0], *[2.0 * zj for zj in z[1:]]]
     z0 = fsum(folded)
     sums = _cosine_sums(paired, n, support + 1)
     right = [(-s if m % 2 else s) / n / z0 for m, s in enumerate(sums)]

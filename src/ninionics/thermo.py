@@ -236,11 +236,10 @@ def consistency_residuals(tq: ThermoQuantities) -> tuple[float, float]:
             abs(tq.entropy - tq.beta * (tq.energy + tq.pressure)))
 
 
-def energy_from_free_energy(f_of_beta: Callable[[float], float], beta: float,
-                            rel_step: float = 1e-5) -> float:
-    """Energy density d(beta f)/d(beta) by central difference with step beta*rel_step."""
+def energy_from_free_energy(f_of_beta: Callable[[float], float], beta: float) -> float:
+    """Energy density d(beta f)/d(beta) by central difference with step 1e-5 beta."""
     _check_beta(beta)
-    h = beta * rel_step
+    h = beta * 1e-5
     return ((beta + h) * f_of_beta(beta + h) - (beta - h) * f_of_beta(beta - h)) / (2.0 * h)
 
 

@@ -1,8 +1,11 @@
-"""The benchmark's output gate, run in process on every launch of its three workloads.
+"""The benchmark's output gate and its traced replay, run in process on every launch of
+its three workloads.
 
 `bench/check.py` checks each launch's output against a reference computed without
 ninionics, at the tolerance of the matching acceptance criterion (the rotor's Z and K
-to 1e-12, for one). A change that would fail that gate fails here first. Both bench
+to 1e-12, for one). `bench/tracechild.py` replays each launch's library calls for the
+traced run (`--trace 1`), so a name or parameter it uses that the package lost fails
+here, not only there. A change that would fail either fails here first. The bench
 files are imported by path; the oracle probes, which the benchmark runs only to report
 their error, are left out.
 """
@@ -28,7 +31,7 @@ def load(name: str):
     return module
 
 
-check, workloads = load("check"), load("workloads")
+check, tracechild, workloads = load("check"), load("tracechild"), load("workloads")
 LAUNCHES = {f"{name}-{i}-{launch.kind}": launch for name in workloads.WORKLOADS
             for i, launch in enumerate(workloads.build(name, workloads.DEFAULT_SEED))}
 
@@ -40,3 +43,9 @@ def test_output_passes_the_bench_check(key):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         assert main(launch.argv) == 0
     check.check(launch, out.getvalue().encode())
+
+
+@pytest.mark.parametrize("key", list(LAUNCHES))
+def test_traced_replay_runs(key):
+    launch = LAUNCHES[key]
+    tracechild._replay(tracechild.Recorder("test"), launch.kind, launch.params)

@@ -93,21 +93,6 @@ def test_every_exported_name_resolves_lazily_to_its_object():
     assert (fractal_again, thermo_again) == (fractal, thermo)
 
 
-def test_traced_bench_calls_only_names_that_exist():
-    # bench/tracechild.py replays the CLI's layer calls; a name it uses that the
-    # package no longer has breaks only the traced bench run
-    modules = {module.__name__.rpartition(".")[2]: module
-               for module in (fractal, identities, occupation, rationals, rotor, thermo)}
-    path = Path(__file__).resolve().parents[1] / "bench" / "tracechild.py"
-    tree = ast.parse(path.read_text(), filename=str(path))
-    used = {(node.value.id, node.attr) for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-            and node.value.id in modules}
-    assert ("thermo", "free_energy_quadrature") in used
-    missing = sorted(f"{mod}.{name}" for mod, name in used if not hasattr(modules[mod], name))
-    assert missing == [], f"bench/tracechild.py uses names the package lacks: {missing}"
-
-
 # one factory per record type; each call builds an equal record, a new object
 RECORDS = {
     "StatAngle": lambda: rationals.StatAngle(Fraction(2, 7)),

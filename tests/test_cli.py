@@ -291,6 +291,19 @@ class TestThermoCommand:
         assert err == (f"error[DomainError]: the closed free energy f is {f}; every value "
                        "in the table must be finite\n")
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("argv", [
+        ["--beta", "0.5", "--degeneracy", "1e308"],
+        ["--beta", "1.19e-31", "--degeneracy", "1.44e185"],
+    ], ids=["degeneracy-1e308", "beta-1.19e-31"])
+    def test_overflowing_column_is_refused(self, capsys, argv, fmt):
+        # f is finite, but -3 f and -4 f overflow: JSON would print them as Infinity
+        code, out, err = run_cli(["thermo", "--family", "bose", "--chi", "1", *argv,
+                                  "--format", fmt], capsys)
+        assert (code, out) == (1, "")
+        assert err == ("error[DomainError]: beta4_energy is inf; every value in the table "
+                       "must be finite\n")
+
     def test_massless_entropy_is_empty_at_nonzero_mu(self, capsys):
         # the entropy is beta (E + P - mu n), not 4 beta P, once mu != 0; E = 3P still holds
         code, out, _ = run_cli(["thermo", "--family", "fermi", "--mu", "3", "--method",
@@ -842,13 +855,46 @@ class TestRotorCommand:
         code, _, err = run_cli(["rotor", *argv], capsys)
         assert code == 1
         assert err.startswith("error[TruncationError]")
-        assert "no m_cut within the memory budget" in err
+        assert err.endswith("; no m_cut up to 4194303 suffices\n")
         assert len(err) < 200
 
     def test_oversized_request_is_refused(self, capsys):
-        code, _, err = run_cli(["rotor", "--m-cut", "1000000000"], capsys)
-        assert code == 1
-        assert re.match(r"error\[DomainError\]: .* needs an estimated [\d.e+]+ MiB", err)
+        for m_cut in ["4194304", "1000000000", HUGE]:  # 4194304 is the first past the range
+            start = time.perf_counter()
+            code, out, err = run_cli(["rotor", "--m-cut", m_cut], capsys)
+            assert time.perf_counter() - start < 0.5
+            assert (code, out) == (1, "")
+            assert err == "error[DomainError]: m_cut must be at most 4194303\n"
+
+    def test_largest_m_cut_prints_the_unit_ratio_table(self, capsys):
+        # Z and K do not read m_cut once the truncation check passes
+        code, out, err = run_cli(["rotor", "--m-cut", "4194303", "--chi-points", "8"], capsys)
+        assert (code, err) == (0, "")
+        assert out == (
+            "chi,z_real,z_imag,k_real,k_imag\n"
+            "-2.356194490192345,0.157280953603328,0.0,2.7686600980635223,0.0\n"
+            "-1.5707963267948966,0.7300003283226455,0.0,1.2336488336380014,0.0\n"
+            "-0.7853981633974483,1.8413771958851126,0.0,0.3084247708783252,0.0\n"
+            "0.0,2.5066282880429056,0.0,0.0,0.0\n"
+            "0.7853981633974483,1.8413771958851126,0.0,0.3084247708783252,0.0\n"
+            "1.5707963267948966,0.7300003283226455,0.0,1.2336488336380014,0.0\n"
+            "2.356194490192345,0.157280953603328,0.0,2.7686600980635223,0.0\n"
+            "3.141592653589793,0.0360547563351249,0.0,4.2416550253353105,0.0\n")
+
+    # the weights' memory gate admits m_cut 1398100 and refuses 1398101; at beta 1e-6
+    # the term budget then refuses the admitted one, before any weight
+    @pytest.mark.parametrize("m_cut, message", [
+        ("1398100", "m_cut=1398100 on 77253 grid points sums an estimated 2.984e+09 terms, "
+                    "over the budget of 10000000 terms (ninionics.rotor.TERM_BUDGET)"),
+        ("1398101", "m_cut=1398101 with 2796203 grid points needs an estimated 1024 MiB, "
+                    "over the 1024 MiB memory budget (ninionics.errors.MEMORY_BUDGET)"),
+    ], ids=["term-budget", "memory-budget"])
+    def test_weights_memory_gate_edge(self, capsys, m_cut, message):
+        start = time.perf_counter()
+        code, out, err = run_cli(["rotor", "--table", "weights", "--beta", "1e-6",
+                                  "--m-cut", m_cut], capsys)
+        assert time.perf_counter() - start < 0.5
+        assert (code, out, err) == (1, "", f"error[DomainError]: {message}\n")
 
     @pytest.mark.parametrize("argv", [
         ["--m-cut", "100000", "--beta", "1e-6", "--table", "weights"],
@@ -952,14 +998,48 @@ def _reject_constant(name: str):
     raise ValueError(f"JSON output holds {name}")
 
 
+def run_contract(argv):
+    """Run the CLI in process: exit 0 returns stdout; exit 1 must write one error line
+    and nothing on stdout, and returns None."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1)
+    if code == 1:
+        assert out == "" and re.fullmatch(r"error\[\w+\]: [^\n]+\n", err)
+        return None
+    return out
+
+
+def numeric_cells(out, fmt):
+    """Every number in a table, JSON parsed with NaN and Infinity refused."""
+    if fmt == "json":
+        rows = json.loads(out, parse_constant=_reject_constant)["rows"]
+        return [v for row in rows for v in row.values() if isinstance(v, float)]
+    cells = []
+    for row in read_csv(out):
+        for text in row.values():
+            with contextlib.suppress(ValueError):
+                cells.append(float(text))
+    return cells
+
+
+LOG_LOW, LOG_HIGH = -323.3, 308.25  # 10 ** LOG_LOW rounds to 5e-324, the least double
+POSITIVE_DOUBLES = st.floats(LOG_LOW, LOG_HIGH).map(lambda e: 10.0 ** e)
+
+
+def _clip(exponent):
+    return min(LOG_HIGH, max(LOG_LOW, exponent))
+
+
 @st.composite
 def rotor_scales(draw):
     """(beta, I), each log-uniform over the positive doubles, 5e-324 to 1.78e308; half
     the draws put I within 15 decades of beta, where most requests are admitted."""
-    low, high = -323.3, 308.25  # 10 ** low rounds to 5e-324
-    exponents = st.floats(low, high)
+    exponents = st.floats(LOG_LOW, LOG_HIGH)
     beta = draw(exponents)
-    near = st.floats(-15.0, 15.0).map(lambda r: min(high, max(low, beta + r)))
+    near = st.floats(-15.0, 15.0).map(lambda r: _clip(beta + r))
     return 10.0 ** beta, 10.0 ** draw(st.one_of(exponents, near))
 
 
@@ -968,19 +1048,15 @@ class TestRotorContract:
     line and nothing on stdout; JSON never holds NaN or Infinity."""
 
     @settings(max_examples=200, deadline=None)
-    @given(rotor_scales(), st.integers(1, 10_000), st.integers(1, 64), st.booleans(),
-           st.sampled_from(["csv", "json"]))
+    @given(rotor_scales(),
+           st.one_of(st.integers(1, 10_000), st.sampled_from([4194303, 4194304, int(HUGE)])),
+           st.integers(1, 64), st.booleans(), st.sampled_from(["csv", "json"]))
     def test_exit_and_k(self, scales, m_cut, points, half_shift, fmt):
         beta, inertia = scales
         argv = ["rotor", "--beta", repr(beta), "--inertia", repr(inertia), "--m-cut",
                 str(m_cut), "--chi-points", str(points), "--format", fmt]
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv + ["--half-shift"] * half_shift)
-        out, err = out.getvalue(), err.getvalue()
-        assert code in (0, 1)
-        if code == 1:
-            assert out == "" and re.fullmatch(r"error\[\w+\]: [^\n]+\n", err)
+        out = run_contract(argv + ["--half-shift"] * half_shift)
+        if out is None:
             return
         if fmt == "json":
             ks = [row["k_real"] for row in json.loads(out, parse_constant=_reject_constant)["rows"]]
@@ -988,6 +1064,45 @@ class TestRotorContract:
             ks = [float(row["k_real"]) for row in read_csv(out)]
         assert len(ks) == points
         assert all(math.isfinite(k) and k >= 0.0 for k in ks)
+
+
+@st.composite
+def thermo_scales(draw):
+    """(beta, degeneracy, p, q): beta and the degeneracy log-uniform over the positive
+    doubles, chi = p/q with q up to 10^6. Half the draws put beta in [1e-77, 1e77], which
+    thermo accepts, and half put the degeneracy within a decade of where
+    |f| = g pi^2 / (90 (q beta)^4) overflows, so that -3 f or -4 f may overflow."""
+    beta = draw(st.one_of(st.floats(LOG_LOW, LOG_HIGH), st.floats(-77.0, 77.0)))
+    q = draw(st.integers(1, 10 ** 6))
+    p = draw(st.integers(-q, q))
+    edge = LOG_HIGH + 4.0 * (beta + math.log10(q // math.gcd(p, q))) + math.log10(90 / PI_SQ)
+    near = st.floats(-1.0, 1.0).map(lambda r: _clip(edge + r))
+    degeneracy = draw(st.one_of(st.floats(LOG_LOW, LOG_HIGH), near))
+    return 10.0 ** beta, 10.0 ** degeneracy, p, q
+
+
+class TestThermoWallsContract:
+    """Every `thermo --method closed` and `walls` request exits 0 with every numeric
+    cell finite, or 1 with one error line and nothing on stdout."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(thermo_scales(), st.sampled_from(["bose", "fermi"]),
+           st.sampled_from(["csv", "json"]))
+    def test_thermo_closed(self, scales, family, fmt):
+        beta, degeneracy, p, q = scales
+        out = run_contract(["thermo", "--method", "closed", "--family", family, "--beta",
+                            repr(beta), "--degeneracy", repr(degeneracy), "--chi", f"{p}/{q}",
+                            "--format", fmt])
+        if out is not None:
+            assert all(map(math.isfinite, numeric_cells(out, fmt)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(POSITIVE_DOUBLES, st.booleans(), st.sampled_from(["csv", "json"]))
+    def test_walls(self, beta, rotating, fmt):
+        out = run_contract(["walls", "--beta", repr(beta), "--format", fmt]
+                           + ["--rotating"] * rotating)
+        if out is not None:
+            assert all(map(math.isfinite, numeric_cells(out, fmt)))
 
 
 class TestDeterminism:
