@@ -365,12 +365,13 @@ def _cmd_nogo(args) -> tuple[list[str], list[tuple], dict]:
         m_indices = args.m_indices or range(args.prime_index + 1,
                                             args.prime_index + 1 + args.count)
         probe = fractal.prime_sequence_probe(args.prime_index, m_indices, mode)
+    # the Fermi branch depends on p/q only through the parity of p + q: 0 at 1/1, 1 at 0/1
+    branches = [(mapped.out_family.value, mapped.multiplicity)
+                for mapped in map(thermo.fermion_equivalence, (1, 0), (1, 1))]
     rows = []
     for turns, ratio in probe.points:
         p, q = turns.numerator, turns.denominator
-        mapped = thermo.fermion_equivalence(p, q)
-        rows.append((p, q, float(turns), q, float(ratio),
-                     mapped.out_family.value, mapped.multiplicity,
+        rows.append((p, q, float(turns), q, float(ratio), *branches[(p + q) % 2],
                      abs(float(turns) - probe.target)))
     extras = {"mode": args.mode, "target": probe.target,
               "limit_estimate": probe.limit_estimate, "notices": probe.notices}
@@ -383,7 +384,7 @@ def _cmd_rotor(args) -> tuple[list[str], list[tuple], dict]:
     from . import rotor
     spec = rotor.RotorSpec(args.inertia, args.m_cut)
     if args.table == "weights":
-        fields, rows = ["m", "weight"], sorted(rotor.angular_distribution(spec, args.beta).items())
+        fields, rows = ["m", "weight"], rotor.angular_distribution(spec, args.beta).items()
     else:
         fields = ["chi", "z_real", "z_imag", "k_real", "k_imag"]
         rows = rotor.zk_table(spec, args.beta, args.chi_points, args.half_shift)

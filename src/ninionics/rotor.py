@@ -9,9 +9,9 @@ transformation (DLMF 20.7(viii)), Z = sqrt(2 pi I / beta) sum_k e^{-I (chi - 2 p
 (2 beta)}, a sum of positive terms, so Z > 0 at every chi. ln Z is summed on whichever
 side, that one or the direct sum over the support, has fewer terms (at most about 23),
 and K = -ln(Z(chi)/Z(0)) is ln Z(0) - ln Z(chi): finite where Z underflows to 0.0. The
-weights R(m) are the Fourier inversion of Z on its one exact grid chi_j = -pi +
-2 pi j / n, n = 2 S + 1: cosine sums exactly rounded by math.fsum over the support S,
-the largest m <= m_cut with w_m > 0.0 in double precision, in O(S^2) time. A weights
+weights R(m) are the Fourier inversion of that Z on its one exact grid chi_j = -pi +
+2 pi j / n, n = 2 S + 1, S the largest m <= m_cut with w_m > 0.0 in double precision:
+one pass of cosine sums, each exactly rounded by math.fsum, in O(S^2) time. A weights
 request whose estimated memory exceeds errors.MEMORY_BUDGET, an inversion whose
 predicted terms exceed TERM_BUDGET, or a Z/K table over ROW_BUDGET rows is refused
 before any weight is computed.
@@ -41,10 +41,10 @@ __all__ = [
 ]
 
 TAIL_BOUND = 1e-14
-# Products a_k cos(...) the weights inversion may sum: grid points summed times support
-# levels, per pass. At the budget's edge the kernel took 227 ns per term on a support of
-# 2235 levels, the widest admitted on the default grid, and 535 ns on one of 38 (its
-# table reads miss the cache). The Z/K table sums no such products: ROW_BUDGET bounds it.
+# Products a_k cos(...) the weights inversion may sum: (S + 1)^2 on a support of S
+# levels, its one pass. At the budget's edge, S = 3161, the weights took 2.56 s in
+# process on a 2-core Xeon VM, 256 ns per term; at S = 38, 0.4-0.9 ms. The Z/K table
+# sums no such products: ROW_BUDGET bounds it.
 TERM_BUDGET = 10_000_000
 # Bytes per level of the weights inversion, from tracemalloc peaks: a weights-dict entry
 # (88-119 B at m_cut 1e3-1e6) and, per point of its grid of 2 S + 1, a cosine-table entry
@@ -114,17 +114,6 @@ def _check_chi(chi: float) -> None:
         raise DomainError(f"chi must be finite, got {chi!r}")
 
 
-def _support_weights(r: float, m_cut: int) -> list[float]:
-    """w_m = e^{-r m^2 / 2} for m = 0..S; every later weight is exactly 0.0."""
-    weights = [1.0]
-    for m in range(1, m_cut + 1):
-        w = math.exp(-r * (m * m) / 2.0)
-        if w == 0.0:
-            break
-        weights.append(w)
-    return weights
-
-
 def _cosine_table(n: int) -> list[float]:
     """cos(2 pi k / n) for k in range(n), with entry n - k equal to entry k.
 
@@ -142,8 +131,8 @@ def _cosine_table(n: int) -> list[float]:
     return half + half[(n - 1) // 2:0:-1]
 
 
-def _cosine_sums(a: list[float], n: int, count: int) -> list[float]:
-    """fsum over k of a[k] cos(2 pi j k / n), exactly rounded, for j in range(count).
+def _cosine_sums(a: list[float], n: int) -> list[float]:
+    """fsum over k of a[k] cos(2 pi j k / n), exactly rounded, for j in range(len(a)).
 
     The cosine at j k is read from the table at j k mod n, so the phase error does
     not grow with k. The table is symmetric, entry n - k being entry k, so the sums
@@ -152,7 +141,7 @@ def _cosine_sums(a: list[float], n: int, count: int) -> list[float]:
     cosine = _cosine_table(n).__getitem__
     last = len(a) - 1
     return [fsum(map(mul, a, map(cosine, map(n.__rmod__, range(0, j * last + 1, j)))))
-            if j else fsum(a) for j in range(count)]
+            if j else fsum(a) for j in range(len(a))]
 
 
 def _ln_z(r: float, chi: float) -> float:
@@ -190,35 +179,34 @@ def partition_rotwisted(spec: RotorSpec, beta: float, chi: float,
 
 
 def angular_distribution(spec: RotorSpec, beta: float) -> dict[int, float]:
-    """Angular-momentum weights R(m) by Fourier inversion of Z(chi)/Z(0).
+    """Angular-momentum weights R(m) by Fourier inversion of Z(chi)/Z(0), keyed by m
+    in ascending order from -m_cut to m_cut.
 
     Z is sampled on the equispaced grid chi_j = -pi + 2 pi j / n over (-pi, pi],
-    and R(m) = (-1)^m / (n Z(0)) sum_j Z_j cos(2 pi j m / n), dividing by n Z(0)
-    last. The trapezoid rule is exact for the truncated Z, a trigonometric
-    polynomial of degree S, on a grid of 2 S + 1 points, the one taken. R(m) is
-    exactly 0.0 for S < |m| <= m_cut, and R(-m) is R(m). Time is O(S^2). The weights
-    are the same under the half-integer phases, whose shift multiplies Z by
-    e^{i chi/2}, which the inversion strips.
+    each Z_j and Z(0) from the one ln Z, and R(m) = (-1)^m / (n Z(0)) sum_j Z_j
+    cos(2 pi j m / n), dividing by n Z(0) last. The trapezoid rule is exact for a
+    trigonometric polynomial of degree S on a grid of 2 S + 1 points, the one taken;
+    the levels past S, which that Z holds, alias in below TAIL_BOUND. R(m) is exactly
+    0.0 for S < |m| <= m_cut, and R(-m) is R(m). Time is O(S^2). The weights are the
+    same under the half-integer phases, whose shift multiplies Z by e^{i chi/2}, which
+    the inversion strips.
     """
     m_cut = spec.m_cut
     check_memory(f"m_cut={m_cut} with {2 * m_cut + 1} grid points",
                  _LEVEL_BYTES * (2 * m_cut + 1))
     r = _check_request(spec, beta)
     support_sq = 2.0 * _EXP_UNDERFLOW / r  # w_m is 0.0 past its root
-    bound = m_cut if support_sq >= m_cut * m_cut else math.isqrt(int(support_sq))
-    check_budget(f"m_cut={m_cut} on {2 * bound + 1} grid points", 2 * (bound + 1) ** 2,
-                 TERM_BUDGET, "ninionics.rotor.TERM_BUDGET", "terms", "sums")
-    weights = _support_weights(r, m_cut)
-    folded = [weights[0], *[2.0 * w for w in weights[1:]]]  # levels m and -m together
-    support = len(folded) - 1
+    support = m_cut if support_sq >= m_cut * m_cut else math.isqrt(int(support_sq))
+    while math.exp(-r * (support * support) / 2.0) == 0.0:  # e^{-x} is 0.0 past 745.13
+        support -= 1
     n = 2 * support + 1
-    # Z_j at chi_j, j <= S: e^{i chi_j m} = (-1)^m e^{2 pi i j m / n}, Z is even in chi
-    z = _cosine_sums([-c if k % 2 else c for k, c in enumerate(folded)], n, support + 1)
-    # Z_{n-j} = Z_j: fold the sum over j onto j <= S
+    check_budget(f"m_cut={m_cut} on {n} grid points", (support + 1) ** 2,
+                 TERM_BUDGET, "ninionics.rotor.TERM_BUDGET", "terms", "sums")
+    # Z_j at |chi_j| = pi (n - 2 j) / n for j <= S; Z_{n-j} = Z_j, so fold j onto j <= S
+    z = [math.exp(_ln_z(r, math.pi * (n - 2 * j) / n)) for j in range(support + 1)]
     paired = [z[0], *[2.0 * zj for zj in z[1:]]]
-    z0 = fsum(folded)
-    sums = _cosine_sums(paired, n, support + 1)
-    right = [(-s if m % 2 else s) / n / z0 for m, s in enumerate(sums)]
+    z0 = math.exp(_ln_z(r, 0.0))
+    right = [(-s if m % 2 else s) / n / z0 for m, s in enumerate(_cosine_sums(paired, n))]
     right += [0.0] * (m_cut - support)
     return dict(zip(range(-m_cut, m_cut + 1), right[:0:-1] + right))
 

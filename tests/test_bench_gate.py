@@ -5,9 +5,10 @@ its three workloads.
 ninionics, at the tolerance of the matching acceptance criterion (the rotor's Z and K
 to 1e-12, for one). `bench/tracechild.py` replays each launch's library calls for the
 traced run (`--trace 1`), so a name or parameter it uses that the package lost fails
-here, not only there. A change that would fail either fails here first. The bench
-files are imported by path; the oracle probes, which the benchmark runs only to report
-their error, are left out.
+here, not only there; the rotor inversion's error, a per-layer metric, is held to
+1e-12. A change that would fail either fails here first. The bench files are imported
+by path; the oracle probes, which the benchmark runs only to report their error, are
+left out.
 """
 
 import contextlib
@@ -48,4 +49,10 @@ def test_output_passes_the_bench_check(key):
 @pytest.mark.parametrize("key", list(LAUNCHES))
 def test_traced_replay_runs(key):
     launch = LAUNCHES[key]
-    tracechild._replay(tracechild.Recorder("test"), launch.kind, launch.params)
+    recorder = tracechild.Recorder("test")
+    tracechild._replay(recorder, launch.kind, launch.params)
+    if launch.kind == "rotor_weights":
+        # the inversion's error against the Boltzmann weights, as the traced run reports it
+        errors = [span["counts"]["inversion_max_abs_err"] for span in recorder.spans
+                  if span["name"] == "rotor.angular_distribution"]
+        assert len(errors) == 1 and errors[0] <= 1e-12

@@ -882,9 +882,10 @@ class TestRotorCommand:
             "3.141592653589793,0.0360547563351249,0.0,4.2416550253353105,0.0\n")
 
     # the weights' memory gate admits m_cut 1398100 and refuses 1398101; at beta 1e-6
-    # the term budget then refuses the admitted one, before any weight
+    # the term budget then refuses the admitted one, before any weight: its support is
+    # S = 38603 levels, so the one cosine pass sums (S + 1)^2 terms on 2 S + 1 points
     @pytest.mark.parametrize("m_cut, message", [
-        ("1398100", "m_cut=1398100 on 77253 grid points sums an estimated 2.984e+09 terms, "
+        ("1398100", "m_cut=1398100 on 77207 grid points sums an estimated 1.49e+09 terms, "
                     "over the budget of 10000000 terms (ninionics.rotor.TERM_BUDGET)"),
         ("1398101", "m_cut=1398101 with 2796203 grid points needs an estimated 1024 MiB, "
                     "over the 1024 MiB memory budget (ninionics.errors.MEMORY_BUDGET)"),
@@ -896,9 +897,24 @@ class TestRotorCommand:
         assert time.perf_counter() - start < 0.5
         assert (code, out, err) == (1, "", f"error[DomainError]: {message}\n")
 
+    def test_widest_support_under_the_term_budget_prints(self, capsys):
+        # S = m_cut = 3000 at beta 1e-4: (S + 1)^2 = 9.0e6 terms, under TERM_BUDGET
+        code, out, err = run_cli(["rotor", "--table", "weights", "--m-cut", "3000",
+                                  "--beta", "1e-4"], capsys)
+        assert (code, err) == (0, "")
+        rows = [(int(row["m"]), float(row["weight"])) for row in read_csv(out)]
+        assert [m for m, _ in rows] == list(range(-3000, 3001))
+        weights = dict(rows)
+        boltzmann = [math.exp(-1e-4 * m * m / 2.0) for m in range(-3000, 3001)]
+        z0 = math.fsum(boltzmann)
+        assert max(abs(w - b / z0) for (_, w), b in zip(rows, boltzmann)) < 1e-12
+        assert all(weights[-m] == weights[m] for m in range(1, 3001))
+
+    # S = m_cut = 3162 at beta 1e-4 is the first support whose (S + 1)^2 terms pass 10^7
     @pytest.mark.parametrize("argv", [
         ["--m-cut", "100000", "--beta", "1e-6", "--table", "weights"],
-    ], ids=["weights"])
+        ["--m-cut", "3162", "--beta", "1e-4", "--table", "weights"],
+    ], ids=["weights", "weights-edge"])
     def test_over_term_budget_is_refused(self, capsys, argv):
         start = time.perf_counter()
         code, out, err = run_cli(["rotor", *argv], capsys)
@@ -1064,6 +1080,42 @@ class TestRotorContract:
             ks = [float(row["k_real"]) for row in read_csv(out)]
         assert len(ks) == points
         assert all(math.isfinite(k) and k >= 0.0 for k in ks)
+
+    @settings(max_examples=100, deadline=None)
+    @given(rotor_scales(), st.one_of(st.integers(1, 300), st.just(1398101)),
+           st.sampled_from(["csv", "json"]))
+    def test_weights(self, scales, m_cut, fmt):
+        """Exit 0 prints 2 m_cut + 1 finite weights in ascending m, summing to 1, with
+        R(-m) == R(m) bit for bit. m_cut 1398101 is the first the memory gate refuses."""
+        beta, inertia = scales
+        out = run_contract(["rotor", "--table", "weights", "--beta", repr(beta), "--inertia",
+                            repr(inertia), "--m-cut", str(m_cut), "--format", fmt])
+        if out is None:
+            return
+        if fmt == "json":
+            rows = json.loads(out, parse_constant=_reject_constant)["rows"]
+        else:
+            rows = [{"m": int(row["m"]), "weight": float(row["weight"])} for row in read_csv(out)]
+        assert [row["m"] for row in rows] == list(range(-m_cut, m_cut + 1))
+        weights = [row["weight"] for row in rows]
+        assert all(map(math.isfinite, weights))
+        assert abs(math.fsum(weights) - 1.0) < 1e-12
+        assert weights == weights[::-1]
+
+    # an admitted m_cut 1398100 prints 2,796,201 rows, which took 4.9 s as CSV and 9.4 s
+    # as JSON in process at 230-330 MB peak RSS; so the draws at the largest admitted
+    # m_cut take only beta/I < 1e-4, where a support over 3161 levels or the truncation
+    # check refuses it. Its printed rows are those of any m_cut past the support.
+    @settings(max_examples=20, deadline=None)
+    @given(rotor_scales().filter(lambda scales: scales[0] / scales[1] < 1e-4),
+           st.sampled_from(["csv", "json"]))
+    def test_weights_at_the_largest_admitted_m_cut(self, scales, fmt):
+        beta, inertia = scales
+        start = time.perf_counter()
+        out = run_contract(["rotor", "--table", "weights", "--beta", repr(beta), "--inertia",
+                            repr(inertia), "--m-cut", "1398100", "--format", fmt])
+        assert time.perf_counter() - start < 0.5
+        assert out is None
 
 
 @st.composite

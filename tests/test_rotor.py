@@ -152,6 +152,19 @@ class TestAngularDistribution:
         assert err < 1e-12
         assert_exact_symmetry_and_band(spec, 1.0, weights)
 
+    # isqrt(1492 I / beta) is 1221 and 2230 here, but w_m is 0.0 already at 1221 and at
+    # 2229: the support S must stop at the last nonzero weight, or the band breaks
+    @pytest.mark.parametrize("beta, m_cut, support", [(1e-3, 1300, 1220), (3e-4, 2300, 2228)])
+    def test_band_starts_past_the_last_nonzero_weight(self, beta, m_cut, support):
+        spec = RotorSpec(1.0, m_cut)
+        weights = angular_distribution(spec, beta)
+        assert math.exp(-beta * spec.energy(support)) > 0.0 == math.exp(
+            -beta * spec.energy(support + 1))
+        boltzmann = [math.exp(-beta * spec.energy(m)) for m in range(-m_cut, m_cut + 1)]
+        z0 = math.fsum(boltzmann)
+        assert max(abs(w - b / z0) for w, b in zip(weights.values(), boltzmann)) < 1e-12
+        assert_exact_symmetry_and_band(spec, beta, weights)
+
     def test_memory_is_linear_in_cut(self):
         spec = RotorSpec(1.0, 1000)
         tracemalloc.start()
