@@ -39,13 +39,17 @@ def check_budget(request: str, estimate: int | float, budget: int = ROW_BUDGET,
     """Refuse, before any work, a request whose estimate is over its budget:
     "<request> <verb> an estimated <estimate / scale> <unit>, over <over> (<name>)",
     over being "the budget of <budget> <unit>" unless given. The comparison is exact
-    for an int of any size; an estimate past the float range shows as inf."""
+    for an int of any size; an estimate past the float range shows as inf. The estimate
+    shows 4 significant digits, or as many more as it takes to read as over the budget."""
     if estimate > budget:
         try:
             shown = float(estimate) / scale
         except OverflowError:  # an int past the float range
             shown = math.inf
-        raise DomainError(f"{request} {verb} an estimated {shown:.4g} {unit}, over "
+        digits = 4
+        while digits < 17 and not float(f"{shown:.{digits}g}") > budget / scale:
+            digits += 1
+        raise DomainError(f"{request} {verb} an estimated {shown:.{digits}g} {unit}, over "
                           f"{over or f'the budget of {budget} {unit}'} ({name})")
 
 

@@ -9,28 +9,23 @@ approximate.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left
 from fractions import Fraction
 from typing import Iterator, NamedTuple, Sequence
 
 from .errors import DomainError
-from .rationals import (_prime_bound, farey_interval, farey_pairs, farey_successor,
-                        primes_up_to)
+from .rationals import _prime_bound, farey_interval, farey_pairs, primes_up_to
 
 __all__ = [
     "FractalSample",
-    "SelfSimilarityReport",
     "SequenceProbe",
     "sample_at",
     "iter_fractal_scan",
     "fractal_scan",
     "SCAN_FIELDS",
     "iter_scan_lines",
-    "self_similarity_check",
     "prime_sequence_probe",
     "prime_ratio_sequence_near",
-    "discontinuity_witness",
 ]
 
 
@@ -91,93 +86,6 @@ def iter_scan_lines(order: int,
                 tails.clear()
             tail = tails[d] = f",{d},{1 / d ** 4!r},{1 / d ** 3!r}\n"
         yield f"{c},{d},{c / d!r}{tail}"
-
-
-def _adjacent_unimodular(samples: Sequence[FractalSample]) -> bool:
-    for left, right in zip(samples, samples[1:]):
-        a, b = left.chi_turns.numerator, left.chi_turns.denominator
-        c, d = right.chi_turns.numerator, right.chi_turns.denominator
-        if b * c - a * d != 1:
-            return False
-    return True
-
-
-def _equal_q_consistent(samples: Sequence[FractalSample]) -> bool:
-    seen: dict[int, tuple[Fraction, Fraction]] = {}
-    for s in samples:
-        ratios = (s.ratio_energy, s.ratio_entropy)
-        if seen.setdefault(s.q, ratios) != ratios:
-            return False
-    return True
-
-
-class SelfSimilarityReport(NamedTuple):
-    order: int
-    window: tuple[Fraction, Fraction]
-    zoom_factor: int
-    samples_outer: int
-    samples_zoomed: int
-    equal_q_consistent: bool
-    mediants_ok: bool
-    zoomed_mediants_ok: bool
-    descent_bijection_ok: bool | None  # exact Stern-Brocot map; full [0,1] window only
-
-    @property
-    def ok(self) -> bool:
-        checks = (self.equal_q_consistent, self.mediants_ok, self.zoomed_mediants_ok)
-        return all(checks) and self.descent_bijection_ok is not False
-
-
-def self_similarity_check(order: int,
-                          window: tuple[Fraction | int | str, Fraction | int | str],
-                          zoom_factor: int) -> SelfSimilarityReport:
-    """Verify the scale-invariant structure of a scan window.
-
-    Checks numerator irrelevance (equal-q samples share exact ratios) and the
-    unimodular adjacency b*c - a*d = 1 in both the window and its zoom by
-    ``zoom_factor`` toward the left edge. For the full [0, 1] window the
-    Stern-Brocot descent x -> x / ((z-1) x + 1) is verified exactly in both
-    directions: it carries the order-n samples onto an ascending subsequence
-    of the order-n*z samples of [0, 1/z], and pulling the same-order samples
-    of [0, 1/z] back through it lands inside the outer sample set.
-    """
-    if zoom_factor < 1:
-        raise DomainError("zoom factor must be a positive integer")
-    lo, hi = Fraction(window[0]), Fraction(window[1])
-    outer = fractal_scan(order, (lo, hi))
-    zoom_hi = lo + (hi - lo) / zoom_factor
-    zoomed = fractal_scan(order, (lo, zoom_hi)) if zoom_hi > lo else []
-
-    descent: bool | None = None
-    if (lo, hi) == (Fraction(0), Fraction(1)) and zoom_factor > 1:
-        k = zoom_factor - 1
-        mapped = [
-            Fraction(s.chi_turns.numerator,
-                     s.chi_turns.denominator + k * s.chi_turns.numerator)
-            for s in outer
-        ]
-        fine = {s.chi_turns for s in
-                fractal_scan(order * zoom_factor, (Fraction(0), Fraction(1, zoom_factor)))}
-        forward_ok = (all(f in fine for f in mapped)
-                      and all(a < b for a, b in zip(mapped, mapped[1:])))
-        outer_set = {s.chi_turns for s in outer}
-        backward_ok = all(
-            Fraction(s.chi_turns.numerator,
-                     s.chi_turns.denominator - k * s.chi_turns.numerator) in outer_set
-            for s in zoomed)
-        descent = forward_ok and backward_ok
-
-    return SelfSimilarityReport(
-        order=order,
-        window=(lo, hi),
-        zoom_factor=zoom_factor,
-        samples_outer=len(outer),
-        samples_zoomed=len(zoomed),
-        equal_q_consistent=_equal_q_consistent(outer) and _equal_q_consistent(zoomed),
-        mediants_ok=_adjacent_unimodular(outer),
-        zoomed_mediants_ok=_adjacent_unimodular(zoomed),
-        descent_bijection_ok=descent,
-    )
 
 
 class SequenceProbe(NamedTuple):
@@ -272,29 +180,3 @@ def prime_ratio_sequence_near(target: Fraction, count: int,
         points.append((chi, Fraction(1, pd ** 4)))
     return _build_probe(float(target), points, [])
 
-
-def discontinuity_witness(x0: Fraction, max_distance: float = 1e-6,
-                          ratio_factor: float = 1e8) -> FractalSample:
-    """A Farey neighbour of x0 witnessing the discontinuity of the scaling law.
-
-    Returns a sample within ``max_distance`` of x0 whose energy ratio is at
-    least ``ratio_factor`` times smaller than the ratio at x0; it is the
-    adjacent fraction of x0 in a Farey sequence of sufficiently high order.
-    Both guarantees are established in exact rational arithmetic.
-    """
-    if not 0 <= x0 <= 1:
-        raise DomainError("witness construction expects x0 in [0, 1]")
-    if max_distance <= 0.0 or ratio_factor < 1.0:
-        raise DomainError("need max_distance > 0 and ratio_factor >= 1")
-    q = x0.denominator
-    dist = Fraction(max_distance)
-    d_min = max(
-        (dist.denominator + q * dist.numerator - 1) // (q * dist.numerator),
-        int(math.ceil(q * ratio_factor ** 0.25)) + 1,
-    )
-    # the right neighbour with the smallest denominator >= d_min; at x0 = 1, the left one
-    witness = (farey_successor(x0, d_min + q - 1) if x0 < 1
-               else Fraction(d_min - 1, d_min))
-    if abs(witness - x0) > dist or Fraction(witness.denominator, q) ** 4 < Fraction(ratio_factor):
-        raise DomainError(f"witness {witness} misses the distance or ratio bound")
-    return sample_at(witness)

@@ -22,11 +22,9 @@ __all__ = [
     "IdentityCheck",
     "boson_phase_sum",
     "boson_identity_rhs",
-    "boson_identity_residual",
     "check_boson_identity",
     "fermion_phase_sum",
     "fermion_identity_rhs",
-    "fermion_identity_residual",
     "check_fermion_identity",
     "coprime_fractions",
     "residue_phases",
@@ -120,10 +118,6 @@ def boson_identity_rhs(q: int, gamma: float) -> float:
     return math.log1p(-math.exp(-q * gamma))
 
 
-def boson_identity_residual(p: int, q: int, gamma: float) -> float:
-    return abs(boson_phase_sum(p, q, gamma) - boson_identity_rhs(q, gamma))
-
-
 def check_boson_identity(p: int, q: int, gamma: float) -> IdentityCheck:
     return IdentityCheck(p, q, gamma, boson_phase_sum(p, q, gamma),
                          boson_identity_rhs(q, gamma))
@@ -139,10 +133,6 @@ def fermion_identity_rhs(p: int, q: int, gamma: float) -> float:
     """Closed form ln(1 - (-1)^{p+q} e^{-q gamma})."""
     sign = 1.0 if (p + q) % 2 == 0 else -1.0
     return math.log1p(-sign * math.exp(-q * gamma))
-
-
-def fermion_identity_residual(p: int, q: int, gamma: float) -> float:
-    return abs(fermion_phase_sum(p, q, gamma) - fermion_identity_rhs(p, q, gamma))
 
 
 def check_fermion_identity(p: int, q: int, gamma: float) -> IdentityCheck:

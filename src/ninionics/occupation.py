@@ -1,4 +1,4 @@
-"""Ninionic occupation numbers and level-dependent statistics classification.
+"""Ninionic occupation numbers.
 
 The occupation number at statistical parameter xi,
 
@@ -9,32 +9,26 @@ signs for the fermionic one, interpolates continuously between bosonic,
 fermionic and ghost distributions. At cos(xi) in {1, 0, -1} it collapses to a
 closed classical form, possibly with a stretched inverse temperature; away
 from those points the level is a genuine ninion with no classical analogue.
+Level m of a gas rotated by chi has xi = m chi for bosons and (m + 1/2) chi
+for fermions.
 """
 
 from __future__ import annotations
 
-import math
 from array import array
 from enum import Enum
-from fractions import Fraction
 from math import cos, exp
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DomainError, PoleError
-from .rationals import StatAngle
 
 __all__ = [
     "Family",
     "StatLabel",
     "NinionParams",
-    "LevelClass",
-    "XiValue",
-    "xi_of",
     "occupation_number",
     "occupation_from_eps",
     "occupation_grid",
-    "limit_form",
-    "classify_levels",
 ]
 
 DENOMINATOR_FLOOR = 1e-15
@@ -51,13 +45,12 @@ _BOSE = Family.BOSE  # a module global: faster to read per call than Family.BOSE
 
 
 class StatLabel(str, Enum):
-    """Effective statistics of a level: classical forms, their ghosts, or a ninion."""
+    """Effective statistics of a mapped ensemble: a classical form or its ghost."""
 
     BOSON = "boson"
     FERMION = "fermion"
     BOSON_GHOST = "boson_ghost"
     FERMION_GHOST = "fermion_ghost"
-    NINION = "ninion"
 
 
 class NinionParams(NamedTuple):
@@ -82,26 +75,6 @@ class NinionParams(NamedTuple):
     beta: float
     omega: float
     mu: float = 0.0
-
-
-class XiValue(NamedTuple):
-    """Per-level statistical parameter, unreduced and canonically reduced."""
-
-    raw: float        # m*chi (bose) or (m + 1/2)*chi (fermi), radians
-    canonical: float  # reduced to (-pi, pi]
-    turns: Fraction   # exact raw / (2 pi)
-
-
-def xi_of(m: int, chi: StatAngle, family: Family) -> XiValue:
-    """Statistical parameter of level m: xi = m*chi for bosons, (m + 1/2)*chi for fermions.
-
-    Returns the unreduced value together with its canonical representative in
-    (-pi, pi] and the exact turns fraction backing both.
-    """
-    mult = Fraction(m) if family is Family.BOSE else Fraction(2 * m + 1, 2)
-    turns = mult * chi.turns
-    canonical_turns = Fraction(1, 2) - (Fraction(1, 2) - turns) % 1  # in (-1/2, 1/2]
-    return XiValue(math.tau * float(turns), math.tau * float(canonical_turns), turns)
 
 
 def _ratio(s: float, c: float, eps: float, w: float, xi: float) -> float:
@@ -162,75 +135,3 @@ def occupation_number(params: NinionParams) -> float:
     eps = params.beta * (params.omega - params.mu)
     return occupation_from_eps(params.family, params.xi, eps)
 
-
-class LevelClass(NamedTuple):
-    """Effective statistics of one level.
-
-    ``beta_multiplier`` is the inverse-temperature stretch of the closed-form
-    reference distribution (1 when none applies).
-    """
-
-    label: StatLabel
-    beta_multiplier: int = 1
-
-    def reference(self, eps: float) -> float:
-        """Closed-form occupation at stretched argument ``beta_multiplier * eps``.
-
-        Undefined for ninion levels, which have no classical form.
-        """
-        k = self.beta_multiplier * eps
-        if self.label is StatLabel.BOSON:
-            return 1.0 / math.expm1(k)
-        if self.label is StatLabel.FERMION:
-            return 1.0 / (math.exp(k) + 1.0)
-        if self.label is StatLabel.BOSON_GHOST:
-            return -1.0 / math.expm1(k)
-        if self.label is StatLabel.FERMION_GHOST:
-            return -1.0 / (math.exp(k) + 1.0)
-        raise DomainError("a ninion level has no closed-form reference distribution")
-
-
-_COS_MAP = {
-    (Family.BOSE, 1): LevelClass(StatLabel.BOSON, 1),
-    (Family.BOSE, 0): LevelClass(StatLabel.FERMION_GHOST, 2),
-    (Family.BOSE, -1): LevelClass(StatLabel.FERMION_GHOST, 1),
-    (Family.FERMI, 1): LevelClass(StatLabel.FERMION, 1),
-    (Family.FERMI, 0): LevelClass(StatLabel.FERMION, 2),
-    (Family.FERMI, -1): LevelClass(StatLabel.BOSON_GHOST, 1),
-}
-
-
-def limit_form(family: Family, xi_canonical: float) -> LevelClass:
-    """Classify a level by cos(xi): {1, 0, -1} within 1e-12 give classical forms, else ninion.
-
-    The classification is the one induced by the occupation formula itself:
-    cos(xi) = 0 halves the temperature of the surviving form, cos(xi) = -1
-    swaps the family and flips the free-energy sign.
-    """
-    c = math.cos(xi_canonical)
-    for target in (1, 0, -1):
-        if abs(c - target) <= 1e-12:
-            return _COS_MAP[(family, target)]
-    return LevelClass(StatLabel.NINION, 1)
-
-
-def _limit_form_exact(family: Family, xi_turns: Fraction) -> LevelClass:
-    t = xi_turns % 1
-    if t == 0:
-        return _COS_MAP[(family, 1)]
-    if t == Fraction(1, 2):
-        return _COS_MAP[(family, -1)]
-    if t in (Fraction(1, 4), Fraction(3, 4)):
-        return _COS_MAP[(family, 0)]
-    return LevelClass(StatLabel.NINION, 1)
-
-
-def classify_levels(chi: StatAngle, family: Family,
-                    m_range: Iterable[int]) -> list[tuple[int, LevelClass]]:
-    """Per-level classification over a range of angular momenta.
-
-    Ground truth is the occupation formula evaluated through the exact
-    rational turns of xi, so cos(xi) in {1, 0, -1} is decided without any
-    floating-point tolerance.
-    """
-    return [(m, _limit_form_exact(family, xi_of(m, chi, family).turns)) for m in m_range]

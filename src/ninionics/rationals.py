@@ -1,6 +1,6 @@
 """Exact rational statistical angles and the integer machinery around them.
 
-Reduced fractions, the Thomae map, Farey sequences (full and windowed), best
+Reduced fractions, the Thomae map, Farey sequences over any window, best
 rational approximation of floating inputs, and prime generation. Everything is
 exact integer/rational arithmetic; floats enter only through the explicit
 approximation and conversion helpers.
@@ -19,7 +19,6 @@ __all__ = [
     "StatAngle",
     "reduce_fraction",
     "thomae",
-    "farey_sequence",
     "farey_interval",
     "farey_pairs",
     "farey_bracket",
@@ -27,7 +26,6 @@ __all__ = [
     "approximate_rational",
     "parse_turns",
     "primes_up_to",
-    "nth_prime",
 ]
 
 _PRIME_BYTES = 40  # a list slot and an int object, rounded up
@@ -144,11 +142,6 @@ def farey_interval(order: int, lo: Fraction | int | str,
         yield Fraction(c, d)
 
 
-def farey_sequence(order: int) -> list[Fraction]:
-    """All irreducible fractions p/q with q <= order in [0, 1], ascending."""
-    return list(farey_interval(order, Fraction(0), Fraction(1)))
-
-
 def approximate_rational(x: float, q_max: int) -> Fraction:
     """Best rational approximation to ``x`` with denominator <= q_max.
 
@@ -233,11 +226,6 @@ def _prime_bound(index: int) -> int:
     return int(index * Fraction(math.log(index) + math.log(math.log(index)))) + 10
 
 
-def nth_prime(index: int) -> int:
-    """The index-th prime, 1-based: nth_prime(1) == 2."""
-    return primes_up_to(_prime_bound(index))[index - 1]
-
-
 class StatAngle(NamedTuple):
     """Statistical rotation angle chi, stored as exact turns chi / (2 pi).
 
@@ -248,10 +236,6 @@ class StatAngle(NamedTuple):
     """
 
     turns: Fraction
-
-    @property
-    def chi_radians(self) -> float:
-        return math.tau * float(self.turns)
 
     @property
     def denominator(self) -> int:
@@ -268,10 +252,6 @@ class StatAngle(NamedTuple):
     @classmethod
     def from_fraction(cls, p: int, q: int) -> "StatAngle":
         return cls(reduce_fraction(p, q))
-
-    @classmethod
-    def from_radians(cls, chi: float, q_max: int = 10 ** 6) -> "StatAngle":
-        return cls(approximate_rational(chi / math.tau, q_max))
 
     @classmethod
     def from_turns(cls, turns: Fraction | float, q_max: int = 10 ** 6) -> "StatAngle":

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import sys
 from fractions import Fraction
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from .errors import DomainError
 from .occupation import Family, StatLabel
@@ -43,8 +43,6 @@ __all__ = [
     "crossed_walls_thermo",
     "odd_count_ratio",
     "odd_count_limit",
-    "consistency_residuals",
-    "energy_from_free_energy",
     "DEFAULT_REGULATORS",
     "DEFAULT_INNER_TOL",
     "QUADRATURE_ROW_BUDGET",
@@ -228,19 +226,6 @@ def dirac_ghost_thermo(beta: float) -> ThermoQuantities:
     composing the fermionic equivalence with the scalar blackbody values.
     """
     return ensemble_thermo(fermion_equivalence(1, 3, beta))
-
-
-def consistency_residuals(tq: ThermoQuantities) -> tuple[float, float]:
-    """(|P + f|, |s - beta*(energy + P)|) at the carried anchor beta."""
-    return (abs(tq.pressure + tq.f),
-            abs(tq.entropy - tq.beta * (tq.energy + tq.pressure)))
-
-
-def energy_from_free_energy(f_of_beta: Callable[[float], float], beta: float) -> float:
-    """Energy density d(beta f)/d(beta) by central difference with step 1e-5 beta."""
-    _check_beta(beta)
-    h = beta * 1e-5
-    return ((beta + h) * f_of_beta(beta + h) - (beta - h) * f_of_beta(beta - h)) / (2.0 * h)
 
 
 # ----------------------------------------------------------------------------

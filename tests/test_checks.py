@@ -2,10 +2,14 @@
 
 import ast
 import math
+import re
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import ninionics
 from ninionics import errors, fractal, identities, occupation, oracle, rationals, rotor, thermo
@@ -62,6 +66,25 @@ def test_no_budget_refusal_is_written_by_hand(path):
     assert lines == [], f"{path.name} formats a budget refusal at lines {lines}"
 
 
+# each budget a refusal names, with the scale of the unit it shows the estimate in
+@pytest.mark.parametrize("budget,scale", [
+    (errors.ROW_BUDGET, 1), (thermo.QUADRATURE_ROW_BUDGET, 1), (rotor.TERM_BUDGET, 1),
+    (errors.MEMORY_BUDGET, 2 ** 20)], ids=["rows", "quadrature-rows", "terms", "MiB"])
+@given(data=st.data())
+def test_a_refusal_shows_an_estimate_over_its_budget(budget, scale, data):
+    estimate = data.draw(st.one_of(
+        st.integers(budget + 1, budget + 10 ** 4),  # an int just over the budget
+        st.integers(10 ** 309, 10 ** 400),  # one past the float range, shown as inf
+        st.floats(budget, budget * 1.001, exclude_min=True)))
+    with pytest.raises(DomainError) as refusal:
+        if scale == 1:
+            errors.check_budget("a request", estimate, budget)
+        else:
+            errors.check_memory("a request", estimate)
+    shown = re.search(r"an estimated (\S+) ", str(refusal.value)).group(1)
+    assert float(shown) > budget / scale, str(refusal.value)
+
+
 @pytest.mark.parametrize("path", sorted(Path(ninionics.__file__).parent.glob("*.py")),
                          ids=lambda p: p.name)
 def test_no_module_imports_scipy(path):
@@ -76,28 +99,80 @@ def test_no_module_imports_scipy(path):
     assert found == [], f"{path.name} imports {found}"
 
 
-def test_every_exported_name_resolves_lazily_to_its_object():
-    # ninionics resolves its names on first use; each must be its submodule's own object
-    for module in (errors, fractal, identities, occupation, oracle, rationals, rotor, thermo):
-        for name in module.__all__:
-            assert getattr(ninionics, name) is getattr(module, name), (module.__name__, name)
-    # and the map names only what its submodule exports, so `import *` cannot break
-    for module_name, names in ninionics._EXPORTS.items():
-        stale = set(names) - set(getattr(ninionics, module_name).__all__)
-        assert not stale, (module_name, stale)
-    assert thermo.free_energy_extrapolated is oracle.free_energy_extrapolated
-    with pytest.raises(AttributeError):
-        ninionics.no_such_name
-    # a submodule name is not an export: the import falls back to the submodule
+def test_subsystems_import_as_submodules():
+    # the package holds no names of its own: each subsystem is imported by name
     from ninionics import fractal as fractal_again, thermo as thermo_again
     assert (fractal_again, thermo_again) == (fractal, thermo)
+    # thermo still forwards the oracle's names, loading the oracle on first read
+    assert thermo.free_energy_extrapolated is oracle.free_energy_extrapolated
+
+
+ROOT = Path(__file__).resolve().parents[1]
+LIBRARY = sorted(p for p in (ROOT / "src" / "ninionics").glob("*.py") if p.name != "__init__.py")
+# what the library is for: the commands (cli.py is in LIBRARY), the acceptance suite
+# and the bench; a name only the other tests read is not reached
+READERS = [*LIBRARY, ROOT / "tests" / "test_acceptance.py", *sorted((ROOT / "bench").glob("*.py"))]
+
+
+def loaded_names(tree):
+    """Every name a tree reads: bare names, and the attribute of each attribute read."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr
+
+
+def library_roots(tree):
+    """(name, its definition or None) for each name in __all__ and each top-level
+    function, class or variable but a dunder."""
+    roots = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            roots[node.name] = node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name):
+                    names = (ast.literal_eval(node.value) if target.id == "__all__"
+                             else [target.id])
+                    for name in names:
+                        roots.setdefault(name, None)
+    return {name: node for name, node in roots.items() if not name.startswith("__")}
+
+
+def test_every_library_name_is_reached():
+    # a name that no module, acceptance criterion or bench script reads is dead
+    # surface; reads inside its own definition (a class naming itself) do not count
+    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in READERS}
+    total = Counter(name for tree in trees.values() for name in loaded_names(tree))
+    unreached = []
+    for path in LIBRARY:
+        for name, node in library_roots(trees[path]).items():
+            own = Counter(loaded_names(node))[name] if node is not None else 0
+            if total[name] == own:
+                unreached.append(f"{path.stem}.{name}")
+    assert unreached == [], f"reached by no command, acceptance criterion or bench: {unreached}"
+
+
+@pytest.mark.parametrize("path", LIBRARY, ids=lambda p: p.name)
+def test_every_import_is_used(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [alias.asname or alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            bound += [alias.asname or alias.name.partition(".")[0] for alias in node.names]
+    read = set(loaded_names(tree))
+    unused = [name for name in bound if name not in read]
+    assert unused == [], f"{path.name} imports {unused} and never reads them"
 
 
 # one factory per record type; each call builds an equal record, a new object
 RECORDS = {
     "StatAngle": lambda: rationals.StatAngle(Fraction(2, 7)),
     "FractalSample": lambda: fractal.sample_at(Fraction(2, 7)),
-    "SelfSimilarityReport": lambda: fractal.self_similarity_check(8, (0, 1), 2),
     "SequenceProbe": lambda: fractal.prime_sequence_probe(2, [3, 4, 5]),
     "GasSpec": lambda: thermo.GasSpec(occupation.Family.FERMI, 0.5, 0.2, 2.0),
     "ThermoQuantities": lambda: thermo.blackbody_scalar(1.5),
@@ -105,7 +180,6 @@ RECORDS = {
     "WallsOracle": lambda: thermo.crossed_walls_thermo(1.0, True).oracle,
     "CrossedWalls": lambda: thermo.crossed_walls_thermo(1.0, False),
     "NinionParams": lambda: occupation.NinionParams(occupation.Family.BOSE, 0.3, 1.0, 2.0),
-    "LevelClass": lambda: occupation.limit_form(occupation.Family.BOSE, 0.3),
     "IdentityCheck": lambda: identities.check_boson_identity(2, 5, 0.4),
     "RotorSpec": lambda: rotor.RotorSpec(0.5, 20),
     "ShiftCheck": lambda: rotor.shift_eigenphase_check(0.3, 3, 10),
@@ -165,7 +239,6 @@ def test_record_constructors_keep_their_defaults():
             == thermo.GasSpec(family=bose, mass=0.0, mu=0.0, degeneracy=1.0))
     assert rotor.RotorSpec() == rotor.RotorSpec(1.0, 50) == rotor.RotorSpec(inertia=1.0, m_cut=50)
     assert occupation.NinionParams(bose, 0.3, 1.0, 2.0).mu == 0.0
-    assert occupation.LevelClass(occupation.StatLabel.BOSON).beta_multiplier == 1
     assert identities.IdentityCheck(p=1, q=2, gamma=0.5, lhs=1.0, rhs=0.5).residual == 0.5
 
 

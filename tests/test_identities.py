@@ -15,13 +15,11 @@ from ninionics.errors import DomainError
 from ninionics.occupation import Family
 from ninionics.identities import (
     GAMMA_FLOOR,
-    boson_identity_residual,
     boson_identity_rhs,
     boson_phase_sum,
     check_boson_identity,
     check_fermion_identity,
     coprime_fractions,
-    fermion_identity_residual,
     fermion_identity_rhs,
     fermion_phase_sum,
     regularized_count_limit,
@@ -62,9 +60,9 @@ class TestBosonIdentity:
     def test_residual_examples(self):
         # q = 1 is an algebraic triviality; lhs and rhs still travel separate
         # float paths (complex log vs log1p), so "exact" means a last-ulp match
-        assert boson_identity_residual(1, 1, 1.0) < 1e-15
-        assert boson_identity_residual(1, 2, 1.0) < 1e-12
-        assert boson_identity_residual(5, 8, 2.0) < 1e-12
+        assert check_boson_identity(1, 1, 1.0).residual < 1e-15
+        assert check_boson_identity(1, 2, 1.0).residual < 1e-12
+        assert check_boson_identity(5, 8, 2.0).residual < 1e-12
 
     @pytest.mark.parametrize("p,q", [(1, 3), (2, 5), (4, 9), (7, 16), (5, 12)])
     @pytest.mark.parametrize("gamma", [0.1, 0.7, 3.0, 10.0])
@@ -134,7 +132,7 @@ class TestFermionIdentity:
         assert check.residual < 1e-12
 
     def test_two_thirds(self):
-        assert fermion_identity_residual(2, 3, 0.7) < 1e-12
+        assert check_fermion_identity(2, 3, 0.7).residual < 1e-12
 
     @pytest.mark.parametrize("p,q", [(1, 2), (1, 3), (3, 4), (2, 7), (5, 8)])
     @pytest.mark.parametrize("gamma", [0.1, 0.7, 3.0])
@@ -319,8 +317,8 @@ class TestRegularizedCount:
 @given(st.integers(1, 40), st.floats(0.05, 8.0))
 def test_identity_residuals_property(q, gamma):
     p = next(k for k in range(1, q + 1) if math.gcd(k, q) == 1)
-    assert boson_identity_residual(p, q, gamma) < 1e-12
-    assert fermion_identity_residual(p, q, gamma) < 1e-12
+    assert check_boson_identity(p, q, gamma).residual < 1e-12
+    assert check_fermion_identity(p, q, gamma).residual < 1e-12
 
 
 def test_check_dataclass_residual():

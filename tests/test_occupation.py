@@ -1,6 +1,5 @@
 import math
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -9,42 +8,26 @@ from hypothesis import strategies as st
 from ninionics.errors import DomainError, PoleError
 from ninionics.occupation import (
     Family,
-    LevelClass,
     NinionParams,
-    StatLabel,
-    classify_levels,
-    limit_form,
     occupation_from_eps,
     occupation_grid,
     occupation_number,
-    xi_of,
 )
 from ninionics.rationals import StatAngle
 
 HALF_TURN = StatAngle.from_fraction(1, 2)      # chi = pi
 QUARTER_TURN = StatAngle.from_fraction(1, 4)   # chi = pi/2
 
-
-class TestXiOf:
-    def test_bose_ground_level(self):
-        assert xi_of(0, HALF_TURN, Family.BOSE).raw == 0.0
-
-    def test_fermi_half_offset(self):
-        # m = 0, chi = pi: xi = (0 + 1/2) pi = pi/2
-        xv = xi_of(0, HALF_TURN, Family.FERMI)
-        assert xv.raw == pytest.approx(math.pi / 2)
-        assert xv.turns == Fraction(1, 4)
-
-    def test_reduction(self):
-        xv = xi_of(3, HALF_TURN, Family.BOSE)
-        assert xv.raw == pytest.approx(3 * math.pi)
-        assert xv.canonical == pytest.approx(math.pi)
-        assert xv.turns == Fraction(3, 2)
-
-    def test_canonical_interval(self):
-        for m in range(-7, 8):
-            xv = xi_of(m, StatAngle.from_fraction(2, 7), Family.FERMI)
-            assert -math.pi < xv.canonical <= math.pi + 1e-15
+# the closed form of each family at cos(xi) = 1, 0, -1: native statistics, the other
+# family at twice the inverse temperature (a ghost for bosons), the other family's ghost
+CLOSED_FORMS = {
+    (Family.BOSE, 1): lambda eps: 1.0 / math.expm1(eps),
+    (Family.BOSE, 0): lambda eps: -1.0 / (math.exp(2 * eps) + 1.0),
+    (Family.BOSE, -1): lambda eps: -1.0 / (math.exp(eps) + 1.0),
+    (Family.FERMI, 1): lambda eps: 1.0 / (math.exp(eps) + 1.0),
+    (Family.FERMI, 0): lambda eps: 1.0 / (math.exp(2 * eps) + 1.0),
+    (Family.FERMI, -1): lambda eps: -1.0 / math.expm1(eps),
+}
 
 
 class TestOccupationNumber:
@@ -71,20 +54,9 @@ class TestOccupationNumber:
         rng = random.Random(20260810)
         for _ in range(200):
             eps = math.exp(rng.uniform(math.log(0.01), math.log(20.0)))
-            assert occupation_from_eps(Family.BOSE, 0.0, eps) == pytest.approx(
-                1.0 / math.expm1(eps), rel=1e-12, abs=1e-12)
-            assert occupation_from_eps(Family.FERMI, 0.0, eps) == pytest.approx(
-                1.0 / (math.exp(eps) + 1.0), rel=1e-12, abs=1e-12)
-            # cos xi = 0: temperature halves, bosons turn into fermionic ghosts
-            assert occupation_from_eps(Family.BOSE, math.pi / 2, eps) == pytest.approx(
-                -1.0 / (math.exp(2 * eps) + 1.0), rel=1e-12, abs=1e-12)
-            assert occupation_from_eps(Family.FERMI, math.pi / 2, eps) == pytest.approx(
-                1.0 / (math.exp(2 * eps) + 1.0), rel=1e-12, abs=1e-12)
-            # cos xi = -1: family swap with ghost sign
-            assert occupation_from_eps(Family.BOSE, math.pi, eps) == pytest.approx(
-                -1.0 / (math.exp(eps) + 1.0), rel=1e-12, abs=1e-12)
-            assert occupation_from_eps(Family.FERMI, math.pi, eps) == pytest.approx(
-                -1.0 / math.expm1(eps), rel=1e-12, abs=1e-12)
+            for (family, cos_xi), form in CLOSED_FORMS.items():
+                assert occupation_from_eps(family, math.acos(cos_xi), eps) == pytest.approx(
+                    form(eps), rel=1e-12, abs=1e-12)
 
     @given(st.floats(-10.0, 10.0), st.floats(0.5, 10.0))
     def test_periodicity_and_parity(self, xi, eps):
@@ -139,75 +111,47 @@ class TestOccupationNumber:
             occupation_number(NinionParams(Family.BOSE, 1.0, -1.0, 1.0))
 
 
-class TestLimitForm:
-    def test_bose_quarter_turn(self):
-        lc = limit_form(Family.BOSE, math.pi / 2)
-        assert lc == LevelClass(StatLabel.FERMION_GHOST, 2)
-        eps = 0.73
-        assert lc.reference(eps) == pytest.approx(-1.0 / (math.exp(2 * eps) + 1.0))
+LEVEL_EPS = (0.3, 1.0, 4.0)
 
-    def test_fermi_half_turn(self):
-        lc = limit_form(Family.FERMI, math.pi)
-        assert lc == LevelClass(StatLabel.BOSON_GHOST, 1)
-        eps = 0.73
-        assert lc.reference(eps) == pytest.approx(-1.0 / math.expm1(eps))
 
-    def test_generic_angle_is_ninion(self):
-        lc = limit_form(Family.BOSE, math.pi / 3)
-        assert lc.label is StatLabel.NINION
-        with pytest.raises(DomainError):
-            lc.reference(1.0)
+def level_xi(m, chi, family):
+    """xi of level m in radians, as a user passes it to `occupation --xi`: m chi for
+    bosons, (m + 1/2) chi for fermions."""
+    return (m if family is Family.BOSE else m + 0.5) * math.tau * float(chi.turns)
 
-    def test_native_statistics(self):
-        assert limit_form(Family.BOSE, 0.0) == LevelClass(StatLabel.BOSON, 1)
-        assert limit_form(Family.FERMI, 0.0) == LevelClass(StatLabel.FERMION, 1)
 
-    def test_reference_matches_occupation_formula(self):
-        # the classified closed forms must agree with the defining formula
-        for family in Family:
-            for xi in (0.0, math.pi / 2, math.pi):
-                lc = limit_form(family, xi)
-                for eps in (0.3, 1.0, 4.0):
-                    assert lc.reference(eps) == pytest.approx(
-                        occupation_from_eps(family, xi, eps), rel=1e-12)
+def level_occupations(chi, family, levels):
+    return {m: [occupation_from_eps(family, level_xi(m, chi, family), eps) for eps in LEVEL_EPS]
+            for m in levels}
+
+
+def closed_form(family, cos_xi):
+    return [pytest.approx(CLOSED_FORMS[family, cos_xi](eps), rel=1e-12) for eps in LEVEL_EPS]
 
 
 class TestClassifyLevels:
+    """Each level's occupation takes the closed form that its cos(xi) in {1, 0, -1}
+    names, with xi formed in floating point from the level."""
+
     def test_quarter_turn_cycle(self):
-        got = classify_levels(QUARTER_TURN, Family.BOSE, range(5))
-        labels = [(lc.label, lc.beta_multiplier) for _, lc in got]
-        assert labels == [
-            (StatLabel.BOSON, 1),
-            (StatLabel.FERMION_GHOST, 2),
-            (StatLabel.FERMION_GHOST, 1),
-            (StatLabel.FERMION_GHOST, 2),
-            (StatLabel.BOSON, 1),
-        ]
+        got = level_occupations(QUARTER_TURN, Family.BOSE, range(5))
+        assert list(got.values()) == [closed_form(Family.BOSE, c) for c in (1, 0, -1, 0, 1)]
 
     def test_half_turn_even_levels_stay_bosons(self):
-        got = classify_levels(HALF_TURN, Family.BOSE, range(-8, 9))
-        for m, lc in got:
-            if m % 2 == 0:
-                assert lc == LevelClass(StatLabel.BOSON, 1)
-            else:
-                assert lc == LevelClass(StatLabel.FERMION_GHOST, 1)
+        for m, n in level_occupations(HALF_TURN, Family.BOSE, range(-8, 9)).items():
+            assert n == closed_form(Family.BOSE, 1 if m % 2 == 0 else -1)
 
     def test_no_rotation_native(self):
         chi0 = StatAngle.from_fraction(0, 1)
-        assert all(lc == LevelClass(StatLabel.BOSON, 1)
-                   for _, lc in classify_levels(chi0, Family.BOSE, range(-5, 6)))
-        assert all(lc == LevelClass(StatLabel.FERMION, 1)
-                   for _, lc in classify_levels(chi0, Family.FERMI, range(-5, 6)))
-
-    def test_exact_matches_float_classification(self):
-        chi = StatAngle.from_fraction(3, 8)
         for family in Family:
-            for m, lc in classify_levels(chi, family, range(-12, 13)):
-                xv = xi_of(m, chi, family)
-                assert lc == limit_form(family, xv.canonical)
+            for n in level_occupations(chi0, family, range(-5, 6)).values():
+                assert n == closed_form(family, 1)
 
     def test_fermi_quarter_turn(self):
-        # xi = (m + 1/2) pi/2 never hits a classical angle at even multiples
-        got = dict(classify_levels(QUARTER_TURN, Family.FERMI, range(4)))
-        assert got[0].label is StatLabel.NINION  # xi = pi/4
-        assert got[1].label is StatLabel.NINION  # xi = 3 pi/4
+        # xi = (m + 1/2) pi/2 never hits a classical angle: a ninion matches no closed form
+        got = level_occupations(QUARTER_TURN, Family.FERMI, range(2))  # xi = pi/4, 3 pi/4
+        for n in got.values():
+            for c in (1, 0, -1):
+                form = CLOSED_FORMS[Family.FERMI, c]
+                assert all(value != pytest.approx(form(eps), rel=1e-3)
+                           for value, eps in zip(n, LEVEL_EPS))

@@ -9,13 +9,12 @@ from hypothesis import strategies as st
 from ninionics.errors import DomainError
 from ninionics.rationals import (
     StatAngle,
+    _prime_bound,
     approximate_rational,
     farey_bracket,
     farey_interval,
     farey_pairs,
-    farey_sequence,
     farey_successor,
-    nth_prime,
     primes_up_to,
     reduce_fraction,
     thomae,
@@ -94,35 +93,35 @@ class TestThomae:
 
 class TestFarey:
     def test_order_one(self):
-        assert farey_sequence(1) == [Fraction(0), Fraction(1)]
+        assert list(farey_interval(1, 0, 1)) == [Fraction(0), Fraction(1)]
 
     def test_order_three(self):
-        assert farey_sequence(3) == [Fraction(0), Fraction(1, 3), Fraction(1, 2),
+        assert list(farey_interval(3, 0, 1)) == [Fraction(0), Fraction(1, 3), Fraction(1, 2),
                                      Fraction(2, 3), Fraction(1)]
 
     def test_order_five_against_oracle(self):
-        seq = farey_sequence(5)
+        seq = list(farey_interval(5, 0, 1))
         assert len(seq) == 11
         assert seq == brute_force_farey(5)
 
     @pytest.mark.parametrize("order", [2, 7, 16, 33])
     def test_matches_oracle(self, order):
-        assert farey_sequence(order) == brute_force_farey(order)
+        assert list(farey_interval(order, 0, 1)) == brute_force_farey(order)
 
     def test_mediant_property_up_to_50(self):
         for order in range(1, 51):
-            seq = farey_sequence(order)
+            seq = list(farey_interval(order, 0, 1))
             for left, right in zip(seq, seq[1:]):
                 assert (left.denominator * right.numerator
                         - left.numerator * right.denominator) == 1
 
     def test_strictly_ascending(self):
-        seq = farey_sequence(20)
+        seq = list(farey_interval(20, 0, 1))
         assert all(a < b for a, b in zip(seq, seq[1:]))
 
     def test_window_matches_filtered_full(self):
         lo, hi = Fraction(1, 5), Fraction(3, 4)
-        full = [f for f in farey_sequence(17) if lo <= f <= hi]
+        full = [f for f in farey_interval(17, 0, 1) if lo <= f <= hi]
         assert list(farey_interval(17, lo, hi)) == full
 
     def test_narrow_window(self):
@@ -258,33 +257,30 @@ class TestPrimes:
             assert primes_up_to(n) == expected, n
 
     @pytest.mark.parametrize("call", [lambda: primes_up_to(4 * 10 ** 12),
-                                      lambda: nth_prime(10 ** 11)], ids=["sieve", "nth_prime"])
+                                      lambda: primes_up_to(_prime_bound(10 ** 11))],
+                             ids=["sieve", "nth_prime"])
     def test_sieve_over_the_memory_budget_is_refused(self, call):
         # estimated before the bytearray exists, so this allocates nothing
         with pytest.raises(DomainError, match="MiB, over the 1024 MiB memory budget"):
             call()
 
+    # the index-th prime as prime_sequence_probe takes it: one sieve up to _prime_bound
     def test_nth_prime(self):
-        assert nth_prime(1) == 2
-        assert nth_prime(5) == 11
-        assert nth_prime(25) == 97
-        assert nth_prime(303) == 1999
+        assert [primes_up_to(_prime_bound(i))[i - 1] for i in (1, 5, 25, 303)] == [
+            2, 11, 97, 1999]
 
     def test_nth_prime_matches_one_sieve(self):
         # the sieve bound holds below index 6, where the Rosser bound does not apply
-        assert [nth_prime(i) for i in range(1, 400)] == primes_up_to(3000)[:399]
+        assert [primes_up_to(_prime_bound(i))[i - 1] for i in range(1, 400)] == (
+            primes_up_to(3000)[:399])
 
     @pytest.mark.parametrize("index", [0, -3])
     def test_nth_prime_is_one_based(self, index):
         with pytest.raises(DomainError, match="prime index is 1-based"):
-            nth_prime(index)
+            _prime_bound(index)
 
 
 class TestStatAngle:
-    def test_radians(self):
-        a = StatAngle.from_fraction(1, 2)
-        assert a.chi_radians == pytest.approx(math.pi)
-
     def test_bosonic_canonical(self):
         assert StatAngle.from_fraction(5, 2).bosonic().turns == Fraction(1, 2)
         assert StatAngle.from_fraction(-1, 3).bosonic().turns == Fraction(2, 3)
@@ -307,6 +303,3 @@ class TestStatAngle:
     def test_from_turns(self):
         assert StatAngle.from_turns(Fraction(7, 2), q_max=1).turns == Fraction(7, 2)
         assert StatAngle.from_turns(0.333333, q_max=100).turns == Fraction(1, 3)
-
-    def test_from_radians(self):
-        assert StatAngle.from_radians(math.pi, q_max=100).turns == Fraction(1, 2)

@@ -15,10 +15,8 @@ from ninionics.thermo import (
     ThermoQuantities,
     blackbody_fermion,
     blackbody_scalar,
-    consistency_residuals,
     crossed_walls_thermo,
     dirac_ghost_thermo,
-    energy_from_free_energy,
     ensemble_thermo,
     fermion_equivalence,
     free_energy_extrapolated,
@@ -31,6 +29,18 @@ from ninionics.thermo import (
 
 PI_SQ = math.pi ** 2
 QUAD_TOL = 1e-12  # inner tolerance for the oracle runs in this file
+
+
+def consistency_residuals(tq: ThermoQuantities) -> tuple[float, float]:
+    """(|P + f|, |s - beta*(energy + P)|) at the carried anchor beta."""
+    return (abs(tq.pressure + tq.f),
+            abs(tq.entropy - tq.beta * (tq.energy + tq.pressure)))
+
+
+def energy_from_free_energy(f_of_beta, beta: float) -> float:
+    """Energy density d(beta f)/d(beta) by central difference with step 1e-5 beta."""
+    h = beta * 1e-5
+    return ((beta + h) * f_of_beta(beta + h) - (beta - h) * f_of_beta(beta - h)) / (2.0 * h)
 
 
 def assert_consistent(tq: ThermoQuantities):
