@@ -26,7 +26,7 @@ class DomainError(ValueError):
 
 
 class PoleError(DomainError):
-    """Evaluation requested exactly on, or numerically too close to, a pole."""
+    """Raised on a pole, or so near one that the denominator leaves the normal double range."""
 
 
 class TruncationError(DomainError):

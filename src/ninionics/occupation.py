@@ -11,13 +11,18 @@ closed classical form, possibly with a stretched inverse temperature; away
 from those points the level is a genuine ninion with no classical analogue.
 Level m of a gas rotated by chi has xi = m chi for bosons and (m + 1/2) chi
 for fermions.
+
+It is evaluated in gaps that keep their precision at both poles. With s = +1
+(bose) or -1 (fermi), w = e^{-|eps|}, g = 1 - w and t = 1 - s cos(xi) taken as
+2 sin^2(xi/2) or 2 cos^2(xi/2), n = -s (g + w t) / den for eps <= 0 and
+-s w (t - g) / den for eps > 0, with den = g^2 + 2 w t.
 """
 
 from __future__ import annotations
 
 from array import array
 from enum import Enum
-from math import cos, exp
+from math import cos, exp, expm1, sin
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DomainError, PoleError
@@ -30,8 +35,6 @@ __all__ = [
     "occupation_from_eps",
     "occupation_grid",
 ]
-
-DENOMINATOR_FLOOR = 1e-15
 
 
 class Family(str, Enum):
@@ -77,46 +80,44 @@ class NinionParams(NamedTuple):
     mu: float = 0.0
 
 
-def _ratio(s: float, c: float, eps: float, w: float, xi: float) -> float:
-    """The occupation formula at sign s (+1 bose, -1 fermi), c = cos(xi) and
-    w = e^{-|eps|}, the one exponential it needs."""
+def _gap(s: float, xi: float) -> float:
+    h = sin(0.5 * xi) if s > 0.0 else cos(0.5 * xi)  # t = 1 - s cos(xi) = 2 h^2
+    return 2.0 * h * h
+
+
+def _ratio(s: float, t: float, eps: float, w: float, g: float, xi: float) -> float:
+    """n in the gap form at sign s (+1 bose, -1 fermi), t = _gap(s, xi), w and g."""
+    den = g * g + 2.0 * w * t
+    if den < 2.0 ** -1022:  # the smallest normal double
+        raise PoleError(f"Bose-Einstein pole: the occupation denominator is below the "
+                        f"smallest normal double at xi={xi!r}, eps={eps!r}")
     if eps > 0:
-        # Divide the defining ratio through by e^{2 eps}: stable for large eps.
-        num = w * c - s * w * w
-        den = w * w - 2.0 * s * w * c + 1.0
-    else:
-        num = w * c - s
-        den = 1.0 - 2.0 * s * w * c + w * w
-    if abs(den) < DENOMINATOR_FLOOR:
-        if s > 0.0 and c > 0.0:
-            raise PoleError("Bose-Einstein pole: cos(xi) = 1 with omega = mu")
-        raise PoleError(
-            f"occupation denominator below {DENOMINATOR_FLOOR:g} at xi={xi!r}, eps={eps!r}")
-    return num / den
+        return -s * w * (t - g) / den
+    return -s * (g + w * t) / den
 
 
 def occupation_from_eps(family: Family, xi: float, eps: float) -> float:
     """Occupation number at dimensionless energy eps = beta (omega - mu)."""
-    return _ratio(1.0 if family is _BOSE else -1.0, cos(xi), eps,
-                  exp(-eps if eps > 0 else eps), xi)
+    s = 1.0 if family is _BOSE else -1.0
+    return _ratio(s, _gap(s, xi), eps, exp(-abs(eps)), -expm1(-abs(eps)), xi)
 
 
 def occupation_grid(family: Family, xis: Sequence[float],
                     eps_values: Iterable[float]) -> list[array]:
     """occupation_from_eps at every (xi, eps), as one array('d') over eps per xi.
 
-    Each cos(xi) and each e^{-|eps|} is taken once, and every value is
-    bit-identical to occupation_from_eps. eps_values is read once, so a
+    Each gap of xi and each e^{-|eps|} and 1 - e^{-|eps|} is taken once, and every
+    value is bit-identical to occupation_from_eps. eps_values is read once, so a
     generator is never held whole; each n is stored as 8 bytes, not a float.
     """
     s = 1.0 if family is _BOSE else -1.0
-    cosines = [(xi, cos(xi)) for xi in xis]
-    table = [array("d") for _ in cosines]
+    gaps = [(xi, _gap(s, xi)) for xi in xis]
+    table = [array("d") for _ in gaps]
     appends = [column.append for column in table]
     for eps in eps_values:
-        w = exp(-eps if eps > 0 else eps)
-        for (xi, c), append in zip(cosines, appends):
-            append(_ratio(s, c, eps, w, xi))
+        w, g = exp(-abs(eps)), -expm1(-abs(eps))
+        for (xi, t), append in zip(gaps, appends):
+            append(_ratio(s, t, eps, w, g, xi))
     return table
 
 
@@ -126,9 +127,8 @@ def occupation_number(params: NinionParams) -> float:
     Raises
     ------
     PoleError
-        On the exact poles (bosonic cos(xi) = 1 at omega = mu, fermionic
-        cos(xi) = -1 at omega = mu) and whenever the denominator magnitude
-        falls below the numerical floor.
+        On the bosonic pole and beside it, where the denominator leaves the normal
+        double range; only |xi| and |eps| both under about 1.5e-154 reach that.
     """
     if params.beta <= 0.0:
         raise DomainError("beta must be positive")

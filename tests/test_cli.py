@@ -13,17 +13,19 @@ import sys
 import time
 import tracemalloc
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ninionics import cli, fractal, identities, occupation, oracle, rotor, thermo
 from ninionics.cli import main, parse_angle
 from ninionics.errors import MEMORY_BUDGET, ROW_BUDGET, DomainError, PoleError
 from ninionics.occupation import Family, occupation_from_eps
+from test_occupation import reference  # the 800-digit defining formula
 
 PI_SQ = math.pi ** 2
 NINES = "9" * 400  # a coefficient past the float range
@@ -397,7 +399,7 @@ class TestOccupationCommand:
         assert out == expected_table(fmt, "occupation", fields, rows, {})
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    @pytest.mark.parametrize("family,xi", [("bose", "0"), ("fermi", "pi")])
+    @pytest.mark.parametrize("family,xi", [("bose", "0"), ("bose", "1e-200")])
     def test_pole_leaves_no_output(self, capsys, tmp_path, family, xi, fmt):
         # the pole is the last point: the last omega of the last angle has eps = 0
         argv = ["occupation", "--family", family, "--xi", f"1,{xi}", "--omega-min=-1",
@@ -412,6 +414,16 @@ class TestOccupationCommand:
         assert err.startswith("error[PoleError]: ")
         assert os.listdir(tmp_path) == ["kept.out"]
         assert kept.read_text() == "previous\n"
+
+    # the float angles pi and 2pi are not the poles: at omega = mu they print the
+    # universal -+1/2 that every angle off the pole gives at eps = 0
+    @pytest.mark.parametrize("family,xi,n", [("fermi", "pi", "0.5"), ("bose", "2pi", "-0.5")])
+    def test_float_pole_angle_prints_the_universal_half(self, capsys, family, xi, n):
+        code, out, err = run_cli(["occupation", "--family", family, "--xi", xi, "--mu", "1",
+                                  "--omega-min", "1", "--omega-max", "2", "--omega-count", "2"],
+                                 capsys)
+        assert (code, err) == (0, "")
+        assert read_csv(out)[0]["occupation"] == n
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("argv,message", [
@@ -1015,16 +1027,17 @@ def _reject_constant(name: str):
     raise ValueError(f"JSON output holds {name}")
 
 
-def run_contract(argv):
-    """Run the CLI in process: exit 0 returns stdout; exit 1 must write one error line
-    and nothing on stdout, and returns None."""
+def run_contract(argv, kinds=None):
+    """Run the CLI in process: exit 0 returns stdout; exit 1 must write one error line,
+    of one of the given kinds if any, and nothing on stdout, and returns None."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     out, err = out.getvalue(), err.getvalue()
     assert code in (0, 1)
     if code == 1:
-        assert out == "" and re.fullmatch(r"error\[\w+\]: [^\n]+\n", err)
+        line = re.fullmatch(r"error\[(\w+)\]: [^\n]+\n", err)
+        assert out == "" and line and (kinds is None or line[1] in kinds), err
         return None
     return out
 
@@ -1156,6 +1169,90 @@ class TestThermoWallsContract:
                            + ["--rotating"] * rotating)
         if out is not None:
             assert all(map(math.isfinite, numeric_cells(out, fmt)))
+
+
+EDGE_DOUBLES = st.sampled_from([0.0, -0.0, 1e-308, -1e-308, 5e-324, 1e308, -1e308])
+# a magnitude: log-uniform from 1e-170 up, or from 1e-9 to 1e-3, where the cancelling form of
+# the occupation formula lost the most digits
+SCALES = st.one_of(st.floats(-170.0, LOG_HIGH), st.floats(-9.0, -3.0)).map(lambda e: 10.0 ** e)
+SIGNED_DOUBLES = st.one_of(EDGE_DOUBLES, st.builds(float.__mul__, st.sampled_from([-1.0, 1.0]),
+                                                   SCALES))
+# the edges, the float poles (k pi) and signed offsets from them
+XI_TEXTS = st.one_of(
+    st.sampled_from(["0", "-0.0", "1e-308", "1e308", "2pi", "1e-200", "pi", "-pi", "5e-324"]),
+    st.builds(lambda k, d: repr(k * math.pi + d), st.integers(-3, 3),
+              SIGNED_DOUBLES.filter(lambda d: abs(d) < 4.0)),
+    st.floats(-1e3, 1e3).map(repr))
+
+
+@st.composite
+def occupation_requests(draw):
+    """(family, xi texts, beta, mu, omega_min, omega_max, count): each omega end is mu
+    plus a signed offset, so eps = beta (omega - mu) reaches 0 and every scale."""
+    mu = draw(st.one_of(st.just(0.0), SIGNED_DOUBLES))
+    ends = [mu + draw(SIGNED_DOUBLES) for _ in range(2)]
+    assume(all(map(math.isfinite, ends)))
+    return (draw(st.sampled_from(["bose", "fermi"])), draw(st.lists(XI_TEXTS, min_size=1,
+                                                                     max_size=2)),
+            draw(st.one_of(st.sampled_from([1.0, 5e-324, 1e-308, 1e308]), POSITIVE_DOUBLES)),
+            mu, *ends, draw(st.one_of(st.integers(2, 3), st.just(int(HUGE)))))
+
+
+class TestOccupationContract:
+    """Every occupation request exits 0 with each n within 1e-13 S of the 800-digit
+    defining formula at the printed xi and the eps the CLI formed, S = (g + w t) / den
+    of the gap form, or 1 with one PoleError or DomainError line and nothing on stdout."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(occupation_requests(), st.sampled_from(["csv", "json"]))
+    def test_rows_match_the_reference(self, request, fmt):
+        family, xis, beta, mu, lo, hi, count = request
+        out = run_contract(["occupation", "--family", family, f"--xi={','.join(xis)}",
+                            f"--beta={beta!r}", f"--mu={mu!r}", f"--omega-min={lo!r}",
+                            f"--omega-max={hi!r}", f"--omega-count={count}", "--format", fmt],
+                           kinds=("PoleError", "DomainError"))
+        if out is None:
+            return
+        cells = numeric_cells(out, fmt)
+        assert len(cells) == 4 * len(xis) * count and all(map(math.isfinite, cells))
+        for xi, omega, beta_omega, n in zip(*[iter(cells)] * 4):
+            assert beta_omega == beta * omega
+            want, scale, _ = reference(Family(family), xi, beta * (omega - mu))
+            assert abs(n - want) <= 1e-13 * scale
+
+
+# chi as p/q with 400-digit terms, or as a decimal: the edges and log-uniform doubles
+CHI_TEXTS = st.one_of(
+    st.builds("{}/{}".format, st.one_of(st.integers(-10 ** 6, 10 ** 6), st.just(int(NINES)),
+                                        st.just(-int(NINES))),
+              st.one_of(st.integers(1, 10 ** 6), st.just(int(NINES)))),
+    st.one_of(EDGE_DOUBLES, SIGNED_DOUBLES, st.floats(-2.0, 2.0)).map(repr))
+
+
+class TestThomaeContract:
+    """Every thomae request exits 0 with chi the parsed p/q, or the nearest fraction to a
+    decimal with denominator at most --q-max, and Thomae's 1/q rounded once."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(CHI_TEXTS, st.one_of(st.integers(1, 10 ** 6), st.just(int(NINES))),
+           st.sampled_from(["csv", "json"]))
+    def test_cells_are_the_fractions_rounded_once(self, text, q_max, fmt):
+        out = run_contract(["thomae", f"--fraction={text}", f"--q-max={q_max}", "--format", fmt],
+                           kinds=())
+        if fmt == "json":
+            (row,) = json.loads(out, parse_constant=_reject_constant)["rows"]
+        else:
+            (row,) = read_csv(out)
+        chi, q = Fraction(int(row["chi_num"]), int(row["chi_den"])), int(row["q"])
+        assert (chi.numerator, chi.denominator) == (int(row["chi_num"]), int(row["chi_den"]))
+        if "/" in text:
+            assert chi == Fraction(text)
+        else:
+            x = Fraction(float(text))
+            assert chi.denominator <= q_max
+            assert abs(chi - x) == abs(x.limit_denominator(q_max) - x)
+        assert (q, int(row["thomae_num"]), int(row["thomae_den"])) == (chi.denominator, 1, q)
+        assert numeric_cells(out, fmt)[-1] == float(Fraction(1, q))
 
 
 class TestDeterminism:

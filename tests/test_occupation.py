@@ -1,8 +1,10 @@
 import math
 import random
+import sys
 
+import mpmath
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ninionics.errors import DomainError, PoleError
@@ -81,8 +83,11 @@ class TestOccupationNumber:
             occupation_number(NinionParams(Family.BOSE, 0.0, 1.0, 0.5, mu=0.5))
 
     def test_fermi_ghost_pole(self):
-        with pytest.raises(PoleError):
-            occupation_from_eps(Family.FERMI, math.pi, 0.0)
+        # math.pi is not pi: 1 + cos(xi) is 7.5e-33, not 0, so n is the universal 1/2
+        assert occupation_from_eps(Family.FERMI, math.pi, 0.0) == 0.5
+        for eps in (-1e-8, 1e-8):
+            n = occupation_from_eps(Family.FERMI, math.pi, eps)
+            assert n == pytest.approx(float(reference(Family.FERMI, math.pi, eps)[0]), rel=1e-13)
 
     @pytest.mark.parametrize("family", list(Family))
     def test_grid_is_bit_identical_to_the_per_point_formula(self, family):
@@ -98,7 +103,7 @@ class TestOccupationNumber:
             assert [math.copysign(1.0, n) for n in row] == [
                 math.copysign(1.0, occupation_from_eps(family, xi, e)) for e in eps]
 
-    @pytest.mark.parametrize("family,xi", [(Family.BOSE, 0.0), (Family.FERMI, math.pi)])
+    @pytest.mark.parametrize("family,xi", [(Family.BOSE, 0.0), (Family.BOSE, 1e-200)])
     def test_grid_pole_is_the_per_point_pole(self, family, xi):
         with pytest.raises(PoleError) as point:
             occupation_from_eps(family, xi, 0.0)
@@ -109,6 +114,67 @@ class TestOccupationNumber:
     def test_bad_beta(self):
         with pytest.raises(DomainError):
             occupation_number(NinionParams(Family.BOSE, 1.0, -1.0, 1.0))
+
+
+def reference(family, xi, eps):
+    """(n, S, den) at the doubles xi and eps, from the defining formula at 800 digits,
+    which resolve 1 - cos(xi) and e^eps - 1 down to |xi|, |eps| of 1e-170. S is
+    (g + w t) / den of the gap form, |n| for eps <= 0 and a bound on it for eps > 0."""
+    s = 1 if family is Family.BOSE else -1
+    with mpmath.workdps(800):
+        xi, eps = mpmath.mpf(xi), mpmath.mpf(eps)
+        e, c = mpmath.exp(eps), mpmath.cos(xi)
+        n = (e * c - s) / (1 - 2 * s * e * c + e * e)
+        w, t = mpmath.exp(-abs(eps)), 1 - s * c
+        g = 1 - w
+        den = g * g + 2 * w * t
+        return n, (g + w * t) / den, den
+
+
+class TestNearThePoles:
+    """The gap form keeps full precision next to the Bose pole (xi = 0) and the Fermi
+    pole (xi = pi), where 1 -+ 2 w cos(xi) + w^2 cancels."""
+
+    # n is 2.5e7, 2.3529e7, 1e6 and the two Fermi mirrors; 1 -+ 2 w cos(xi) + w^2 printed
+    # 2.5735e7 for the first two (2.9% and 9.4% off)
+    @pytest.mark.parametrize("family,xi,eps", [
+        (Family.BOSE, 0.0, 4e-8), (Family.BOSE, 1e-8, 4e-8), (Family.BOSE, 0.0, 1e-6),
+        (Family.FERMI, math.pi, 4e-8), (Family.FERMI, math.pi, 1e-6)])
+    def test_cases_against_mpmath(self, family, xi, eps):
+        want = float(reference(family, xi, eps)[0])
+        assert occupation_from_eps(family, xi, eps) == pytest.approx(want, rel=1e-13)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(list(Family)), st.integers(-1, 1), st.floats(-170.0, 0.0),
+           st.sampled_from([-1.0, 1.0]),
+           st.one_of(st.just(0.0), st.floats(-170.0, 2.5).map(lambda e: 10.0 ** e),
+                     st.floats(-170.0, 2.5).map(lambda e: -10.0 ** e)))
+    def test_error_is_bounded_by_the_gap_scale(self, family, k, offset, side, eps):
+        """Offsets from each pole (2k pi for bosons, (2k + 1) pi for fermions) and |eps|
+        log-uniform from 1e-170: an admitted n is within 1e-13 S of the reference, and a
+        refusal is a bose point whose denominator is under the smallest normal double."""
+        pole = (2 * k if family is Family.BOSE else 2 * k + 1) * math.pi
+        xi = pole + side * 10.0 ** offset
+        n_ref, scale, den = reference(family, xi, eps)
+        try:
+            n = occupation_from_eps(family, xi, eps)
+        except PoleError:
+            assert family is Family.BOSE and den < sys.float_info.min * (1 + 1e-12)
+            return
+        assert abs(n - n_ref) <= 1e-13 * scale
+
+    # den = g^2 + 2 w t is exactly 2^-1022, the smallest normal double, at xi = 0 and
+    # |eps| = 2^-511 (g = 2^-511), admitted, and below it one double nearer 0. In xi, at
+    # eps = 0, t = xi^2 / 2 is subnormal, so the edge is only within a few doubles of
+    # 2^-511: a refusal at 2^-512
+    @pytest.mark.parametrize("xi,eps,n,refused", [
+        (0.0, 2.0 ** -511, 2.0 ** 511, (0.0, math.nextafter(2.0 ** -511, 0.0))),
+        (0.0, -(2.0 ** -511), -(2.0 ** 511), (0.0, math.nextafter(-(2.0 ** -511), 0.0))),
+        (2.0 ** -511, 0.0, -0.5, (2.0 ** -512, 0.0))], ids=["eps", "minus-eps", "xi"])
+    def test_refusal_starts_below_the_normal_range(self, xi, eps, n, refused):
+        assert occupation_from_eps(Family.BOSE, xi, eps) == pytest.approx(n, rel=1e-15)
+        with pytest.raises(PoleError, match="Bose-Einstein pole"):
+            occupation_from_eps(Family.BOSE, *refused)
 
 
 LEVEL_EPS = (0.3, 1.0, 4.0)
