@@ -345,39 +345,34 @@ def _cmd_scan(args) -> tuple[list[str], Iterable[str], dict]:
     return list(fractal.SCAN_FIELDS), fractal.iter_scan_lines(n, args.window), {"order": n}
 
 
-# Peak RSS per nogo row, rounded up from its growth between 100,000 and 300,000 rows in
-# fresh processes on a 2-core Xeon: 394 B (fixed), 475 B (growing), 863 B (near, whose
-# sieve grows with the count as well).
+# Budgeted per nogo row; its peak RSS grew 156 B a row (fixed, growing) and 163 B (near,
+# whose sieve grows with the count too) from 100,000 to 300,000 rows in fresh processes
+# on a 2-core Xeon. 1024 B keeps the largest admitted --count at 1,048,576.
 _NOGO_ROW_BYTES = 1024
 
 
-def _cmd_nogo(args) -> tuple[list[str], list[tuple], dict]:
-    # the points and rows are built whole, so refuse before the sieve a table that
-    # would not fit
+def _cmd_nogo(args) -> tuple[list[str], Iterable[str], dict]:
+    # the pairs are built whole before the lines stream, so refuse before the sieve a
+    # table that would not fit
     rows = len(args.m_indices) if args.m_indices and args.mode != "near" else args.count
     check_memory(f"a nogo table of {rows} rows", rows * _NOGO_ROW_BYTES)
     from . import thermo
     if args.mode == "near":
-        probe = fractal.prime_ratio_sequence_near(
-            args.target, args.count, args.min_denominator)
+        probe = fractal.prime_ratio_sequence_near(args.target, args.count, args.min_denominator)
     else:
-        mode = "fixed_denominator" if args.mode == "fixed" else "growing_denominator"
-        m_indices = args.m_indices or range(args.prime_index + 1,
-                                            args.prime_index + 1 + args.count)
-        probe = fractal.prime_sequence_probe(args.prime_index, m_indices, mode)
+        n = args.prime_index
+        m_indices = args.m_indices or range(n + 1, n + 1 + args.count)
+        probe = fractal.prime_sequence_probe(n, m_indices, f"{args.mode}_denominator")
     # the Fermi branch depends on p/q only through the parity of p + q: 0 at 1/1, 1 at 0/1
-    branches = [(mapped.out_family.value, mapped.multiplicity)
+    branches = [f"{mapped.out_family.value},{mapped.multiplicity!r}"
                 for mapped in map(thermo.fermion_equivalence, (1, 0), (1, 1))]
-    rows = []
-    for turns, ratio in probe.points:
-        p, q = turns.numerator, turns.denominator
-        rows.append((p, q, float(turns), q, float(ratio), *branches[(p + q) % 2],
-                     abs(float(turns) - probe.target)))
+    lines = (f"{c},{d},{c / d!r},{d},{1 / d ** 4!r},{branches[(c + d) % 2]},"
+             f"{abs(c / d - probe.target)!r}\n" for c, d in probe.pairs)
     extras = {"mode": args.mode, "target": probe.target,
               "limit_estimate": probe.limit_estimate, "notices": probe.notices}
     fields = ["chi_num", "chi_den", "chi_real", "q", "energy_ratio",
               "fermi_branch", "fermi_weight", "distance_to_target"]
-    return fields, rows, extras
+    return fields, lines, extras
 
 
 def _cmd_rotor(args) -> tuple[list[str], list[tuple], dict]:

@@ -1,14 +1,15 @@
 """Fractal datasets over the statistical angle and prime-sequence limit probes.
 
 Every thermodynamic ratio here depends only on the denominator of the angle:
-energy and pressure scale as q^-4 and entropy as q^-3. Ratios are carried as
-exact rationals and converted to floats only at output time, so equal-q
-samples are equal by construction and the scaling law is exact, not
-approximate.
+energy and pressure scale as q^-4 and entropy as q^-3. Scan lines and prime
+probes carry each angle as a lowest-terms integer pair (c, d) and print c / d
+and q^-4 as correctly rounded integer quotients, so equal-q samples are equal
+by construction and each float is its exact rational rounded once.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from fractions import Fraction
 from typing import Iterator, NamedTuple, Sequence
@@ -91,24 +92,31 @@ def iter_scan_lines(order: int,
 class SequenceProbe(NamedTuple):
     """A sequence of rational angles probing one accumulation point.
 
-    ``points`` holds (chi_turns, energy_ratio) ordered by decreasing distance
-    to ``target``; ``limit_estimate`` is the ratio at the closest point, the
-    empirical limit along the sequence. Skipped members are explained in
-    ``notices``.
+    ``pairs`` holds each angle chi = c/d turns as a lowest-terms (c, d), by decreasing
+    distance of c / d to ``target``; ``notices`` explains skipped members. ``points``
+    gives (chi_turns, energy_ratio) = (c/d, d^-4) as Fractions, and ``limit_estimate``
+    is d^-4 at the closest point, the empirical limit along the sequence.
     """
 
     target: float
-    points: list[tuple[Fraction, Fraction]]
-    limit_estimate: float
+    pairs: list[tuple[int, int]]
     notices: tuple[str, ...] = ()
 
+    @property
+    def points(self) -> list[tuple[Fraction, Fraction]]:
+        return [(Fraction(c, d), Fraction(1, d ** 4)) for c, d in self.pairs]
 
-def _build_probe(target: float, raw_points: list[tuple[Fraction, Fraction]],
+    @property
+    def limit_estimate(self) -> float:
+        return 1 / self.pairs[-1][1] ** 4
+
+
+def _build_probe(target: float, pairs: list[tuple[int, int]],
                  notices: list[str]) -> SequenceProbe:
-    if not raw_points:
+    if not pairs:
         raise DomainError("probe produced no points; all indices were skipped")
-    pts = sorted(raw_points, key=lambda pr: -abs(float(pr[0]) - target))
-    return SequenceProbe(target, pts, float(pts[-1][1]), tuple(notices))
+    pairs.sort(key=lambda cd: -abs(cd[0] / cd[1] - target))
+    return SequenceProbe(target, pairs, tuple(notices))
 
 
 def prime_sequence_probe(n_fixed: int, m_indices: Sequence[int],
@@ -121,13 +129,14 @@ def prime_sequence_probe(n_fixed: int, m_indices: Sequence[int],
     chi = P_n / P_m with ratio P_m^-4, collapsing toward zero. Interleaving
     such sequences exhibits limits that differ by arbitrarily many orders of
     magnitude, which is why no analytic continuation in the angle exists.
+    Each pair is in lowest terms: 0 < r < P_n, or two distinct primes.
     """
     # one sieve; a range's extremes are its ends, so a huge one is never walked
     ends = [*m_indices[:1], *m_indices[-1:]] if isinstance(m_indices, range) else m_indices
     primes = primes_up_to(max(_prime_bound(m) for m in (n_fixed, *ends)))
     pn = primes[n_fixed - 1]
     notices: list[str] = []
-    points: list[tuple[Fraction, Fraction]] = []
+    pairs: list[tuple[int, int]] = []
     if mode == "fixed_denominator":
         for m in m_indices:
             pm = primes[m - 1]
@@ -135,21 +144,18 @@ def prime_sequence_probe(n_fixed: int, m_indices: Sequence[int],
             if r == 0:
                 notices.append(f"P_{m} = {pm} is divisible by P_{n_fixed} = {pn}; skipped")
                 continue
-            chi = Fraction(r, pn)
-            points.append((chi, Fraction(1, chi.denominator ** 4)))
-        target = float(points[-1][0]) if points else 0.0
+            pairs.append((r, pn))
+        target = pairs[-1][0] / pn if pairs else 0.0
     elif mode == "growing_denominator":
         for m in m_indices:
             if m == n_fixed:
                 notices.append(f"index {m} equals the fixed index; ratio 1 skipped")
                 continue
-            pm = primes[m - 1]
-            chi = Fraction(pn, pm)
-            points.append((chi, Fraction(1, chi.denominator ** 4)))
+            pairs.append((pn, primes[m - 1]))
         target = 0.0
     else:
         raise DomainError(f"unknown probe mode {mode!r}")
-    return _build_probe(target, points, notices)
+    return _build_probe(target, pairs, notices)
 
 
 def prime_ratio_sequence_near(target: Fraction, count: int,
@@ -157,26 +163,25 @@ def prime_ratio_sequence_near(target: Fraction, count: int,
     """Prime-over-prime angles accumulating at ``target`` with growing denominators.
 
     For ``count`` successive primes P >= min_denominator the numerator is the
-    prime nearest target * P, giving irreducible fractions whose distance to
-    the target shrinks like the local prime gap over P while the energy ratio
-    collapses as P^-4.
+    prime below P nearest round(target * P), the smaller of two equally near, so
+    (p, P) is in lowest terms and never 1/1. The distance to the target shrinks
+    like the local prime gap over P while the energy ratio collapses as P^-4.
     """
     if not 0 < target < 1:
         raise DomainError("target must lie strictly inside (0, 1)")
     if count < 1 or min_denominator < 3:
         raise DomainError("need count >= 1 and min_denominator >= 3")
-    bound = 4 * min_denominator + 200 * count
-    primes = primes_up_to(bound)
+    # pi(x) < 1.25506 x / ln x (Rosser and Schoenfeld 1962), in integers at any size
+    ln_num, ln_den = math.log(min_denominator).as_integer_ratio()
+    primes = primes_up_to(_prime_bound(125506 * min_denominator * ln_den // (100000 * ln_num)
+                                       + count))
     start = bisect_left(primes, min_denominator)
-    if start + count > len(primes):
-        raise DomainError("prime table too small for the requested sequence")
-    points: list[tuple[Fraction, Fraction]] = []
-    for pd in primes[start:start + count]:
-        goal = round(target * pd)
-        idx = bisect_left(primes, goal)
-        candidates = primes[max(0, idx - 1):idx + 2]
-        pp = min(candidates, key=lambda c: abs(c - goal))
-        chi = Fraction(pp, pd)  # distinct primes: automatically irreducible
-        points.append((chi, Fraction(1, pd ** 4)))
-    return _build_probe(float(target), points, [])
-
+    a, b = target.as_integer_ratio()
+    pairs: list[tuple[int, int]] = []
+    for i, big in enumerate(primes[start:start + count], start):
+        goal, rest = divmod(2 * a * big + b, 2 * b)  # target * big rounded half up,
+        goal -= goal % 2 if rest == 0 else 0  # then a tie to even, as round(Fraction)
+        idx = bisect_left(primes, goal, 1, i)  # the primes either side of goal below big
+        lo, hi = primes[idx - 1], primes[min(idx, i - 1)]
+        pairs.append((hi if hi - goal < goal - lo else lo, big))  # lo on a tie
+    return _build_probe(float(target), pairs, [])

@@ -244,7 +244,7 @@ def test_record_constructors_keep_their_defaults():
 
 def test_sequence_probes_never_share_notices():
     # a default is immutable, and a built probe does not hold the list it was built from
-    a, b = fractal.SequenceProbe(0.0, [], 0.0), fractal.SequenceProbe(0.5, [], 1.0)
+    a, b = fractal.SequenceProbe(0.0, []), fractal.SequenceProbe(0.5, [(1, 2)])
     assert a.notices == b.notices == ()
     skipped = fractal.prime_sequence_probe(2, [2, 3, 4])  # P_2 = 3 divides itself
     assert skipped.notices == ("P_2 = 3 is divisible by P_2 = 3; skipped",)

@@ -25,6 +25,7 @@ from ninionics import cli, fractal, identities, occupation, oracle, rotor, therm
 from ninionics.cli import main, parse_angle
 from ninionics.errors import MEMORY_BUDGET, ROW_BUDGET, DomainError, PoleError
 from ninionics.occupation import Family, occupation_from_eps
+from ninionics.rationals import _farey_terms_bound
 from test_occupation import reference  # the 800-digit defining formula
 
 PI_SQ = math.pi ** 2
@@ -687,6 +688,28 @@ class TestNogoCommand:
         for row in payload["rows"]:
             assert row["distance_to_target"] < 0.01
 
+    def test_near_numerator_is_below_the_denominator(self, capsys):
+        # round(0.99999 P) is P itself for these P, once printed as 1,1 with ratio P^-4
+        code, out, _ = run_cli(["nogo", "--mode", "near", "--target", "99999/100000",
+                                "--count", "3"], capsys)
+        assert code == 0
+        assert [(r["chi_num"], r["chi_den"], r["q"]) for r in read_csv(out)] == [
+            ("100019", "100043", "100043"), ("100003", "100019", "100019"),
+            ("99991", "100003", "100003")]
+
+    def test_near_sieve_ends_at_the_bound_of_its_last_prime(self, capsys, monkeypatch):
+        # pi(100000) < 10901 by Rosser-Schoenfeld, so the sieve bounds prime 10901 + count
+        sieves = []
+
+        def record(n):
+            sieves.append(n)
+            raise DomainError("sieve reached")
+
+        monkeypatch.setattr(fractal, "primes_up_to", record)
+        code, out, err = run_cli(["nogo", "--mode", "near", "--count", "1048576"], capsys)
+        assert (code, out, err, sieves) == (1, "", "error[DomainError]: sieve reached\n",
+                                            [17_484_824])
+
     def test_ghost_flag_columns(self, capsys):
         _, out, _ = run_cli(
             ["nogo", "--mode", "growing", "--prime-index", "1", "--count", "4"], capsys)
@@ -1253,6 +1276,176 @@ class TestThomaeContract:
             assert abs(chi - x) == abs(x.limit_denominator(q_max) - x)
         assert (q, int(row["thomae_num"]), int(row["thomae_den"])) == (chi.denominator, 1, q)
         assert numeric_cells(out, fmt)[-1] == float(Fraction(1, q))
+
+
+def simplest_between(lo, hi):
+    """The fraction of least denominator in [lo, hi], 0 <= lo <= hi, by continued fractions."""
+    whole = lo.numerator // lo.denominator
+    if whole == lo or whole + 1 <= hi:
+        return Fraction(whole if whole == lo else whole + 1)
+    return whole + 1 / simplest_between(1 / (hi - whole), 1 / (lo - whole))
+
+
+def farey_neighbours(a, b, n):
+    """The terms of F_n before and after a/b in [0, 1], None past either end: the
+    largest denominators d <= n with a d - b c = 1 and b c - a d = 1 respectively."""
+    before = pow(a, -1, b)
+    before += b * ((n - before) // b)
+    after = -pow(a, -1, b) % b
+    after += b * ((n - after) // b)
+    return (((a * before - 1) // b, before) if a else None,
+            ((a * after + 1) // b, after) if a < b else None)
+
+
+def scan_budget_edge(width):
+    """The largest order a scan of a window this wide is admitted at."""
+    lo, hi = 1, ROW_BUDGET
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        lo, hi = (mid, hi) if _farey_terms_bound(mid, width) <= ROW_BUDGET else (lo, mid - 1)
+    return lo
+
+
+@st.composite
+def scan_requests(draw):
+    """(order, lo, hi, admitted): wide windows at small orders, the ends 0 and 1, windows
+    that hold one term of F_n, and narrow windows at and just past the order where the
+    row estimate meets ROW_BUDGET (admitted is None where the estimate is well under it)."""
+    kind = draw(st.sampled_from(["wide", "one-term", "edge"]))
+    if kind == "wide":
+        order, den = draw(st.integers(1, 120)), draw(st.integers(1, 200))
+        lo, hi = sorted(draw(st.lists(st.integers(0, den), min_size=2, max_size=2, unique=True)))
+        return order, Fraction(lo, den), Fraction(hi, den), None
+    if kind == "one-term":  # a/b and a/b + 1/(b (n + 1)), which the next term of F_n passes
+        order = draw(st.integers(1, 10 ** 7))
+        b = draw(st.integers(1, order))
+        lo = Fraction(draw(st.integers(0, b - 1)), b)
+        return order, lo, lo + Fraction(1, b * (order + 1)), None
+    q = draw(st.integers(10 ** 6, 10 ** 12))
+    lo = Fraction(draw(st.integers(0, q - 1)), q)
+    hi = min(Fraction(1), lo + Fraction(1, draw(st.integers(10 ** 9, 10 ** 11))))
+    edge = scan_budget_edge(float(hi - lo))
+    past = draw(st.booleans())
+    return edge + past, lo, hi, not past
+
+
+class TestScanContract:
+    """Every scan row holds c, d, c/d, d, d^-4 and d^-3 of a term of F_n in the window,
+    each float the Fraction rounded once; the rows are the whole window in ascending
+    order, each a Farey neighbour of the one before; past ROW_BUDGET it refuses."""
+
+    @settings(max_examples=150, deadline=2000)
+    @given(scan_requests(), st.sampled_from(["csv", "json"]))
+    def test_rows_are_the_window_of_the_farey_sequence(self, request, fmt):
+        order, lo, hi, admitted = request
+        out = run_contract(["scan", "--order", str(order), "--window", f"{lo},{hi}",
+                            "--format", fmt], kinds=("DomainError",))
+        if admitted is not None:
+            assert (out is not None) == admitted
+        if out is None:
+            return
+        if fmt == "json":
+            rows = [list(row.values())
+                    for row in json.loads(out, parse_constant=_reject_constant)["rows"]]
+        else:
+            rows = [[int(r[0]), int(r[1]), float(r[2]), int(r[3]), float(r[4]), float(r[5])]
+                    for r in csv.reader(io.StringIO(out)) if r[0] != "chi_numerator"]
+        pairs = [(c, d) for c, d, *_ in rows]
+        for row, (c, d) in zip(rows, pairs):
+            assert row == [c, d, float(Fraction(c, d)), d, float(Fraction(1, d ** 4)),
+                           float(Fraction(1, d ** 3))]
+            assert math.gcd(c, d) == 1 and d <= order and lo <= Fraction(c, d) <= hi
+        for (a, b), (c, d) in zip(pairs, pairs[1:]):
+            assert b * c - a * d == 1 and b + d > order
+        if not pairs:
+            assert simplest_between(lo, hi).denominator > order
+            return
+        before, _ = farey_neighbours(*pairs[0], order)
+        _, after = farey_neighbours(*pairs[-1], order)
+        assert before is None or Fraction(*before) < lo
+        assert after is None or Fraction(*after) > hi
+
+
+NOGO_EDGE = MEMORY_BUDGET // cli._NOGO_ROW_BYTES  # the largest --count admitted
+# targets near 0 and 1, p/q, a 400-digit one, decimals, and the refused 0, 1 and beyond
+NOGO_TARGETS = st.one_of(
+    st.integers(1, 15).map(lambda k: f"1/{10 ** k}"),
+    st.integers(1, 15).map(lambda k: f"{10 ** k - 1}/{10 ** k}"),
+    st.integers(2, 10 ** 6).flatmap(lambda q: st.integers(1, q - 1).map(lambda p: f"{p}/{q}")),
+    st.sampled_from([f"{NINES}/1{'0' * 400}", f"1/1{'0' * 400}", "0.5", "0.999999", "0", "1",
+                     "-1/2", "3/2"]))
+BRANCHES = [("boson_ghost", -2.0), ("fermion", 1.0)]  # by the parity of chi_num + chi_den
+
+
+@st.composite
+def nogo_requests(draw):
+    """(argv, the library call that gives its points): every mode, counts up to 300 and
+    past the memory edge, --m-indices out of order, repeated, holding the fixed index
+    (a notice) or a non-positive one, and sieves past the memory budget."""
+    mode = draw(st.sampled_from(["fixed", "growing", "near"]))
+    count = draw(st.one_of(st.integers(1, 300), st.sampled_from([NOGO_EDGE + 1, int(HUGE)])))
+    argv = ["nogo", "--mode", mode, "--count", str(count)]
+    if mode == "near":
+        target = draw(NOGO_TARGETS)
+        min_den = draw(st.one_of(st.integers(1, 10 ** 6), st.sampled_from([10 ** 9, int(HUGE)])))
+        argv += ["--target", target, "--min-denominator", str(min_den)]
+        return argv, lambda: fractal.prime_ratio_sequence_near(Fraction(target), count, min_den)
+    n = draw(st.one_of(st.integers(1, 300), st.just(10 ** 11)))
+    argv += ["--prime-index", str(n)]
+    m_indices = draw(st.one_of(st.none(), st.lists(st.one_of(st.integers(1, 400), st.just(n),
+                                                              st.integers(-2, 0)),
+                                                    min_size=1, max_size=30)))
+    if m_indices:
+        argv += ["--m-indices", ",".join(map(str, m_indices))]
+    name = f"{mode}_denominator"
+    return argv, lambda: fractal.prime_sequence_probe(
+        n, m_indices or range(n + 1, n + 1 + count), name)
+
+
+class TestNogoContract:
+    """Every nogo row is a lowest-terms c/d with q = d, c/d and d^-4 the Fractions
+    rounded once, the Fermi branch of the parity of c + d, and the distance to the
+    target; the rows are SequenceProbe.points of the same request, as floats."""
+
+    @settings(max_examples=150, deadline=2000)
+    @given(nogo_requests(), st.sampled_from(["csv", "json"]))
+    def test_rows_are_the_probe_points(self, request, fmt):
+        argv, probe = request
+        out = run_contract(argv + ["--format", fmt], kinds=("DomainError",))
+        if out is None:
+            return
+        probe = probe()
+        if fmt == "json":
+            payload = json.loads(out, parse_constant=_reject_constant)
+            rows = [list(row.values()) for row in payload["rows"]]
+            assert (payload["target"], payload["limit_estimate"], payload["notices"]) == (
+                probe.target, probe.limit_estimate, list(probe.notices))
+        else:
+            rows = [[int(r[0]), int(r[1]), float(r[2]), int(r[3]), float(r[4]), r[5],
+                     float(r[6]), float(r[7])]
+                    for r in csv.reader(io.StringIO(out)) if r[0] != "chi_num"]
+        for c, d, chi, q, energy, branch, weight, distance in rows:
+            assert math.gcd(c, d) == 1 and q == d
+            assert (chi, energy) == (float(Fraction(c, d)), float(Fraction(1, d ** 4)))
+            assert (branch, weight) == BRANCHES[(c + d) % 2]
+            assert distance == abs(chi - probe.target)
+        assert rows == [[chi.numerator, chi.denominator, float(chi), chi.denominator,
+                         float(ratio), *BRANCHES[(chi.numerator + chi.denominator) % 2],
+                         abs(float(chi) - probe.target)] for chi, ratio in probe.points]
+
+    @pytest.mark.parametrize("argv,rows", [
+        (["--mode", "fixed", "--count", "50"], 50),
+        (["--mode", "growing", "--prime-index", "3", "--m-indices", "9,3,4,4,2"], 4),
+        (["--mode", "near", "--target", "99999/100000", "--count", "50"], 50),
+    ], ids=["fixed", "growing", "near"])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_the_cli_builds_no_fraction_per_row(self, monkeypatch, argv, rows, fmt):
+        def no_fraction(*args, **kwargs):
+            raise AssertionError("nogo built a Fraction in ninionics.fractal")
+
+        monkeypatch.setattr(fractal, "Fraction", no_fraction)
+        out = run_contract(["nogo", *argv, "--format", fmt], kinds=())
+        assert out.count("boson_ghost") + out.count("fermion") == rows
 
 
 class TestDeterminism:

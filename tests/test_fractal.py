@@ -345,6 +345,33 @@ class TestPrimeSequences:
         dists = [abs(float(chi) - 0.5) for chi, _ in probe.points]
         assert max(dists) < 0.02
 
+    # 1/2 ties at every odd P; 99999/100000 and the 400-digit target round to P itself
+    @pytest.mark.parametrize("target", [
+        Fraction(1, 2), Fraction(1, 3), Fraction(2, 5), Fraction(7, 11), Fraction(1, 1000),
+        Fraction(999, 1000), Fraction(99999, 100000), Fraction(10 ** 400 - 1, 10 ** 400)])
+    @pytest.mark.parametrize("min_den", [3, 50, 2000])
+    def test_near_numerator_is_the_nearest_prime_below_the_denominator(self, target, min_den):
+        primes = primes_up_to(5000)
+        dens = [p for p in primes if p >= min_den][:150]
+        chis = []
+        for big in dens:
+            goal = round(target * big)  # Fraction rounds half to even
+            chis.append(Fraction(min((p for p in primes if p < big),
+                                     key=lambda p: (abs(p - goal), p)), big))
+        chis.sort(key=lambda chi: -abs(float(chi) - float(target)))
+        probe = prime_ratio_sequence_near(target, len(dens), min_den)
+        assert probe.points == [(chi, Fraction(1, chi.denominator ** 4)) for chi in chis]
+        assert probe.pairs == [(chi.numerator, chi.denominator) for chi in chis]
+        assert probe.limit_estimate == float(Fraction(1, chis[-1].denominator ** 4))
+
+    def test_the_sieve_holds_every_requested_prime(self):
+        # pi(x) < 1.25506 x / ln x is tightest near x = 113; the table is never short
+        primes = primes_up_to(3000)
+        for min_den in range(3, 2000):
+            want = [p for p in primes if p >= min_den][:5]
+            got = prime_ratio_sequence_near(Fraction(1, 3), 5, min_den).pairs
+            assert sorted(d for _, d in got) == want
+
     def test_temperature_pair_factor_1000(self):
         # the canonical nearby pair: effective temperatures differ x1000 exactly
         assert thomae(Fraction(1, 2)) / thomae(Fraction(999, 2000)) == 1000
