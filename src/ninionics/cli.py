@@ -92,6 +92,20 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"cannot parse fraction {text!r}") from exc
 
 
+def _open_unit_fraction(text: str) -> Fraction:
+    x = _fraction(text)
+    if not 0 < x < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} must lie strictly inside (0, 1)")
+    return x
+
+
+def _min_denominator(text: str) -> int:
+    n = int(text)
+    if n < 3:
+        raise argparse.ArgumentTypeError(f"{text!r} must be an integer of at least 3")
+    return n
+
+
 def _window(text: str) -> tuple[Fraction, Fraction]:
     parts = text.split(",")
     if len(parts) != 2:
@@ -480,9 +494,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="1-based index of the fixed prime (fixed/growing modes)")
     p.add_argument("--m-indices", type=_int_list, default=None)
     p.add_argument("--count", type=_positive_int, default=8)
-    p.add_argument("--target", type=_fraction, default=Fraction(1, 2),
+    p.add_argument("--target", type=_open_unit_fraction, default=Fraction(1, 2),
                    help="accumulation point for --mode near")
-    p.add_argument("--min-denominator", type=_positive_int, default=100_000)
+    p.add_argument("--min-denominator", type=_min_denominator, default=100_000)
     p.set_defaults(handler=_cmd_nogo)
     common(p)
 

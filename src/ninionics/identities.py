@@ -15,7 +15,7 @@ import math
 from typing import Iterator, NamedTuple
 
 from .errors import DomainError, check_budget, check_memory
-from .rationals import _farey_terms_bound, _residue_phase
+from .rationals import _farey_terms_bound, residue_phases
 
 __all__ = [
     "GAMMA_FLOOR",
@@ -27,7 +27,6 @@ __all__ = [
     "fermion_identity_rhs",
     "check_fermion_identity",
     "coprime_fractions",
-    "residue_phases",
     "identity_class_sums",
     "scan_identity_residuals",
     "regularized_count_ratio",
@@ -78,16 +77,6 @@ def _validate(p: int, q: int, gamma: float) -> float:
         raise DomainError(f"{p}/{q} is not an irreducible fraction")
     check_memory(f"the phase sum at q = {q}", q * _PAIR_BYTES)
     return _decay(gamma)
-
-
-def residue_phases(family: str, p: int, q: int) -> tuple[list[int], int]:
-    """Phases k/den turns, k in [0, den), of the residues a = 0..q-1 of m mod q under a
-    rotation by p/q turns: a p / q (den = q) for "bose", (2 a + 1) p / 2 q (den = 2 q)
-    for "fermi". A Family, being a str enum, selects the same."""
-    if q < 1:
-        raise DomainError("q must be a positive integer")
-    den = _residue_phase(family, 0, p, q)[1]
-    return [_residue_phase(family, a, p, q)[0] for a in range(q)], den
 
 
 def _arguments(sign: float, z: float, ks, den: int) -> list[complex]:

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .errors import DomainError
 from .occupation import Family
-from .rationals import StatAngle, _residue_phase
+from .rationals import StatAngle, residue_phases
 from .thermo import DEFAULT_INNER_TOL, PI_SQ, GasSpec, _branches, _check_beta
 
 __all__ = ["free_energy_quadrature", "free_energy_extrapolated", "required_m_cut",
@@ -127,13 +127,10 @@ def _mode_table(spec: GasSpec, beta: float, turns: Fraction,
     _check_beta(beta)
     if spec.family is Family.BOSE and spec.mu != 0.0 and spec.mass <= abs(spec.mu):
         raise DomainError("bosonic logarithm diverges: |mu| must stay below the mass")
-    q = turns.denominator
-    dists = []
-    for a in range(q):
-        k, den = _residue_phase(spec.family, a, turns.numerator, q)
-        if spec.family is Family.FERMI:  # the fermionic logarithm is the bosonic one at phi + pi
-            k += den // 2
-        dists.append(min(k % den, -k % den))  # to the nearest whole turn
+    ks, den = residue_phases(spec.family, turns.numerator, turns.denominator)
+    # the fermionic logarithm is the bosonic one at phi + pi
+    shift = den // 2 if spec.family is Family.FERMI else 0
+    dists = [min((k + shift) % den, -(k + shift) % den) for k in ks]  # to the nearest whole turn
     m = beta * spec.mass
     mus = [beta * b for b in _branches(spec)]
     norm = 1.0 / (2.0 * PI_SQ * beta ** 3)

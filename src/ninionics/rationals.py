@@ -1,9 +1,9 @@
 """Exact rational statistical angles and the integer machinery around them.
 
-Reduced fractions, the Thomae map, Farey sequences over any window, best
-rational approximation of floating inputs, and prime generation. Everything is
-exact integer/rational arithmetic; floats enter only through the explicit
-approximation and conversion helpers.
+Reduced fractions, the Thomae map, Farey sequences over any window, the residue
+phases of a rotation by p/q turns, and prime generation, in exact integer and
+rational arithmetic. Floats enter only through ``StatAngle.from_turns``; its best
+approximation and the Farey bracket are ``Fraction.limit_denominator``.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ __all__ = [
     "farey_pairs",
     "farey_bracket",
     "farey_successor",
-    "approximate_rational",
+    "residue_phases",
     "parse_turns",
     "primes_up_to",
 ]
@@ -64,28 +64,20 @@ def thomae(x: Fraction | int) -> Fraction:
 def farey_bracket(x: Fraction, order: int) -> tuple[Fraction, Fraction]:
     """Neighbours (u, v) of ``x`` among order-n Farey fractions, u <= x <= v.
 
-    ``u == v == x`` exactly when ``x`` itself has denominator <= order.
-    Uses a batched Stern-Brocot descent, so the cost is logarithmic in the
-    denominators rather than linear in ``order``.
+    ``u == v == x`` exactly when ``x`` itself has denominator <= order. One
+    neighbour is the nearest, ``x.limit_denominator(order)``; the other is its
+    successor on x's side, the left one through the symmetry f -> 1 - f of F_n.
     """
     if order < 1:
         raise DomainError("Farey order must be >= 1")
     if not 0 <= x <= 1:
         raise DomainError("farey_bracket expects x in [0, 1]")
-    if x.denominator <= order:
+    near = Fraction(x).limit_denominator(order)
+    if near == x:
         return x, x
-    p, q = x.numerator, x.denominator
-    a, b, c, d = 0, 1, 1, 1
-    while b + d <= order:
-        # x lies strictly between a/b and c/d; advance the side whose mediant
-        # chain stays on x's side, as many steps as the order cap allows.
-        if p * (b + d) >= (a + c) * q:
-            k = min((p * b - a * q) // (c * q - p * d), (order - b) // d)
-            a, b = a + k * c, b + k * d
-        else:
-            k = min((c * q - p * d) // (p * b - a * q), (order - d) // b)
-            c, d = c + k * a, d + k * b
-    return Fraction(a, b), Fraction(c, d)
+    if near < x:
+        return near, farey_successor(near, order)
+    return 1 - farey_successor(1 - near, order), near
 
 
 def farey_successor(f: Fraction, order: int) -> Fraction | None:
@@ -110,7 +102,7 @@ def farey_pairs(order: int, lo: Fraction | int | str,
 
     The window must satisfy 0 <= lo < hi <= 1; a window containing no
     fraction yields nothing (not an error). Enumeration starts from the
-    Stern-Brocot bracket of ``lo`` and runs the standard next-term
+    Farey bracket of ``lo`` and runs the standard next-term
     recurrence on plain integers, so narrow windows never materialize the
     whole sequence and no term builds a Fraction.
     """
@@ -142,40 +134,6 @@ def farey_interval(order: int, lo: Fraction | int | str,
         yield Fraction(c, d)
 
 
-def approximate_rational(x: float, q_max: int) -> Fraction:
-    """Best rational approximation to ``x`` with denominator <= q_max.
-
-    Walks the continued-fraction convergents of the exact binary value of
-    ``x`` and compares the final convergent against the best admissible
-    semiconvergent. Ties are broken toward the smaller denominator, then
-    toward the smaller value.
-
-    Raises
-    ------
-    DomainError
-        For non-finite ``x`` or ``q_max < 1``.
-    """
-    if not math.isfinite(x):
-        raise DomainError("cannot approximate a non-finite value")
-    if q_max < 1:
-        raise DomainError("q_max must be >= 1")
-    target = Fraction(x)
-    if target.denominator <= q_max:
-        return target
-    p0, q0, p1, q1 = 0, 1, 1, 0
-    n, d = target.numerator, target.denominator
-    while True:
-        a = n // d
-        if q0 + a * q1 > q_max:
-            break
-        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q0 + a * q1
-        n, d = d, n - a * d
-    t = (q_max - q0) // q1
-    semi = Fraction(p0 + t * p1, q0 + t * q1)
-    conv = Fraction(p1, q1)
-    return min((conv, semi), key=lambda f: (abs(target - f), f.denominator, f))
-
-
 def _farey_terms_bound(n: int, width: float = 1.0) -> float:
     """About 3 n^2 width / pi^2 + n + 1, the terms of F_n in a window of that width; an
     upper bound on [0, 1] up to n = 20000 at least. An order past 2^500 would overflow
@@ -183,15 +141,17 @@ def _farey_terms_bound(n: int, width: float = 1.0) -> float:
     return 3 * n ** 2 * width / math.pi ** 2 + n + 1 if n.bit_length() <= 500 else math.inf
 
 
-def _residue_phase(family: str, a, p, q: int):
-    """Phase k/den turns, k in [0, den), of residue a of m mod q under a rotation by p/q
-    turns: a p / q (den = q) for "bose", (2 a + 1) p / 2 q (den = 2 q) for "fermi". A
-    Family, being a str enum, selects the same."""
-    if family == "bose":
-        return a * (p % q) % q, q
-    if family == "fermi":
-        return (2 * a + 1) * (p % (2 * q)) % (2 * q), 2 * q
-    raise DomainError(f"unknown family {family!r}")
+def residue_phases(family: str, p: int, q: int) -> tuple[list[int], int]:
+    """Phases k/den turns, k in [0, den), of the residues a = 0..q-1 of m mod q under a
+    rotation by p/q turns: a p / q (den = q) for "bose", (2 a + 1) p / 2 q (den = 2 q)
+    for "fermi". A Family, being a str enum, selects the same."""
+    if q < 1:
+        raise DomainError("q must be a positive integer")
+    if family not in ("bose", "fermi"):
+        raise DomainError(f"unknown family {family!r}")
+    step = 1 if family == "bose" else 2  # the multiplier of p is a, or 2 a + 1
+    den, r = step * q, p % (step * q)
+    return [c * r % den for c in range(step - 1, den, step)], den
 
 
 def primes_up_to(n: int) -> list[int]:
@@ -255,8 +215,16 @@ class StatAngle(NamedTuple):
 
     @classmethod
     def from_turns(cls, turns: Fraction | float, q_max: int = 10 ** 6) -> "StatAngle":
-        """Fraction turns exactly, or float turns via rational approximation."""
-        return cls(turns if isinstance(turns, Fraction) else approximate_rational(turns, q_max))
+        """Fraction turns exactly; float turns as the nearest fraction of denominator <=
+        q_max, on a tie the smaller denominator (``Fraction.limit_denominator``).
+        DomainError for non-finite float turns or q_max < 1."""
+        if isinstance(turns, Fraction):
+            return cls(turns)
+        if not math.isfinite(turns):
+            raise DomainError("cannot approximate a non-finite value")
+        if q_max < 1:
+            raise DomainError("q_max must be >= 1")
+        return cls(Fraction(turns).limit_denominator(q_max))
 
     @classmethod
     def parse(cls, text: str, q_max: int = 10 ** 6) -> "StatAngle":

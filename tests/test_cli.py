@@ -27,6 +27,7 @@ from ninionics.errors import MEMORY_BUDGET, ROW_BUDGET, DomainError, PoleError
 from ninionics.occupation import Family, occupation_from_eps
 from ninionics.rationals import _farey_terms_bound
 from test_occupation import reference  # the 800-digit defining formula
+from test_rationals import brute_force_best_rational  # exhaustive over denominators
 
 PI_SQ = math.pi ** 2
 NINES = "9" * 400  # a coefficient past the float range
@@ -1050,9 +1051,10 @@ def _reject_constant(name: str):
     raise ValueError(f"JSON output holds {name}")
 
 
-def run_contract(argv, kinds=None):
-    """Run the CLI in process: exit 0 returns stdout; exit 1 must write one error line,
-    of one of the given kinds if any, and nothing on stdout, and returns None."""
+def run_contract(argv, kinds=None, with_err=False):
+    """Run the CLI in process: exit 0 returns stdout, or (stdout, stderr) with_err; exit 1
+    must write one error line, of one of the given kinds if any, and nothing on stdout,
+    and returns None."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
@@ -1062,7 +1064,18 @@ def run_contract(argv, kinds=None):
         line = re.fullmatch(r"error\[(\w+)\]: [^\n]+\n", err)
         assert out == "" and line and (kinds is None or line[1] in kinds), err
         return None
-    return out
+    return (out, err) if with_err else out
+
+
+def run_usage_error(argv):
+    """Run the CLI in process and return stderr; it must exit 2, as argparse does, with
+    nothing on stdout and no error[<Kind>] line."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2 and out.getvalue() == "" and "error[" not in err.getvalue()
+    return err.getvalue()
 
 
 def numeric_cells(out, fmt):
@@ -1252,12 +1265,26 @@ CHI_TEXTS = st.one_of(
     st.one_of(EDGE_DOUBLES, SIGNED_DOUBLES, st.floats(-2.0, 2.0)).map(repr))
 
 
+def assert_nearest(chi, x, n):
+    """chi, of denominator <= n, is no farther from x than its neighbours among the
+    fractions of denominator <= n, and as near only ahead of them in (denominator, value),
+    the order brute_force_best_rational breaks ties in. Those neighbours are the terms of
+    F_n next to chi's fractional part, shifted by its whole part."""
+    whole = chi.numerator // chi.denominator
+    part = chi - whole
+    before, after = farey_neighbours(part.numerator, part.denominator, n)
+    for other in (Fraction(*before) if before else Fraction(-1, n), Fraction(*after)):
+        other += whole
+        assert (abs(chi - x), chi.denominator, chi) < (abs(other - x), other.denominator, other)
+
+
 class TestThomaeContract:
     """Every thomae request exits 0 with chi the parsed p/q, or the nearest fraction to a
     decimal with denominator at most --q-max, and Thomae's 1/q rounded once."""
 
     @settings(max_examples=200, deadline=None)
-    @given(CHI_TEXTS, st.one_of(st.integers(1, 10 ** 6), st.just(int(NINES))),
+    @given(CHI_TEXTS, st.one_of(st.integers(1, 200), st.integers(1, 10 ** 6),
+                                st.just(int(NINES))),
            st.sampled_from(["csv", "json"]))
     def test_cells_are_the_fractions_rounded_once(self, text, q_max, fmt):
         out = run_contract(["thomae", f"--fraction={text}", f"--q-max={q_max}", "--format", fmt],
@@ -1273,7 +1300,12 @@ class TestThomaeContract:
         else:
             x = Fraction(float(text))
             assert chi.denominator <= q_max
-            assert abs(chi - x) == abs(x.limit_denominator(q_max) - x)
+            if x.denominator <= q_max:
+                assert chi == x
+            elif q_max <= 200:
+                assert chi == brute_force_best_rational(x, q_max)
+            else:
+                assert_nearest(chi, x, q_max)
         assert (q, int(row["thomae_num"]), int(row["thomae_den"])) == (chi.denominator, 1, q)
         assert numeric_cells(out, fmt)[-1] == float(Fraction(1, q))
 
@@ -1379,9 +1411,10 @@ BRANCHES = [("boson_ghost", -2.0), ("fermion", 1.0)]  # by the parity of chi_num
 
 @st.composite
 def nogo_requests(draw):
-    """(argv, the library call that gives its points): every mode, counts up to 300 and
-    past the memory edge, --m-indices out of order, repeated, holding the fixed index
-    (a notice) or a non-positive one, and sieves past the memory budget."""
+    """(argv, the library call that gives its points, or None for a usage error): every
+    mode, counts up to 300 and past the memory edge, --m-indices out of order, repeated,
+    holding the fixed index (a notice) or a non-positive one, sieves past the memory
+    budget, and targets outside (0, 1) and minimum denominators below 3."""
     mode = draw(st.sampled_from(["fixed", "growing", "near"]))
     count = draw(st.one_of(st.integers(1, 300), st.sampled_from([NOGO_EDGE + 1, int(HUGE)])))
     argv = ["nogo", "--mode", mode, "--count", str(count)]
@@ -1389,6 +1422,8 @@ def nogo_requests(draw):
         target = draw(NOGO_TARGETS)
         min_den = draw(st.one_of(st.integers(1, 10 ** 6), st.sampled_from([10 ** 9, int(HUGE)])))
         argv += ["--target", target, "--min-denominator", str(min_den)]
+        if not 0 < Fraction(target) < 1 or min_den < 3:  # refused by the option types
+            return argv, None
         return argv, lambda: fractal.prime_ratio_sequence_near(Fraction(target), count, min_den)
     n = draw(st.one_of(st.integers(1, 300), st.just(10 ** 11)))
     argv += ["--prime-index", str(n)]
@@ -1411,6 +1446,9 @@ class TestNogoContract:
     @given(nogo_requests(), st.sampled_from(["csv", "json"]))
     def test_rows_are_the_probe_points(self, request, fmt):
         argv, probe = request
+        if probe is None:
+            run_usage_error(argv + ["--format", fmt])
+            return
         out = run_contract(argv + ["--format", fmt], kinds=("DomainError",))
         if out is None:
             return
@@ -1448,6 +1486,76 @@ class TestNogoContract:
         assert out.count("boson_ghost") + out.count("fermion") == rows
 
 
+# gamma at the floor and the double below it, the ends of the double range, and
+# log-uniform positive doubles, over all of them and over the admitted 1e-6 to 700
+IDENTITY_GAMMAS = st.one_of(
+    st.sampled_from([identities.GAMMA_FLOOR, math.nextafter(identities.GAMMA_FLOOR, 0.0),
+                     1e-308, 1e308]),
+    POSITIVE_DOUBLES, st.floats(-6.0, 2.845).map(lambda e: 10.0 ** e))
+PAIR_MEMORY_EDGE = MEMORY_BUDGET // identities._PAIR_BYTES + 1  # the least q refused
+
+
+def identity_rows(out, fmt):
+    """(family, p, q, gamma, lhs, rhs, residual) per row, and the JSON max_residual."""
+    if fmt == "json":
+        payload = json.loads(out, parse_constant=_reject_constant)
+        return [tuple(row.values()) for row in payload["rows"]], payload["max_residual"]
+    return [(f, int(p), int(q), float(g), float(lhs), float(rhs), float(res))
+            for f, p, q, g, lhs, rhs, res in list(csv.reader(io.StringIO(out)))[1:]], None
+
+
+class TestIdentityContract:
+    """Every identity request exits 0 with one row per irreducible p/q in q-then-p order
+    (or the one pair), residual |lhs - rhs| bit for bit, the maximum and the count on
+    stderr (and JSON) those of the rows, and lhs the library's phase sum; or exits 1 with
+    one DomainError line and nothing on stdout."""
+
+    def check_table(self, out, err, fmt, family, gamma, fractions):
+        rows, max_residual = identity_rows(out, fmt)
+        assert [(p, q) for _, p, q, *_ in rows] == fractions
+        assert {(f, g) for f, _, _, g, *_ in rows} == {(family, gamma)}
+        residuals = [res for *_, res in rows]
+        assert list(map(repr, residuals)) == [repr(abs(lhs - rhs)) for *_, lhs, rhs, _ in rows]
+        assert all(map(math.isfinite, numeric_cells(out, fmt)))
+        assert max_residual in (None, max(residuals))
+        assert err == f"max residual over {len(rows)} fractions: {max(residuals):.3e}\n"
+        check = (identities.check_boson_identity if family == "bose"
+                 else identities.check_fermion_identity)
+        for _, p, q, _, lhs, rhs, _ in rows[::max(1, len(rows) // 8)] + rows[-1:]:
+            assert (repr(lhs), repr(rhs)) == tuple(map(repr, check(p, q, gamma)[3:]))
+
+    @settings(max_examples=100, deadline=2000)
+    @given(st.sampled_from(["bose", "fermi"]), IDENTITY_GAMMAS,
+           st.one_of(st.integers(1, 64), st.sampled_from([4055, int(NINES)])),
+           st.sampled_from(["csv", "json"]))
+    def test_scan_rows_are_the_irreducible_fractions(self, family, gamma, q_max, fmt):
+        got = run_contract(["identity", "--family", family, "--gamma", repr(gamma),
+                            "--q-max", str(q_max), "--format", fmt],
+                           kinds=("DomainError",), with_err=True)
+        if q_max > 4054:  # over ROW_BUDGET
+            assert got is None
+        if got is not None:
+            fractions = [(p, q) for q in range(1, q_max + 1) for p in range(1, q + 1)
+                         if math.gcd(p, q) == 1]
+            self.check_table(*got, fmt, family, gamma, fractions)
+
+    @settings(max_examples=100, deadline=2000)
+    @given(st.sampled_from(["bose", "fermi"]), IDENTITY_GAMMAS,
+           st.one_of(st.integers(1, 10 ** 4), st.sampled_from([PAIR_MEMORY_EDGE, int(NINES)]))
+           .flatmap(lambda q: st.tuples(st.one_of(st.integers(-3 * q, 3 * q),
+                                                  st.integers(-10 ** 6, 10 ** 6)), st.just(q))),
+           st.sampled_from(["csv", "json"]))
+    def test_pair_row_is_the_phase_sum(self, family, gamma, pair, fmt):
+        p, q = pair
+        got = run_contract(["identity", "--family", family, "--gamma", repr(gamma),
+                            f"--p={p}", f"--q={q}", "--format", fmt],
+                           kinds=("DomainError",), with_err=True)
+        if math.gcd(p, q) != 1 or q >= PAIR_MEMORY_EDGE:
+            assert got is None
+        if got is not None:
+            self.check_table(*got, fmt, family, gamma, [(p, q)])
+
+
 class TestDeterminism:
     def test_byte_identical_across_runs(self, capsys):
         args = ["scan", "--order", "30", "--window", "0,1"]
@@ -1455,13 +1563,11 @@ class TestDeterminism:
         _, second, _ = run_cli(args, capsys)
         assert first == second
 
-    def test_byte_identical_across_thread_counts(self, capsys, monkeypatch):
+    def test_identity_byte_identical_across_runs(self, capsys):
         args = ["identity", "--family", "bose", "--q-max", "12", "--gamma", "0.5"]
-        monkeypatch.setenv("NINIONICS_THREADS", "1")
-        _, one, _ = run_cli(args, capsys)
-        monkeypatch.setenv("NINIONICS_THREADS", "4")
-        _, four, _ = run_cli(args, capsys)
-        assert one == four
+        _, first, _ = run_cli(args, capsys)
+        _, second, _ = run_cli(args, capsys)
+        assert first == second
 
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "scan.csv"
@@ -1502,9 +1608,19 @@ class TestUsageErrors:
         (["occupation", "--family", "bose", "--xi", "-" + NINES + "pi"], "--xi"),
         (["occupation", "--family", "bose", "--xi", f"{NINES}pi/{NINES}"], "--xi"),
         (["nogo", "--m-indices", ","], "--m-indices"),
+        (["nogo", "--mode", "near", "--target", "3/2"], "--target"),
+        (["nogo", "--mode", "near", "--target", "0"], "--target"),
+        (["nogo", "--mode", "near", "--target", "1"], "--target"),
+        (["nogo", "--mode", "near", "--target", "-1/2"], "--target"),
+        (["nogo", "--mode", "fixed", "--target", "3/2"], "--target"),
+        (["nogo", "--mode", "near", "--min-denominator", "2"], "--min-denominator"),
+        (["nogo", "--mode", "near", "--min-denominator", "1"], "--min-denominator"),
+        (["nogo", "--mode", "growing", "--min-denominator", "2"], "--min-denominator"),
     ], ids=["one-omega-point", "p-without-q", "q-without-p", "empty-xi", "infinite-xi",
             "nan-xi", "infinite-pi-xi", "minus-infinite-pi-xi", "nan-pi-xi",
-            "empty-m-indices"])
+            "empty-m-indices", "target-above-one", "target-zero", "target-one",
+            "negative-target", "fixed-mode-target", "min-denominator-two",
+            "min-denominator-one", "growing-mode-min-denominator"])
     def test_incomplete_request_is_usage_error(self, capsys, argv, flag):
         with pytest.raises(SystemExit) as exc:
             main(argv)

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from ninionics import identities
 from ninionics.errors import DomainError
 from ninionics.occupation import Family
+from ninionics.rationals import residue_phases
 from ninionics.identities import (
     GAMMA_FLOOR,
     boson_identity_rhs,
@@ -171,17 +172,17 @@ class TestResiduePhases:
     def test_match_the_direct_definition(self, p, q):
         # residue a turns by a p / q (bose) or (a + 1/2) p / q (fermi), modulo one turn;
         # |p| > q and, for fermions, |p| > 2 q wrap around
-        k, den = identities.residue_phases("bose", p, q)
+        k, den = residue_phases("bose", p, q)
         assert den == q
         assert k == [Fraction(a * p, q) % 1 * q for a in range(q)]
-        k, den = identities.residue_phases(Family.FERMI, p, q)
+        k, den = residue_phases(Family.FERMI, p, q)
         assert den == 2 * q
         assert k == [Fraction(2 * a + 1, 2 * q) * p % 1 * 2 * q for a in range(q)]
 
     @pytest.mark.parametrize("family,q", [("anyon", 3), ("bose", 0)])
     def test_rejects_bad_input(self, family, q):
         with pytest.raises(DomainError):
-            identities.residue_phases(family, 1, q)
+            residue_phases(family, 1, q)
 
 
 class TestScan:
@@ -201,7 +202,7 @@ class TestScan:
         for q in [*range(1, 41), 101]:
             for p in range(1, q + 1):
                 if math.gcd(p, q) == 1:
-                    k, den = identities.residue_phases(family, p, q)
+                    k, den = residue_phases(family, p, q)
                     start, step = (0, 1) if family == "bose" else (p % 2, 2)
                     assert sorted(k) == list(range(start, den, step)), (p, q)
 

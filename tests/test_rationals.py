@@ -1,6 +1,8 @@
 import math
 import random
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given
@@ -10,7 +12,6 @@ from ninionics.errors import DomainError
 from ninionics.rationals import (
     StatAngle,
     _prime_bound,
-    approximate_rational,
     farey_bracket,
     farey_interval,
     farey_pairs,
@@ -21,6 +22,7 @@ from ninionics.rationals import (
 )
 
 
+@lru_cache(maxsize=None)
 def brute_force_farey(order):
     """Independent oracle: enumerate coprime pairs and sort."""
     fracs = {Fraction(p, q) for q in range(1, order + 1) for p in range(q + 1)
@@ -179,6 +181,24 @@ class TestFarey:
         assert len(got) > 10_000
         assert got == brute_force_window(100_000, lo, hi)
 
+    def test_bracket_is_the_brute_force_neighbours(self):
+        # every p/q in [0, 1] with q <= 24, and the midpoints of F_24's neighbours, at
+        # every order up to 60, against the largest term <= x and the smallest >= x
+        f24 = brute_force_farey(24)
+        xs = set(f24).union((u + v) / 2 for u, v in zip(f24, f24[1:]))
+        for order in range(1, 61):
+            terms = brute_force_farey(order)
+            for x in xs:
+                expected = terms[bisect_right(terms, x) - 1], terms[bisect_left(terms, x)]
+                assert farey_bracket(x, order) == expected, (x, order)
+
+    @given(st.integers(1, 10 ** 30).flatmap(
+        lambda q: st.integers(0, q).map(lambda p: Fraction(p, q))), st.integers(1, 60))
+    def test_bracket_of_large_denominators(self, x, order):
+        terms = brute_force_farey(order)
+        assert farey_bracket(x, order) == (terms[bisect_right(terms, x) - 1],
+                                           terms[bisect_left(terms, x)])
+
     @given(st.integers(0, 10**6), st.integers(1, 10**6), st.integers(1, 200))
     def test_bracket(self, p, q, order):
         x = Fraction(p % (q + 1), q)
@@ -192,41 +212,64 @@ class TestFarey:
             assert u.denominator * v.numerator - u.numerator * v.denominator == 1
 
 
+def approximate(x, q_max):
+    """The best approximation of float turns under a denominator cap, as the CLI takes it."""
+    return StatAngle.from_turns(x, q_max).turns
+
+
+# floats at exact midpoints between consecutive convergents a/1 and (a 2^j + s)/2^j: at
+# q_max = 2^j the two are equally near, and no fraction of denominator <= q_max lies
+# between them
+TIES = st.builds(lambda a, s, j: (a + s / 2 ** (j + 1), 2 ** j),
+                 st.integers(-5, 5), st.sampled_from([-1, 1]), st.integers(0, 7))
+
+
 class TestApproximateRational:
     def test_exact_half(self):
-        assert approximate_rational(0.5, 100) == Fraction(1, 2)
+        assert approximate(0.5, 100) == Fraction(1, 2)
 
     def test_third(self):
         x = 0.333333
-        assert approximate_rational(x, 100) == Fraction(1, 3)
-        assert approximate_rational(x, 100) == brute_force_best_rational(x, 100)
+        assert approximate(x, 100) == Fraction(1, 3)
+        assert approximate(x, 100) == brute_force_best_rational(x, 100)
 
     def test_sqrt_half_small_cap(self):
         x = 0.7071067
         expected = brute_force_best_rational(x, 10)
         assert expected == Fraction(7, 10)  # beats 5/7
-        assert approximate_rational(x, 10) == expected
+        assert approximate(x, 10) == expected
 
     @pytest.mark.parametrize("x,q_max", [(0.1234567, 50), (0.9999, 30),
                                          (0.6180339887, 89), (0.0001, 7),
                                          (2.718281828, 25), (-0.414213562, 40)])
     def test_against_exhaustive_oracle(self, x, q_max):
-        assert approximate_rational(x, q_max) == brute_force_best_rational(x, q_max)
+        assert approximate(x, q_max) == brute_force_best_rational(x, q_max)
+
+    @given(st.one_of(st.floats(-1e6, 0.0), st.floats(1.0, 1e6), st.floats(-3.0, 3.0)),
+           st.integers(1, 200))
+    def test_negative_and_above_one_against_exhaustive_oracle(self, x, q_max):
+        assert approximate(x, q_max) == brute_force_best_rational(x, q_max)
+
+    @given(TIES)
+    def test_ties_go_to_the_smaller_denominator(self, tie):
+        x, q_max = tie
+        best = brute_force_best_rational(x, q_max)
+        assert abs(x - best) == Fraction(1, 2 * q_max)  # two fractions are this near
+        assert approximate(x, q_max) == best
 
     @given(st.integers(-1000, 1000), st.integers(1, 1000), st.integers(0, 500))
     def test_exact_recovery(self, p, q, extra):
         f = Fraction(p, q)
-        assert approximate_rational(float(f), f.denominator + extra) == f
+        assert approximate(float(f), f.denominator + extra) == f
 
     def test_non_finite(self):
-        with pytest.raises(DomainError):
-            approximate_rational(float("inf"), 10)
-        with pytest.raises(DomainError):
-            approximate_rational(float("nan"), 10)
+        for x in (float("inf"), float("-inf"), float("nan")):
+            with pytest.raises(DomainError):
+                approximate(x, 10)
 
     def test_bad_cap(self):
         with pytest.raises(DomainError):
-            approximate_rational(0.5, 0)
+            approximate(0.5, 0)
 
 
 class TestPrimes:
