@@ -326,24 +326,29 @@ def _cmd_occupation(args) -> tuple[list[str], Iterable[str], dict]:
     _check_finite("omega", *ends)
     _check_finite("beta*omega", *(beta * omega for omega in ends))
     _check_finite("beta*(omega - mu)", *(beta * (omega - mu) for omega in ends))
-    # every n before any row, so a PoleError leaves the output untouched
-    eps = (beta * (lo + i * step - mu) for i in range(args.omega_count))
-    table = occupation.occupation_grid(family, args.xi, eps)
+
+    def eps_values():
+        return (beta * (lo + i * step - mu) for i in range(args.omega_count))
+    # every pole before any row, so a PoleError leaves the output untouched
+    table = occupation.occupation_columns(family, args.xi, eps_values)
     omegas = (lo + i * step for i in range(args.omega_count))
     fields = ["family", "xi", "omega", "beta_omega", "occupation"]
     return fields, _occupation_lines(family.value, args.xi, omegas, beta, table), {}
 
 
-_OCCUPATION_BLOCK = 4096  # omega lines per block of joined omega text
+_OCCUPATION_BLOCK = 256  # omega lines per block of joined omega text
 
 
 def _occupation_lines(family: str, xis: list[float], omegas: Iterable[float], beta: float,
                       table: Iterable[Iterable[float]]) -> Iterable[str]:
-    """The CSV lines of the occupation table. Each omega's omega and beta*omega text is
-    formatted once, into newline-joined blocks of _OCCUPATION_BLOCK lines that each xi
-    splits in turn; the blocks are kept only when more than one xi reads them."""
-    tails = (f"{omega!r},{beta * omega!r}," for omega in omegas)
-    blocks = iter(lambda: "\n".join(islice(tails, _OCCUPATION_BLOCK)), "")
+    """The CSV lines of the occupation table, each n read from its column as its line is
+    written. Each omega's text is formatted once, into newline-joined blocks of
+    _OCCUPATION_BLOCK lines that each xi splits in turn, kept only for more than one xi."""
+    def omega_text(omega: float) -> str:
+        text, scaled = repr(omega), beta * omega
+        # beta > 0 keeps the sign, so a product equal to omega has its repr
+        return f"{text},{text if scaled == omega else repr(scaled)},"
+    blocks = iter(lambda: "\n".join(map(omega_text, islice(omegas, _OCCUPATION_BLOCK))), "")
     if len(xis) > 1:
         blocks = list(blocks)
     for xi, ns in zip(xis, table):

@@ -4,13 +4,13 @@ These sums are what turns a rotation phase into a temperature rescaling: the
 bosonic sum collapses q phase-shifted logarithms onto a single logarithm at
 q-fold argument, and the fermionic one does the same up to a parity sign.
 The conjugate c = +/-1 branches are exact conjugates, so their half sum is
-exactly the real part of the c = +1 logarithm; every sum is taken with
-math.fsum, exactly rounded whatever the order of its terms.
+the real part of the c = +1 logarithm, taken in a form that keeps the digits
+of e^{-gamma} at any gamma; every sum is taken with math.fsum, exactly rounded
+whatever the order of its terms.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from typing import Iterator, NamedTuple
 
@@ -35,12 +35,13 @@ __all__ = [
 
 # Smallest accepted decay rate; the m = 0, c = +/-1 term diverges at gamma = 0.
 GAMMA_FLOOR = 1e-6
-# Bytes one phase sum holds per residue, its phases, their logarithm arguments and the
-# real parts fsum reads: rounded up from the tracemalloc peak, 112-114 B per residue at
-# q = 10^4 to 10^6 in both families. The budget admits q up to about 8.9e6; at the
-# 0.6-0.8 s that q = 10^6 takes on a 2-core Xeon, that is an estimated 5-7 s.
+# Bytes one phase sum holds per residue, its phases and the terms fsum reads: the
+# tracemalloc peak is 72-73 B per residue at q = 10^4 to 10^6 in both families, under
+# this bound. The budget admits q up to about 8.9e6; at the 0.22-0.35 s that q = 10^6
+# takes on a 2-core Xeon, that is an estimated 2-3 s.
 _PAIR_BYTES = 120
 _LIMIT_Q_EPS = 1e-6  # q * eps at which regularized_count_limit takes the ratio
+_LN2 = math.log(2.0)
 
 
 class IdentityCheck(NamedTuple):
@@ -57,54 +58,52 @@ class IdentityCheck(NamedTuple):
         return abs(self.lhs - self.rhs)
 
 
-def _decay(gamma: float) -> float:
-    """Return e^{-gamma}, checked to lie in (0, 1), for gamma at or above GAMMA_FLOOR."""
+def _check_gamma(gamma: float) -> None:
+    """Refuse gamma below GAMMA_FLOOR, or so large that e^{-gamma} rounds to 0."""
     if gamma < GAMMA_FLOOR:
         raise DomainError(
             f"gamma must be at least {GAMMA_FLOOR:g}; the m = 0 term diverges at gamma = 0")
     z = math.exp(-gamma)
     if not 0.0 < z < 1.0:
         raise DomainError(f"e^-gamma = {z!r} must lie strictly between 0 and 1")
-    return z
 
 
-def _validate(p: int, q: int, gamma: float) -> float:
-    """Check the inputs of a phase sum, and that its lists fit MEMORY_BUDGET; return
-    e^{-gamma}."""
+def _validate(p: int, q: int, gamma: float) -> None:
+    """Check the inputs of a phase sum, and that its lists fit MEMORY_BUDGET."""
     if q < 1:
         raise DomainError("q must be a positive integer")
     if math.gcd(p, q) != 1:
         raise DomainError(f"{p}/{q} is not an irreducible fraction")
     check_memory(f"the phase sum at q = {q}", q * _PAIR_BYTES)
-    return _decay(gamma)
+    _check_gamma(gamma)
 
 
-def _arguments(sign: float, z: float, ks, den: int) -> list[complex]:
-    """The arguments 1 + sign z e^{2 pi i k/den} of the c = +1 logarithms. Those of
-    c = -1, at -k, are their exact conjugates: cos is even and sin odd."""
-    sz, turn = sign * z, 2.0 * math.pi / den
-    return [1.0 + cmath.rect(sz, turn * k) for k in ks]
-
-
-def _half_sum(sign: float, z: float, ks, den: int) -> float:
-    """(1/2) sum over c = +/-1 and k in ks of ln(1 + sign e^{-gamma + 2 pi i c k/den}),
-    for z = e^{-gamma}: the conjugate logarithms' imaginary parts cancel exactly, so it
-    is the exactly rounded sum of their real parts, in any order of ks.
-
-    Principal-branch logarithms; safe because z < 1 keeps every argument in the right
-    half plane."""
-    return math.fsum([cmath.log(w).real for w in _arguments(sign, z, ks, den)])
+def _half_sum(sign: float, gamma: float, ks, den: int) -> float:
+    """(1/2) sum over c = +/-1 and k in ks of ln(1 + sign e^{-gamma + 2 pi i c k/den}):
+    the sum of (1/2) ln|1 - z e^{i phi}|^2, z = e^{-gamma}, at phi = 2 pi k/den (bose,
+    sign -1) or that plus pi (fermi). As in oracle._log_terms, |...|^2 is 1 + z (z - 2 cos
+    phi) for z < 1/2, else (1 - z)^2 + 2 (1 - cos phi) z with 1 - z = -expm1(-gamma) and
+    1 - cos phi = 2 sin^2 (bose) or 2 cos^2 (fermi) of pi k/den: no form cancels."""
+    z = math.exp(-gamma)
+    if z < 0.5:
+        two_sign, turn, cos, log1p = 2.0 * sign, 2.0 * math.pi / den, math.cos, math.log1p
+        return 0.5 * math.fsum([log1p(z * (z + two_sign * cos(turn * k))) for k in ks])
+    one_minus_z, half, log = -math.expm1(-gamma), math.pi / den, math.log
+    gap, four_z, h = one_minus_z * one_minus_z, 4.0 * z, math.sin if sign < 0 else math.cos
+    return 0.5 * math.fsum([log(gap + four_z * v * v) for v in (h(half * k) for k in ks)])
 
 
 def boson_phase_sum(p: int, q: int, gamma: float) -> float:
     """(1/2) sum over c = +/-1 and m = 0..q-1 of ln(1 - e^{-gamma + 2 pi i c m p/q})."""
-    z = _validate(p, q, gamma)
-    return _half_sum(-1.0, z, *residue_phases("bose", p, q))
+    _validate(p, q, gamma)
+    return _half_sum(-1.0, gamma, *residue_phases("bose", p, q))
 
 
 def boson_identity_rhs(q: int, gamma: float) -> float:
-    """Closed form ln(1 - e^{-q gamma})."""
-    return math.log1p(-math.exp(-q * gamma))
+    """Closed form ln(1 - e^{-q gamma}), with 1 - e^{-q gamma} taken as -expm1 where it is
+    below 1/2, so that neither branch cancels."""
+    x = q * gamma
+    return math.log(-math.expm1(-x)) if x < _LN2 else math.log1p(-math.exp(-x))
 
 
 def check_boson_identity(p: int, q: int, gamma: float) -> IdentityCheck:
@@ -114,14 +113,15 @@ def check_boson_identity(p: int, q: int, gamma: float) -> IdentityCheck:
 
 def fermion_phase_sum(p: int, q: int, gamma: float) -> float:
     """(1/2) sum over c = +/-1 and m = 0..q-1 of ln(1 + e^{-gamma + 2 pi i c (m + 1/2) p/q})."""
-    z = _validate(p, q, gamma)
-    return _half_sum(1.0, z, *residue_phases("fermi", p, q))
+    _validate(p, q, gamma)
+    return _half_sum(1.0, gamma, *residue_phases("fermi", p, q))
 
 
 def fermion_identity_rhs(p: int, q: int, gamma: float) -> float:
     """Closed form ln(1 - (-1)^{p+q} e^{-q gamma})."""
-    sign = 1.0 if (p + q) % 2 == 0 else -1.0
-    return math.log1p(-sign * math.exp(-q * gamma))
+    if (p + q) % 2 == 0:
+        return boson_identity_rhs(q, gamma)
+    return math.log1p(math.exp(-q * gamma))
 
 
 def check_fermion_identity(p: int, q: int, gamma: float) -> IdentityCheck:
@@ -166,16 +166,16 @@ def identity_class_sums(family: str, q_max: int,
     if q_max < 1:
         raise DomainError("q_max must be >= 1")
     check_budget(f"an identity scan to q_max {q_max}", _farey_terms_bound(q_max) - 1)
-    z = _decay(gamma)
+    _check_gamma(gamma)
     sums = {}
     for q in range(1, q_max + 1):
         # p = 1 is odd; an even p is coprime to q only at odd q > 1
         parities = (0, 1) if q % 2 and q > 1 else (1,)
         if family == "bose":
-            both = _half_sum(-1.0, z, range(q), q), boson_identity_rhs(q, gamma)
+            both = _half_sum(-1.0, gamma, range(q), q), boson_identity_rhs(q, gamma)
             sums.update(((q, par), both) for par in parities)
         else:
-            sums.update(((q, par), (_half_sum(1.0, z, range(par, 2 * q, 2), 2 * q),
+            sums.update(((q, par), (_half_sum(1.0, gamma, range(par, 2 * q, 2), 2 * q),
                                     fermion_identity_rhs(par, q, gamma)))
                         for par in parities)
     return sums

@@ -15,15 +15,16 @@ for fermions.
 It is evaluated in gaps that keep their precision at both poles. With s = +1
 (bose) or -1 (fermi), w = e^{-|eps|}, g = 1 - w and t = 1 - s cos(xi) taken as
 2 sin^2(xi/2) or 2 cos^2(xi/2), n = -s (g + w t) / den for eps <= 0 and
--s w (t - g) / den for eps > 0, with den = g^2 + 2 w t.
+-s w (t - g) / den for eps > 0, with den = g^2 + 2 w t. Only a gap t below 2^-1021
+can take den under the normal range, so occupation_columns rules out every pole of a
+table by checking those angles alone, and then computes each n as it is read.
 """
 
 from __future__ import annotations
 
-from array import array
 from enum import Enum
 from math import cos, exp, expm1, sin
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import DomainError, PoleError
 
@@ -33,7 +34,7 @@ __all__ = [
     "NinionParams",
     "occupation_number",
     "occupation_from_eps",
-    "occupation_grid",
+    "occupation_columns",
 ]
 
 
@@ -102,23 +103,27 @@ def occupation_from_eps(family: Family, xi: float, eps: float) -> float:
     return _ratio(s, _gap(s, xi), eps, exp(-abs(eps)), -expm1(-abs(eps)), xi)
 
 
-def occupation_grid(family: Family, xis: Sequence[float],
-                    eps_values: Iterable[float]) -> list[array]:
-    """occupation_from_eps at every (xi, eps), as one array('d') over eps per xi.
-
-    Each gap of xi and each e^{-|eps|} and 1 - e^{-|eps|} is taken once, and every
-    value is bit-identical to occupation_from_eps. eps_values is read once, so a
-    generator is never held whole; each n is stored as 8 bytes, not a float.
-    """
+def occupation_columns(family: Family, xis: Sequence[float],
+                       eps_values: Callable[[], Iterable[float]]) -> list[Iterator[float]]:
+    """occupation_from_eps at every (xi, eps), bit for bit, as one lazy column over a
+    fresh eps_values() per xi. Any PoleError is raised here, at the first (xi, eps) in
+    eps-major order: den >= t where w >= 1/2 (2w >= 1) and den > 1/4 where w < 1/2
+    (g > 1/2), so only the angles with t below 2^-1021 are checked."""
     s = 1.0 if family is _BOSE else -1.0
     gaps = [(xi, _gap(s, xi)) for xi in xis]
-    table = [array("d") for _ in gaps]
-    appends = [column.append for column in table]
-    for eps in eps_values:
-        w, g = exp(-abs(eps)), -expm1(-abs(eps))
-        for (xi, t), append in zip(gaps, appends):
-            append(_ratio(s, t, eps, w, g, xi))
-    return table
+    poles = [(xi, t) for xi, t in gaps if t < 2.0 ** -1021]
+    if poles:
+        for eps in eps_values():
+            w, g = exp(-abs(eps)), -expm1(-abs(eps))
+            for xi, t in poles:
+                _ratio(s, t, eps, w, g, xi)
+    return [_column(s, t, xi, eps_values) for xi, t in gaps]
+
+
+def _column(s: float, t: float, xi: float,
+            eps_values: Callable[[], Iterable[float]]) -> Iterator[float]:
+    for eps in eps_values():
+        yield _ratio(s, t, eps, exp(-abs(eps)), -expm1(-abs(eps)), xi)
 
 
 def occupation_number(params: NinionParams) -> float:

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from ninionics import cli, fractal, identities, occupation, oracle, rotor, thermo
@@ -143,11 +143,13 @@ class TestIdentityCommand:
         assert float(read_csv(out)[0]["residual"]) < 1e-12
 
     def test_large_gamma_term_of_exactly_zero_passes(self, capsys):
-        # log(1 - e^-40) rounds to exactly 0, and so does its cancellation bound
+        # 1 - e^-40 rounds to exactly 1, but the lhs keeps the digits of e^-40
         code, out, err = run_cli(["identity", "--family", "bose", "--p", "1", "--q", "1",
                                   "--gamma", "40"], capsys)
         assert code == 0, err
-        assert float(read_csv(out)[0]["residual"]) < 1e-17
+        row = read_csv(out)[0]
+        assert float(row["residual"]) < 1e-17
+        assert float(row["lhs"]) == pytest.approx(-math.exp(-40.0), rel=1e-15)
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("argv", [
@@ -369,17 +371,20 @@ class TestOccupationCommand:
          "--omega-max", "4", "--omega-count", "500"],
         ["--family", "bose", "--xi", "0.3,pi/2", "--mu", "0.2", "--omega-min", "5",
          "--omega-max=-5", "--omega-count", "11"],
+        ["--family", "fermi", "--xi", "pi/4,pi", "--beta", "2.5", "--omega-min=-0.0",
+         "--omega-max", "1", "--omega-count", "9"],
     ], ids=["bose-five-angles", "fermi-mu", "bose-one-angle-mu", "fermi-negative-mu",
-            "falling-grid"])
+            "falling-grid", "negative-zero-omega"])
     def test_bytes_equal_the_per_point_rows(self, capsys, argv, fmt):
         self.assert_per_point_bytes(capsys, argv, fmt)
 
     # the omega text is held in blocks of OCCUPATION_BLOCK lines: each side of one block
-    # and of two
+    # and of two, and tables of 16 and 32 blocks
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("xi", ["pi/4", "0.3,pi/2,-7"], ids=["one-angle", "three-angles"])
     @pytest.mark.parametrize("count", [OCCUPATION_BLOCK - 1, OCCUPATION_BLOCK,
-                                       OCCUPATION_BLOCK + 1, 2 * OCCUPATION_BLOCK + 1])
+                                       OCCUPATION_BLOCK + 1, 2 * OCCUPATION_BLOCK + 1,
+                                       4095, 4096, 4097, 8193])
     def test_bytes_at_block_boundaries(self, capsys, count, xi, fmt):
         argv = ["--family", "fermi", "--xi", xi, "--mu", "0.4", "--omega-count", str(count)]
         self.assert_per_point_bytes(capsys, argv, fmt)
@@ -455,22 +460,33 @@ class TestOccupationCommand:
 
     def test_bench_shaped_table_in_compact_memory(self):
         # 3 angles x 30,000 omega; a float object per n and a str per omega peaked at
-        # 6.6 MiB, an array per angle and blocks of joined omega text at 2.6 MiB
+        # 6.6 MiB, an array per angle and blocks of joined omega text at 2.6 MiB; each n
+        # computed as its line is written leaves the joined omega text, about 1.4 MiB
+        assert self.traced_peak(["--xi", "0pi/12,5pi/12,11pi/12", "--omega-count",
+                                 "30000"]) < 2 * 2 ** 20
+
+    def test_one_angle_streams_in_constant_memory(self):
+        # one angle keeps no omega text: its peak does not grow with the table
+        argv = ["--xi", "0", "--omega-count"]
+        small, large = (self.traced_peak(argv + [count]) for count in ("3000", "300000"))
+        assert large < small + 64 * 2 ** 10
+
+    @staticmethod
+    def traced_peak(argv):
         tracemalloc.start()
         try:
-            code = main(["occupation", "--family", "bose", "--xi", "0pi/12,5pi/12,11pi/12",
-                         "--omega-count", "30000", "--output", os.devnull])
+            code = main(["occupation", "--family", "bose", *argv, "--output", os.devnull])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert code == 0
-        assert peak < 4 * 2 ** 20
+        return peak
 
     def test_row_budget_edge(self, capsys, monkeypatch):
         def first_point(family, xis, eps_values):  # reached only past the budget check
             raise PoleError("first point reached")
 
-        monkeypatch.setattr(occupation, "occupation_grid", first_point)
+        monkeypatch.setattr(occupation, "occupation_columns", first_point)
         argv = ["occupation", "--family", "fermi", "--xi", "0,pi/2", "--omega-count"]
         code, out, err = run_cli(argv + [str(ROW_BUDGET // 2)], capsys)
         assert (code, out, err) == (1, "", "error[PoleError]: first point reached\n")
@@ -1203,6 +1219,48 @@ class TestThermoWallsContract:
     def test_walls(self, beta, rotating, fmt):
         out = run_contract(["walls", "--beta", repr(beta), "--format", fmt]
                            + ["--rotating"] * rotating)
+        if out is not None:
+            assert all(map(math.isfinite, numeric_cells(out, fmt)))
+
+
+# a magnitude log-uniform from 1e-300 to 1e300 or from 1e-3 to 1e3, or an edge: 0 (a
+# usage error where the option must be positive) and the ends of the wide range
+WIDE = st.one_of(st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e),
+                 st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e),
+                 st.sampled_from([0.0, 1e-300, 1e300]))
+
+
+@st.composite
+def quadrature_requests(draw):
+    """argv of one `thermo --method quadrature` request: chi = p/q with q <= 13, or at the
+    first q the row budget refuses (one row per residue and mu branch); beta, mass, mu and
+    --inner-tol from WIDE, mu of either sign, and --inner-tol also left at its default."""
+    mu = draw(WIDE) * draw(st.sampled_from([-1.0, 1.0]))
+    edge = thermo.QUADRATURE_ROW_BUDGET // (1 if mu == 0.0 else 2) + 1
+    q = draw(st.sampled_from([*range(1, 14), edge]))
+    p = draw(st.integers(-q, q) if q <= 13 else st.sampled_from([1, -1, 7, q - 1]))
+    tol = draw(st.one_of(st.none(), WIDE))
+    return (["thermo", "--method", "quadrature", "--family",
+             draw(st.sampled_from(["bose", "fermi"])), "--chi", f"{p}/{q}",
+             f"--beta={draw(WIDE)!r}", f"--mass={draw(WIDE)!r}", f"--mu={mu!r}"]
+            + ([] if tol is None else [f"--inner-tol={tol!r}"]))
+
+
+class TestQuadratureContract:
+    """Every `thermo --method quadrature` request exits 0 with every numeric cell finite,
+    1 with one error line and nothing on stdout, or 2 on a non-positive option. Shape
+    only: the values wait for an error estimate that counts the oracle's cancellation."""
+
+    @settings(max_examples=200, deadline=5000)
+    @given(quadrature_requests(), st.sampled_from(["csv", "json"]))
+    def test_exit_and_cells(self, argv, fmt):
+        try:
+            out = run_contract(argv + ["--format", fmt])
+        except SystemExit as exc:
+            assert exc.code == 2
+            event("exit 2")
+            return
+        event("exit 1" if out is None else "exit 0")
         if out is not None:
             assert all(map(math.isfinite, numeric_cells(out, fmt)))
 

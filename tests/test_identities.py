@@ -6,6 +6,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import mpmath
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -166,6 +167,45 @@ class TestFermionIdentity:
             assert abs(lhs - fermion_identity_rhs(p, q, gamma)) < 1e-12
 
 
+def mpmath_half_sum(family, p, q, gamma):
+    """The phase sum and the sum of its terms' magnitudes at 400 digits, which resolve
+    1 -+ z for z = e^{-gamma} down to 1e-380: each term at z of the double gamma and at
+    its phase 2 pi k/den as the double the sum takes."""
+    ks, den = residue_phases(family, p, q)
+    sign, turn = (-1 if family == "bose" else 1), 2.0 * math.pi / den
+    with mpmath.workdps(400):
+        z = mpmath.exp(-mpmath.mpf(gamma))
+        terms = [mpmath.log(abs(1 + sign * z * mpmath.expj(turn * k))) for k in ks]
+        return sum(terms), sum(abs(t) for t in terms)
+
+
+class TestAgainstMpmath:
+    """Each term keeps the digits of z = e^{-gamma}: at gamma 40 a fermion's 1 + z e^{i phi}
+    rounds to 1, and at gamma 700 a boson's 1 - z does, but neither sum is lost."""
+
+    @pytest.mark.parametrize("gamma", [GAMMA_FLOOR, 1.0, 40.0, 700.0])
+    @pytest.mark.parametrize("family", ["bose", "fermi"])
+    def test_phase_sums(self, family, gamma):
+        phase_sum = boson_phase_sum if family == "bose" else fermion_phase_sum
+        for p, q in coprime_fractions(6):
+            want, size = mpmath_half_sum(family, p, q, gamma)
+            # four roundings of the terms' magnitudes (relative at q = 1, one term), and
+            # the subnormal spacing once per term and once for the halving at gamma 700
+            bound = 4 * sys.float_info.epsilon * size + q * math.ulp(0.0)
+            assert abs(phase_sum(p, q, gamma) - want) <= bound, (p, q)
+
+    @pytest.mark.parametrize("gamma", [GAMMA_FLOOR, 1e-3, 0.5, 1.0, 40.0, 700.0])
+    @pytest.mark.parametrize("q", [1, 2, 3, 6, 1000])
+    def test_closed_forms(self, q, gamma):
+        with mpmath.workdps(400):  # e^{-x} below 1e-380 rounds 1 -+ e^{-x} to 1, as in floats
+            x = q * mpmath.mpf(gamma)
+            minus, plus = mpmath.log(1 - mpmath.exp(-x)), mpmath.log(1 + mpmath.exp(-x))
+        eps = sys.float_info.epsilon
+        assert abs(boson_identity_rhs(q, gamma) - minus) <= 2 * eps * abs(minus)
+        assert abs(fermion_identity_rhs(q + 2, q, gamma) - minus) <= 2 * eps * abs(minus)
+        assert abs(fermion_identity_rhs(q + 1, q, gamma) - plus) <= 2 * eps * abs(plus)
+
+
 class TestResiduePhases:
     @pytest.mark.parametrize("p,q", [(0, 1), (1, 1), (1, 2), (3, 7), (-3, 7), (10, 7),
                                      (-10, 7), (17, 7), (-17, 7), (5, 12), (-29, 12)])
@@ -209,23 +249,21 @@ class TestScan:
     @pytest.mark.parametrize("family", ["bose", "fermi"])
     @pytest.mark.parametrize("gamma", [1e-6, 0.1, 1.0, 10.0, 40.0, 740.0])
     def test_conjugate_branches_are_exact_conjugates(self, family, gamma):
-        # the c = -1 argument of every term the scan forms is the exact conjugate of the
-        # c = +1 one, and so is its logarithm: the half sum is exactly the real part
-        sign, z = (-1.0 if family == "bose" else 1.0), math.exp(-gamma)
+        # the c = -1 term at -k has the modulus of the c = +1 term at k, bit for bit (cos
+        # is even, sin odd), so the half sum over both branches is the sum over one
+        sign = -1.0 if family == "bose" else 1.0
         for q in range(1, 65):
             den = q if family == "bose" else 2 * q
             ks = range(den)
-            for w, w_conj in zip(identities._arguments(sign, z, ks, den),
-                                 identities._arguments(sign, z, [-k for k in ks], den)):
-                assert w_conj == w.conjugate(), (q, w)
-                assert cmath.log(w.conjugate()) == cmath.log(w).conjugate(), (q, w)
+            assert (identities._half_sum(sign, gamma, ks, den)
+                    == identities._half_sum(sign, gamma, [-k for k in ks], den)), q
 
     @pytest.mark.parametrize("family,check", [("bose", check_boson_identity),
                                               ("fermi", check_fermion_identity)])
     @pytest.mark.parametrize("gamma", [40.0, 740.0])
     def test_terms_that_round_to_zero_pass_the_cancellation_check(self, family, check, gamma):
-        # 1 - e^-gamma rounds to 1, so the bose q = 1 term is exactly 0, and at gamma
-        # 740 every term is: the imaginary part and its bound are both 0
+        # 1 - e^-gamma rounds to 1, and at gamma 740 e^-gamma is subnormal: each term
+        # still keeps the digits of e^-gamma
         scan = scan_identity_residuals(family, 8, gamma)
         assert [(c.p, c.q) for c in scan] == list(coprime_fractions(8))
         for c in scan:

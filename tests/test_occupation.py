@@ -12,7 +12,7 @@ from ninionics.occupation import (
     Family,
     NinionParams,
     occupation_from_eps,
-    occupation_grid,
+    occupation_columns,
     occupation_number,
 )
 from ninionics.rationals import StatAngle
@@ -95,10 +95,9 @@ class TestOccupationNumber:
         xis = [0.3, math.pi / 4, math.pi / 2, 2.5, -7.0,
                math.pi if family is Family.BOSE else 0.0]
         eps = [-800.0, -3.0, -1e-300, -0.0, 1e-300, 1e-4, 0.7, 40.0, 800.0]
-        table = occupation_grid(family, xis, iter(eps))  # a one-pass iterable
-        # each column is an array('d'), which never equals a list
-        assert [list(column) for column in table] == [
-            [occupation_from_eps(family, xi, e) for e in eps] for xi in xis]
+        table = occupation_columns(family, xis, lambda: iter(eps))  # one-pass iterables
+        table = [list(column) for column in table]
+        assert table == [[occupation_from_eps(family, xi, e) for e in eps] for xi in xis]
         for row, xi in zip(table, xis):  # == would let -0.0 stand for 0.0
             assert [math.copysign(1.0, n) for n in row] == [
                 math.copysign(1.0, occupation_from_eps(family, xi, e)) for e in eps]
@@ -108,8 +107,36 @@ class TestOccupationNumber:
         with pytest.raises(PoleError) as point:
             occupation_from_eps(family, xi, 0.0)
         with pytest.raises(PoleError) as grid:
-            occupation_grid(family, [0.5, xi], [1.0, 0.0])
+            occupation_columns(family, [0.5, xi], lambda: [1.0, 0.0])
         assert str(grid.value) == str(point.value)
+
+    def test_grid_names_the_first_pole_in_eps_major_order(self):
+        # t(a) = 1e-308 poles at eps = 0 alone, xi = 0 at eps = -1e-154 too: the refusal
+        # names the first eps at which any angle poles, not the first angle that poles
+        a, eps = 1.414e-154, [-1e-154, 0.0]
+        occupation_from_eps(Family.BOSE, a, eps[0])
+        for xi, e in [(a, eps[1]), (0.0, eps[0])]:
+            with pytest.raises(PoleError):
+                occupation_from_eps(Family.BOSE, xi, e)
+        with pytest.raises(PoleError) as grid:
+            occupation_columns(Family.BOSE, [a, 0.0], lambda: eps)
+        assert str(grid.value).endswith("at xi=0.0, eps=-1e-154")
+
+    @pytest.mark.parametrize("family", list(Family))
+    def test_only_angles_that_can_pole_are_checked_first(self, family):
+        calls = []
+
+        def eps_values():
+            calls.append(len(calls))
+            return iter([-1e-300, 0.0, 1e-300])
+
+        # the bose gap 2^-1021 at 2^-510, the least that can never pole, and the fermi gap
+        # 7.5e-33 at the float pi: no angle is evaluated before its column is read
+        xis = [2.0 ** -510, 3.0, math.pi]
+        table = occupation_columns(family, xis, eps_values)
+        assert calls == []
+        assert [list(column) for column in table] == [
+            [occupation_from_eps(family, xi, e) for e in eps_values()] for xi in xis]
 
     def test_bad_beta(self):
         with pytest.raises(DomainError):
