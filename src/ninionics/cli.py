@@ -124,7 +124,7 @@ def _nonempty(values: list, text: str) -> list:
 
 def _int_list(text: str) -> list[int]:
     try:
-        return _nonempty([int(p) for p in text.split(",") if p.strip()], text)
+        return _nonempty([_positive_int(p) for p in text.split(",") if p.strip()], text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"cannot parse integer list {text!r}") from exc
 

@@ -36,10 +36,10 @@ __all__ = [
 # Smallest accepted decay rate; the m = 0, c = +/-1 term diverges at gamma = 0.
 GAMMA_FLOOR = 1e-6
 # Bytes one phase sum holds per residue, its phases and the terms fsum reads: the
-# tracemalloc peak is 72-73 B per residue at q = 10^4 to 10^6 in both families, under
-# this bound. The budget admits q up to about 8.9e6; at the 0.22-0.35 s that q = 10^6
-# takes on a 2-core Xeon, that is an estimated 2-3 s.
-_PAIR_BYTES = 120
+# tracemalloc peak is 72-73 B per residue at q = 10^4 to 10^6 in both families, 1.1x
+# under this bound. The budget admits q up to about 1.34e7, which took 3.4-3.9 s at
+# 1.04 GB peak RSS on a 2-core Xeon (q = 10^6: 0.27-0.46 s).
+_PAIR_BYTES = 80
 _LIMIT_Q_EPS = 1e-6  # q * eps at which regularized_count_limit takes the ratio
 _LN2 = math.log(2.0)
 
@@ -81,7 +81,7 @@ def _validate(p: int, q: int, gamma: float) -> None:
 def _half_sum(sign: float, gamma: float, ks, den: int) -> float:
     """(1/2) sum over c = +/-1 and k in ks of ln(1 + sign e^{-gamma + 2 pi i c k/den}):
     the sum of (1/2) ln|1 - z e^{i phi}|^2, z = e^{-gamma}, at phi = 2 pi k/den (bose,
-    sign -1) or that plus pi (fermi). As in oracle._log_terms, |...|^2 is 1 + z (z - 2 cos
+    sign -1) or that plus pi (fermi). As in thermo._log_terms, |...|^2 is 1 + z (z - 2 cos
     phi) for z < 1/2, else (1 - z)^2 + 2 (1 - cos phi) z with 1 - z = -expm1(-gamma) and
     1 - cos phi = 2 sin^2 (bose) or 2 cos^2 (fermi) of pi k/den: no form cancels."""
     z = math.exp(-gamma)

@@ -12,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import ninionics
-from ninionics import errors, fractal, identities, occupation, oracle, rationals, rotor, thermo
+from ninionics import errors, fractal, identities, occupation, rationals, rotor, thermo
 from ninionics.errors import DomainError
 
 
@@ -103,8 +103,6 @@ def test_subsystems_import_as_submodules():
     # the package holds no names of its own: each subsystem is imported by name
     from ninionics import fractal as fractal_again, thermo as thermo_again
     assert (fractal_again, thermo_again) == (fractal, thermo)
-    # thermo still forwards the oracle's names, loading the oracle on first read
-    assert thermo.free_energy_extrapolated is oracle.free_energy_extrapolated
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -167,6 +165,35 @@ def test_every_import_is_used(path):
     read = set(loaded_names(tree))
     unused = [name for name in bound if name not in read]
     assert unused == [], f"{path.name} imports {unused} and never reads them"
+
+
+ORACLE = ("_log_terms", "_exp_sinh", "_mode_table", "free_energy_quadrature",
+          "free_energy_extrapolated")
+CLOSED_FORMS = {"_rational_quantities", "ensemble_thermo", "rotated_ensemble",
+                "fermion_equivalence", "dirac_ghost_thermo"}
+
+
+def test_the_oracle_reads_no_closed_form_or_phase_sum():
+    # the oracle checks the closed forms and phase sums, so it must not compute with
+    # them: follow every thermo name it reads, and find none of theirs
+    source = ROOT / "src" / "ninionics"
+    tree = ast.parse((source / "thermo.py").read_text())
+    defs = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defs[node.name] = node
+        elif isinstance(node, ast.Assign):
+            defs.update((t.id, node) for t in node.targets if isinstance(t, ast.Name))
+    phase_sums = {"identities", *library_roots(ast.parse((source / "identities.py").read_text()))}
+    read, todo = set(), list(ORACLE)
+    while todo:
+        name = todo.pop()
+        if name in defs and name not in read:
+            todo += loaded_names(defs[name])
+        read.add(name)
+    found = {name for name in read
+             if name in CLOSED_FORMS | phase_sums or name.startswith("blackbody_")}
+    assert found == set(), f"the quadrature oracle reads {sorted(found)}"
 
 
 # one factory per record type; each call builds an equal record, a new object

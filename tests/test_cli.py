@@ -21,7 +21,7 @@ import pytest
 from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
-from ninionics import cli, fractal, identities, occupation, oracle, rotor, thermo
+from ninionics import cli, fractal, identities, occupation, rotor, thermo
 from ninionics.cli import main, parse_angle
 from ninionics.errors import MEMORY_BUDGET, ROW_BUDGET, DomainError, PoleError
 from ninionics.occupation import Family, occupation_from_eps
@@ -246,13 +246,13 @@ class TestThermoCommand:
         assert "error[DomainError]" in err
 
     def test_oversized_quadrature_is_refused_before_any_integral(self, capsys, monkeypatch):
-        rows, exp_sinh = [], oracle._exp_sinh
+        rows, exp_sinh = [], thermo._exp_sinh
 
         def counting(tol, *row):
             rows.append(row)
             return exp_sinh(tol, *row)
 
-        monkeypatch.setattr(oracle, "_exp_sinh", counting)
+        monkeypatch.setattr(thermo, "_exp_sinh", counting)
         start = time.perf_counter()
         code, out, err = run_cli(["thermo", "--method", "quadrature", "--chi", "1/999983"],
                                  capsys)
@@ -787,10 +787,9 @@ class TestNogoCommand:
         assert code == 0
         assert len(read_csv(out)) == 3
 
-    def test_non_positive_m_index_is_refused(self, capsys):
-        code, out, err = run_cli(["nogo", "--m-indices", "5,0"], capsys)
-        assert (code, out) == (1, "")
-        assert err.startswith("error[DomainError]: prime index is 1-based")
+    def test_non_positive_m_index_is_refused(self):
+        err = run_usage_error(["nogo", "--m-indices", "5,0"])
+        assert "argument --m-indices: '0' must be a positive integer" in err
 
     @pytest.mark.parametrize("argv", [
         ["nogo", "--mode", "near", "--target", "1/3", "--min-denominator", str(10 ** 12),
@@ -1471,8 +1470,8 @@ BRANCHES = [("boson_ghost", -2.0), ("fermion", 1.0)]  # by the parity of chi_num
 def nogo_requests(draw):
     """(argv, the library call that gives its points, or None for a usage error): every
     mode, counts up to 300 and past the memory edge, --m-indices out of order, repeated,
-    holding the fixed index (a notice) or a non-positive one, sieves past the memory
-    budget, and targets outside (0, 1) and minimum denominators below 3."""
+    holding the fixed index (a notice) or a non-positive one (a usage error), sieves past
+    the memory budget, and targets outside (0, 1) and minimum denominators below 3."""
     mode = draw(st.sampled_from(["fixed", "growing", "near"]))
     count = draw(st.one_of(st.integers(1, 300), st.sampled_from([NOGO_EDGE + 1, int(HUGE)])))
     argv = ["nogo", "--mode", mode, "--count", str(count)]
@@ -1490,6 +1489,8 @@ def nogo_requests(draw):
                                                     min_size=1, max_size=30)))
     if m_indices:
         argv += ["--m-indices", ",".join(map(str, m_indices))]
+        if min(m_indices) < 1:  # refused by the option type
+            return argv, None
     name = f"{mode}_denominator"
     return argv, lambda: fractal.prime_sequence_probe(
         n, m_indices or range(n + 1, n + 1 + count), name)

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -106,6 +107,18 @@ class TestBosonIdentity:
         with pytest.raises(DomainError, match=r"needs an estimated [\d.e+]+ MiB, over the "
                                               r"1024 MiB memory budget"):
             phase_sum(1, 10 ** 13, 1.0)
+
+    @pytest.mark.parametrize("q", [10 ** 4, 10 ** 5])
+    @pytest.mark.parametrize("phase_sum", [boson_phase_sum, fermion_phase_sum])
+    def test_pair_bytes_bound_the_traced_peak(self, phase_sum, q):
+        # the estimate refuses what fits by at most half: within 1x to 1.5x of the peak
+        tracemalloc.start()
+        try:
+            phase_sum(q - 1, q, 0.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= q * identities._PAIR_BYTES <= 1.5 * peak
 
     def test_checks_survive_optimize_flag(self):
         code = ("from ninionics.identities import boson_phase_sum\n"

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ninionics import oracle, thermo
+from ninionics import thermo
 from ninionics.errors import DomainError
 from ninionics.occupation import Family, StatLabel
 from ninionics.rationals import StatAngle
@@ -302,7 +302,7 @@ class TestQuadratureOracle:
         # massless, beta = 1: -(1/pi^2) sum_n cos(n phi)/n^4, a polynomial in
         # phi on [0, 2 pi]; the fermionic logarithm is the bosonic one at phi + pi.
         # At turns 1/q, residue a sits at a/q (bose) or (2a + 1)/2q (fermi) turns
-        table, _ = oracle._mode_table(GasSpec(family), 1.0, Fraction(1, q), QUAD_TOL)
+        table, _ = thermo._mode_table(GasSpec(family), 1.0, Fraction(1, q), QUAD_TOL)
         for a in range(q):
             turns = Fraction(a, q) if family is Family.BOSE else Fraction(2 * a + 1, 2 * q)
             phi = 2.0 * math.pi * float(turns)
@@ -318,7 +318,7 @@ class TestQuadratureOracle:
     def test_error_estimate_bounds_the_per_mode_error(self, family, q, tol):
         # massless, beta = 1: -(1/pi^2) sum_n cos(2 pi n t)/n^4 at t turns is
         # -pi^2 (1/90 - t^2/3 + 2 t^3/3 - t^4/3) on [0, 1], exact up to one rounding
-        table, error = oracle._mode_table(GasSpec(family), 1.0, Fraction(1, q), tol)
+        table, error = thermo._mode_table(GasSpec(family), 1.0, Fraction(1, q), tol)
         for a in range(q):
             t = Fraction(a, q) if family is Family.BOSE else Fraction(2 * a + 1, 2 * q)
             if family is Family.FERMI:
@@ -332,13 +332,13 @@ class TestQuadratureOracle:
         # a row is the phase's distance to the nearest whole turn and a mu branch; at 2/q,
         # q odd, the fermionic phases are the odd k/2q turns from 1/2q to 1/2, so the q
         # residues share (q + 1)/2 distances, conjugates a and q - 1 - a pairing up
-        rows, exp_sinh = [], oracle._exp_sinh
+        rows, exp_sinh = [], thermo._exp_sinh
 
         def counting(tol, *row):
             rows.append(row)
             return exp_sinh(tol, *row)
 
-        monkeypatch.setattr(oracle, "_exp_sinh", counting)
+        monkeypatch.setattr(thermo, "_exp_sinh", counting)
         spec = GasSpec(Family.FERMI, mass=1.0, mu=mu)
         for q in (13, 301):
             chi = StatAngle.from_fraction(2, q)
@@ -431,7 +431,7 @@ class TestRegulatorLimit:
     @pytest.mark.parametrize("eps", thermo.DEFAULT_REGULATORS)
     def test_residue_weights_tend_to_one_over_q(self, q, eps):
         # each class weight tends to the count 1/q, the limit the oracle takes exactly
-        weights = oracle._residue_weights(q, eps)
+        weights = thermo._residue_weights(q, eps)
         assert len(weights) == q
         assert max(abs(w - 1.0 / q) for w in weights) <= q * eps ** 2
 
@@ -442,7 +442,7 @@ class TestRegulatorLimit:
         m = np.arange(-required_m_cut(eps), required_m_cut(eps) + 1)
         w = np.exp(-eps * np.abs(m))
         brute = np.bincount(m % q, weights=w, minlength=q) / w.sum()
-        assert np.max(np.abs(oracle._residue_weights(q, eps) - brute)) <= 1e-12
+        assert np.max(np.abs(thermo._residue_weights(q, eps) - brute)) <= 1e-12
 
     def test_quadrature_memory_bounded_at_small_regulator(self):
         # m_cut = 276,310,213 at reg_eps = 1e-7, but no array over m is built
