@@ -263,9 +263,6 @@ def _cmd_thermo(args) -> tuple[list[str], list[tuple], dict]:
                               "use --method quadrature")
         f = thermo.ensemble_thermo(mapped).f
     else:
-        check_budget(f"a quadrature of one row per residue and mu branch at q = "
-                     f"{angle.denominator}", thermo.quadrature_rows(spec, angle),
-                     thermo.QUADRATURE_ROW_BUDGET, "ninionics.thermo.QUADRATURE_ROW_BUDGET")
         tol = args.inner_tol or thermo.DEFAULT_INNER_TOL
         f = thermo.free_energy_extrapolated(spec, beta, angle, inner_tol=tol)
     _check_finite(f"the {args.method} free energy f", f)
@@ -431,17 +428,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--output", default=None, help="output path (default stdout)")
 
-    def chi_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--chi", type=_turns, required=True,
+    def chi_flags(p: argparse.ArgumentParser, flag: str = "--chi") -> None:
+        p.add_argument(flag, dest="chi", type=_turns, required=True,
                        help="statistical angle in turns: 'p/q' or a decimal")
         p.add_argument("--q-max", type=_positive_int, default=10 ** 6,
-                       help="denominator cap when --chi is a decimal")
+                       help=f"denominator cap when {flag} is a decimal")
 
     p = sub.add_parser("thomae", help="Thomae value of a rational angle")
-    p.add_argument("--fraction", dest="chi", type=_turns, required=True,
-                   help="statistical angle in turns: 'p/q' or a decimal")
-    p.add_argument("--q-max", type=_positive_int, default=10 ** 6,
-                   help="denominator cap when --fraction is a decimal")
+    chi_flags(p, "--fraction")
     p.set_defaults(handler=_cmd_thomae)
     common(p)
 

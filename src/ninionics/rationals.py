@@ -101,30 +101,23 @@ def farey_pairs(order: int, lo: Fraction | int | str,
     """Iterate order-n Farey fractions inside [lo, hi] as (numerator, denominator).
 
     The window must satisfy 0 <= lo < hi <= 1; a window containing no
-    fraction yields nothing (not an error). Enumeration starts from the
-    Farey bracket of ``lo`` and runs the standard next-term
-    recurrence on plain integers, so narrow windows never materialize the
-    whole sequence and no term builds a Fraction.
+    fraction yields nothing (not an error). The next-term recurrence runs on
+    plain integers from the two terms of F_n that bracket ``lo``, so narrow
+    windows never materialize the whole sequence and no term builds a Fraction.
     """
     lo, hi = Fraction(lo), Fraction(hi)
     if not (0 <= lo < hi <= 1):
         raise DomainError("window must satisfy 0 <= lo < hi <= 1")
-    _, cur = farey_bracket(lo, order)  # cur: smallest order-n fraction >= lo
-    if cur > hi:
-        return
-    yield cur.numerator, cur.denominator
-    nxt = farey_successor(cur, order)
-    if nxt is None or nxt > hi:
-        return
-    yield nxt.numerator, nxt.denominator
-    a, b, c, d = cur.numerator, cur.denominator, nxt.numerator, nxt.denominator
+    u, v = farey_bracket(lo, order)
+    if u == v:  # lo is in F_n and below 1, so it has a successor
+        yield u.numerator, u.denominator
+        v = farey_successor(u, order)
+    a, b, c, d = u.numerator, u.denominator, v.numerator, v.denominator
     hi_num, hi_den = hi.numerator, hi.denominator
-    while True:
+    while c * hi_den <= d * hi_num:
+        yield c, d
         t = (order + b) // d
         a, b, c, d = c, d, t * c - a, t * d - b
-        if c * hi_den > d * hi_num:
-            return
-        yield c, d
 
 
 def farey_interval(order: int, lo: Fraction | int | str,

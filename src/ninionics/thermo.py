@@ -22,7 +22,7 @@ import sys
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import DomainError
+from .errors import DomainError, check_budget
 from .occupation import Family, StatLabel
 from .rationals import StatAngle, residue_phases
 
@@ -47,7 +47,6 @@ __all__ = [
     "DEFAULT_REGULATORS",
     "DEFAULT_INNER_TOL",
     "QUADRATURE_ROW_BUDGET",
-    "quadrature_rows",
 ]
 
 PI_SQ = math.pi ** 2
@@ -224,7 +223,7 @@ def dirac_ghost_thermo(beta: float) -> ThermoQuantities:
 # Quadrature oracle: free energies by direct quadrature of the defining mode sums
 # ----------------------------------------------------------------------------
 
-# Rows (residues times mu branches) one CLI request may integrate. Conjugate
+# Rows (residues times mu branches) one oracle call may integrate. Conjugate
 # residues share one integral, so the rule integrates about half of them. On a
 # 2-core Xeon it does, in these rows, 12-19k rows/s at the default inner_tol and
 # 3-5k rows/s at the halving cap, so a request at the budget takes about 2 s, 8 s
@@ -234,11 +233,6 @@ QUADRATURE_ROW_BUDGET = 25_000
 
 def _branches(spec: GasSpec) -> tuple[float, ...]:
     return (spec.mu, -spec.mu) if spec.mu != 0.0 else (0.0,)
-
-
-def quadrature_rows(spec: GasSpec, chi: StatAngle) -> int:
-    """Rows the quadrature oracle integrates for spec at chi: one per residue and mu branch."""
-    return chi.denominator * len(_branches(spec))
 
 
 DEFAULT_REGULATORS = (1e-2, 1e-3, 1e-4)
@@ -344,9 +338,13 @@ def _mode_table(spec: GasSpec, beta: float, turns: Fraction,
     (1/2 pi^2 beta^3) int_0^inf x^2 dx (1/2) ln(1 -+ 2 cos(phi) z + z^2) in x = beta k,
     the real part being the conjugate-pair average. It depends on the residue only
     through the phase's distance to the nearest whole turn, so each distance and
-    branch is integrated once per call.
+    branch is integrated once per call. A table over QUADRATURE_ROW_BUDGET is refused
+    before any row.
     """
     _check_beta(beta)
+    check_budget(f"a quadrature of one row per residue and mu branch at q = "
+                 f"{turns.denominator}", turns.denominator * len(_branches(spec)),
+                 QUADRATURE_ROW_BUDGET, "ninionics.thermo.QUADRATURE_ROW_BUDGET")
     if spec.family is Family.BOSE and spec.mu != 0.0 and spec.mass <= abs(spec.mu):
         raise DomainError("bosonic logarithm diverges: |mu| must stay below the mass")
     ks, den = residue_phases(spec.family, turns.numerator, turns.denominator)

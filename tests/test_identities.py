@@ -250,13 +250,14 @@ class TestScan:
 
     @pytest.mark.parametrize("family", ["bose", "fermi"])
     def test_rows_sum_the_phases_the_rounding_bound_counts(self, family):
-        # the scan sums each class once per q, all den residues (bose) or those that
-        # share p's parity (fermi): every coprime numerator's phases are exactly those
+        # the scan and the per-pair sums take each class, all den residues (bose) or
+        # those that share p's parity (fermi): every coprime numerator's phases are
+        # exactly those, p & 1 giving the parity also for negative p and past one turn
         for q in [*range(1, 41), 101]:
-            for p in range(1, q + 1):
+            for p in range(-2 * q, 2 * q + 1):
                 if math.gcd(p, q) == 1:
                     k, den = residue_phases(family, p, q)
-                    start, step = (0, 1) if family == "bose" else (p % 2, 2)
+                    start, step = (0, 1) if family == "bose" else (p & 1, 2)
                     assert sorted(k) == list(range(start, den, step)), (p, q)
 
     @pytest.mark.parametrize("family", ["bose", "fermi"])

@@ -350,6 +350,35 @@ class TestQuadratureOracle:
                 work.append(len(rows))
             assert work == [(q + 1) // 2 * (2 if mu else 1)] * 2
 
+    @pytest.mark.parametrize("oracle", [
+        lambda spec, chi: free_energy_extrapolated(spec, 1.0, chi),
+        lambda spec, chi: free_energy_quadrature(spec, 1.0, chi, required_m_cut(1e-2), 1e-2)])
+    @pytest.mark.parametrize("spec, q", [(GasSpec(Family.BOSE), 25_001),
+                                         (GasSpec(Family.BOSE, mass=1.0, mu=0.5), 12_501),
+                                         (GasSpec(Family.FERMI, mu=-0.5), 12_501)])
+    def test_oversized_table_is_refused_before_any_integral(self, monkeypatch, oracle, spec,
+                                                            q):
+        # the library refuses what the CLI refuses, by the same text, before any row
+        rows, exp_sinh = [], thermo._exp_sinh
+
+        def counting(tol, *row):
+            rows.append(row)
+            return exp_sinh(tol, *row)
+
+        monkeypatch.setattr(thermo, "_exp_sinh", counting)
+        estimate = q * (2 if spec.mu else 1)
+        with pytest.raises(DomainError) as refusal:
+            oracle(spec, StatAngle.from_fraction(1, q))
+        assert str(refusal.value) == (
+            f"a quadrature of one row per residue and mu branch at q = {q} has an estimated "
+            f"{estimate} rows, over the budget of 25000 rows "
+            "(ninionics.thermo.QUADRATURE_ROW_BUDGET)")
+        assert rows == []
+        # positive control: the spy sits where the oracle looks, so an admitted call trips
+        # it, once per distance of a/7 turns to the nearest whole turn and mu branch
+        oracle(spec, StatAngle.from_fraction(1, 7))
+        assert len(rows) == 4 * (2 if spec.mu else 1)
+
     def test_memory_bounded_at_large_q(self):
         tracemalloc.start()
         try:
