@@ -148,9 +148,10 @@ def _write(args: argparse.Namespace, out, fieldnames: list[str],
            rows: Iterable[tuple | str], extras: dict) -> None:
     """Write rows as they arrive; JSON bytes equal json.dump(payload, indent=2) + "\n".
 
-    A str row is a CSV line its producer formatted, and JSON writes its cells under
-    their keys. Every such cell is the repr of an int or of a finite float, which is
-    its own JSON text and starts with a digit or "-", or a bare word, which JSON quotes.
+    A str row is one or more CSV lines its producer formatted, and JSON writes each
+    line's cells under their keys. Every such cell is the repr of an int or of a finite
+    float, which is its own JSON text and starts with a digit or "-", or a bare word,
+    which JSON quotes.
     """
     if args.format == "csv":
         # no field name or cell holds a comma, a quote or a newline, so plain joins
@@ -168,18 +169,19 @@ def _write(args: argparse.Namespace, out, fieldnames: list[str],
         t = type(v)
         return repr(v) if t is int or t is float and math.isfinite(v) else dumps(v)
 
-    def cell(text: str) -> str:
-        return text if text[0] in "-0123456789" else dumps(text)
-
     head = {"schema_version": SCHEMA_VERSION, "command": args.command, **extras, "rows": []}
     out.write(dumps(head, indent=2)[:-3])  # up to the "[" of "rows"
-    keys = [f"\n      {dumps(name)}: " for name in fieldnames]
+    # one row object, its cell texts to fill; a field name holds no "%"
+    obj = "\n    {" + ",".join([f"\n      {dumps(name)}: %s" for name in fieldnames]) + "\n    }"
     sep = ""
     for row in rows:
-        texts = (map(cell, row[:-1].split(",")) if isinstance(row, str)
-                 else map(value, row))
-        out.write(sep + "\n    {" + ",".join([k + v for k, v in zip(keys, texts)])
-                  + "\n    }")
+        if isinstance(row, str):
+            text = ",".join([obj % tuple([c if c[0] in "-0123456789" else dumps(c)
+                                          for c in line.split(",")])
+                             for line in row[:-1].split("\n")])
+        else:
+            text = obj % tuple(map(value, row))
+        out.write(sep + text)
         sep = ","
     out.write("\n  ]\n}\n" if sep else "]\n}\n")
 
@@ -333,19 +335,16 @@ def _cmd_occupation(args) -> tuple[list[str], Iterable[str], dict]:
     return fields, _occupation_lines(family.value, args.xi, omegas, beta, table), {}
 
 
-_OCCUPATION_BLOCK = 256  # omega lines per block of joined omega text
-
-
 def _occupation_lines(family: str, xis: list[float], omegas: Iterable[float], beta: float,
                       table: Iterable[Iterable[float]]) -> Iterable[str]:
     """The CSV lines of the occupation table, each n read from its column as its line is
     written. Each omega's text is formatted once, into newline-joined blocks of
-    _OCCUPATION_BLOCK lines that each xi splits in turn, kept only for more than one xi."""
+    fractal._LINE_BLOCK lines that each xi splits in turn, kept only for more than one xi."""
     def omega_text(omega: float) -> str:
         text, scaled = repr(omega), beta * omega
         # beta > 0 keeps the sign, so a product equal to omega has its repr
         return f"{text},{text if scaled == omega else repr(scaled)},"
-    blocks = iter(lambda: "\n".join(map(omega_text, islice(omegas, _OCCUPATION_BLOCK))), "")
+    blocks = iter(lambda: "\n".join(map(omega_text, islice(omegas, fractal._LINE_BLOCK))), "")
     if len(xis) > 1:
         blocks = list(blocks)
     for xi, ns in zip(xis, table):

@@ -9,12 +9,12 @@ MEMORY_BUDGET = 2 ** 30  # bytes one request may allocate, arrays and Python res
 
 ROW_BUDGET = 5_000_000
 """Rows one table may hold (a scan in either format, an occupation table, an identity
-scan, a rotor Z/K table). Medians of three fresh launches on a 2-core Xeon VM: a scan row costs about 3 us
-as CSV and 7 us as JSON (order 4054, 15.0 and 34.5 s). The largest identity scan
-admitted, to q_max 4054 (4,996,542 rows), took 8.2 s as CSV and 28.6 s as JSON, at
+scan, a rotor Z/K table). Medians of three fresh launches on a 2-core Xeon VM: a scan row costs about 1.6 us
+as CSV and 3.9 us as JSON (order 4054, 7.9 and 19.3 s). The largest identity scan
+admitted, to q_max 4054 (4,996,542 rows), took 8.4-11.1 s as CSV and 21.3 s as JSON, at
 19 MB peak. An occupation table holds 8 B per row until it is written, plus the omega
-columns' text when more than one angle reads it: 1M rows over two angles took 4.0 s as
-CSV and 9.0 s as JSON, both at 41 MB peak (28 B per row, the most), so 5M rows stay
+columns' text when more than one angle reads it: 1M rows over two angles took 3.5 s as
+CSV and 6.3 s as JSON, both at 34 MB peak (19 B per row, the most), so 5M rows stay
 well inside MEMORY_BUDGET. 5M admits a scan on [0, 1] up to order 4054. The Z/K table
 holds nothing per row; its largest, 5M angles at beta/I = 3, where ln Z has the most
 terms (about 22 an angle), took 50.5 s as CSV and 69.4 s as JSON at 16 MB peak

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from fractions import Fraction
+from itertools import islice
 from typing import Iterator, NamedTuple, Sequence
 
 from .errors import DomainError
@@ -57,11 +58,19 @@ def fractal_scan(order: int,
     return list(iter_fractal_scan(order, window))
 
 
-# Denominators whose q, q^-4 and q^-3 text one iter_scan_lines call keeps, about
-# 0.5 MB. A full [0, 1] scan meets each q phi(q) times, so up to this order every
-# q is formatted once; a narrow window at a high order has mostly distinct q, and
-# an unbounded dict there would grow with the order.
+# Denominators whose q, q^-4 and q^-3 text one iter_scan_lines call keeps, about 0.7 MB
+# traced when full; a full cache is emptied. Only scans up to _LINE_CACHE_ORDER keep it:
+# a q recurs 1/q apart, about 0.3 n^2 / q rows at order n, and past that order most rows
+# come after the cache was emptied, at any window width. In process on a 2-core Xeon VM,
+# with the cache against without: 1.58 vs 1.67 s at order 6000 on [1/10, 3/20], 13 vs
+# 16 ms at 4096 on [1/3, 1/3 + 1/1000]; 94 vs 86 ms at 1e4 there, 178 vs 159 ms at 1e5
+# on the bench's 1/60000 window, and even or slower from order 8000 on.
 _LINE_CACHE_SIZE = 4096
+_LINE_CACHE_ORDER = 6144
+# Lines per block of joined text, in the scan and occupation tables. Fresh JSON scan
+# launches peaked 0.40 MB (order 200) and 0.24 MB (order 50) over one line per row at
+# 256 lines, 0.12 and 0.07 MB at 64, and no higher at 32; CSV ran as fast at 32.
+_LINE_BLOCK = 32
 
 SCAN_FIELDS = ("chi_numerator", "chi_denominator", "chi_real", "q",
                "energy_ratio", "entropy_ratio")
@@ -70,23 +79,31 @@ SCAN_FIELDS = ("chi_numerator", "chi_denominator", "chi_real", "q",
 def iter_scan_lines(order: int,
                     window: tuple[Fraction | int | str, Fraction | int | str] = (0, 1),
                     ) -> Iterator[str]:
-    """The output form of :func:`iter_fractal_scan`: one CSV line per sample in
-    SCAN_FIELDS order, newline-terminated, no header.
+    """The output form of :func:`iter_fractal_scan`: its CSV lines in SCAN_FIELDS order,
+    newline-terminated, no header, joined into blocks of up to ``_LINE_BLOCK`` lines.
 
     Built from integer pairs without Fraction objects. Integer true division
     is correctly rounded, so every float is the repr of ``float()`` of the exact
-    rational it stands for (chi, q^-4, q^-3). The columns that depend on q alone
-    are formatted once per q while the call's cache holds at most
-    ``_LINE_CACHE_SIZE`` denominators; a full cache is emptied.
+    rational it stands for (chi, q^-4, q^-3). Up to order ``_LINE_CACHE_ORDER`` the
+    columns that depend on q alone are formatted once per q while the call's cache
+    holds at most ``_LINE_CACHE_SIZE`` denominators.
     """
+    pairs = farey_pairs(order, window[0], window[1])
+    if order > _LINE_CACHE_ORDER:
+        while block := "".join([f"{c},{d},{c / d!r},{d},{1 / d ** 4!r},{1 / d ** 3!r}\n"
+                                for c, d in islice(pairs, _LINE_BLOCK)]):
+            yield block
+        return
     tails: dict[int, str] = {}
-    for c, d in farey_pairs(order, window[0], window[1]):
-        tail = tails.get(d)
-        if tail is None:
-            if len(tails) >= _LINE_CACHE_SIZE:
-                tails.clear()
-            tail = tails[d] = f",{d},{1 / d ** 4!r},{1 / d ** 3!r}\n"
-        yield f"{c},{d},{c / d!r}{tail}"
+
+    def tail(d: int) -> str:
+        if len(tails) >= _LINE_CACHE_SIZE:
+            tails.clear()
+        text = tails[d] = f",{d},{1 / d ** 4!r},{1 / d ** 3!r}\n"
+        return text
+    while block := "".join([f"{c},{d},{c / d!r}{tails.get(d) or tail(d)}"
+                            for c, d in islice(pairs, _LINE_BLOCK)]):
+        yield block
 
 
 class SequenceProbe(NamedTuple):

@@ -46,11 +46,11 @@ TAIL_BOUND = 1e-14
 # process on a 2-core Xeon VM, 256 ns per term; at S = 38, 0.4-0.9 ms. The Z/K table
 # sums no such products: ROW_BUDGET bounds it.
 TERM_BUDGET = 10_000_000
-# Bytes per level of the weights inversion, from tracemalloc peaks: a weights-dict entry
-# (88-119 B at m_cut 1e3-1e6) and, per point of its grid of 2 S + 1, a cosine-table entry
-# and a half-grid sum (61-75 B at n = 2e3-1e5); 164 B per level on a full support. 384 B,
-# 128 per level and 256 per point, admits m_cut up to 1398100.
-_LEVEL_BYTES = 384
+# Bytes per level of the weights inversion, over its tracemalloc peak per level, which
+# swings with the dict's fill: 73-134 B at a support of 38 (m_cut 1e3-1.4e6; 134 B just
+# past a resize, as at 87381) and 123-168 B on a full support (158 B at m_cut 341, 168 B
+# at 2731). 176 B, 1.05-1.31x the worst of each, admits m_cut up to 3050402.
+_LEVEL_BYTES = 176
 _MAX_M_CUT = 2 ** 22 - 1  # the largest m_cut accepted; _check_request says why
 # e^{-x} is 0.0 in double precision for every x above about 745.13, so beta E_m < 746
 # holds on the whole support

@@ -31,7 +31,7 @@ from test_rationals import brute_force_best_rational  # exhaustive over denomina
 
 PI_SQ = math.pi ** 2
 NINES = "9" * 400  # a coefficient past the float range
-OCCUPATION_BLOCK = cli._OCCUPATION_BLOCK
+OCCUPATION_BLOCK = fractal._LINE_BLOCK
 # decimals of up to 400 digits, some past the float range
 DECIMALS = st.one_of(st.builds(str.__mul__, st.sampled_from("0123456789"), st.integers(1, 400)),
                      st.from_regex(r"\d{1,20}(\.\d{1,20})?", fullmatch=True))
@@ -634,11 +634,33 @@ class TestStreamedJson:
         assert code == 0
         args = cli.build_parser().parse_args(argv)
         fields, rows, extras = args.handler(args)
-        rows = [[typed(c) for c in row[:-1].split(",")] if isinstance(row, str) else row
-                for row in rows]
+        lines = [line for row in rows  # a str row holds one or more CSV lines
+                 for line in (row.splitlines() if isinstance(row, str) else [row])]
+        rows = [[typed(c) for c in line.split(",")] if isinstance(line, str) else line
+                for line in lines]
         payload = {"schema_version": cli.SCHEMA_VERSION, "command": args.command, **extras,
                    "rows": [dict(zip(fields, row)) for row in rows]}
         assert out == json.dumps(payload, indent=2) + "\n"
+
+    def test_template_fills_every_kind_of_cell(self):
+        # str rows of 1 to 434 lines, over more lines than five scan blocks, with a word
+        # first and in the middle (as occupation's family and nogo's fermi_branch, and one
+        # holding "%s"), negative ints and floats, exponent floats both ways and -0.0
+        fields = ["family", "p", "branch", "value", "small"]
+        lines = [f"{('bose', 'fermi')[k % 2]},{(k - 700) * 7919},"
+                 f"{('fermion', 'boson_ghost', 'x%s')[k % 3]},{(-7.5) ** (k % 301) * 1e-130!r},"
+                 f"{-k / 3e20 if k % 5 else -0.0!r}\n"
+                 for k in range(1283)]
+        assert len(lines) > 5 * fractal._LINE_BLOCK
+        cuts = [0, 1, 301, 308, 564, 566, 1000, len(lines)]
+        rows = ["".join(lines[a:b]) for a, b in zip(cuts, cuts[1:])]
+        out = io.StringIO()
+        cli._write(argparse.Namespace(format="json", command="table"), out, fields, iter(rows),
+                   {"order": 3})
+        payload = {"schema_version": cli.SCHEMA_VERSION, "command": "table", "order": 3,
+                   "rows": [dict(zip(fields, map(typed, line.split(","))))
+                            for line in "".join(rows).splitlines()]}
+        assert out.getvalue() == json.dumps(payload, indent=2) + "\n"
 
     @pytest.mark.parametrize("argv", TEXT_LAUNCHES.values(), ids=TEXT_LAUNCHES.keys())
     def test_json_rows_equal_the_typed_csv_rows(self, capsys, argv):
@@ -933,13 +955,13 @@ class TestRotorCommand:
             "2.356194490192345,0.157280953603328,0.0,2.7686600980635223,0.0\n"
             "3.141592653589793,0.0360547563351249,0.0,4.2416550253353105,0.0\n")
 
-    # the weights' memory gate admits m_cut 1398100 and refuses 1398101; at beta 1e-6
+    # the weights' memory gate admits m_cut 3050402 and refuses 3050403; at beta 1e-6
     # the term budget then refuses the admitted one, before any weight: its support is
     # S = 38603 levels, so the one cosine pass sums (S + 1)^2 terms on 2 S + 1 points
     @pytest.mark.parametrize("m_cut, message", [
-        ("1398100", "m_cut=1398100 on 77207 grid points sums an estimated 1.49e+09 terms, "
+        ("3050402", "m_cut=3050402 on 77207 grid points sums an estimated 1.49e+09 terms, "
                     "over the budget of 10000000 terms (ninionics.rotor.TERM_BUDGET)"),
-        ("1398101", "m_cut=1398101 with 2796203 grid points needs an estimated 1024.0001 MiB, "
+        ("3050403", "m_cut=3050403 with 6100807 grid points needs an estimated 1024.0002 MiB, "
                     "over the 1024 MiB memory budget (ninionics.errors.MEMORY_BUDGET)"),
     ], ids=["term-budget", "memory-budget"])
     def test_weights_memory_gate_edge(self, capsys, m_cut, message):
@@ -1147,11 +1169,11 @@ class TestRotorContract:
         assert all(math.isfinite(k) and k >= 0.0 for k in ks)
 
     @settings(max_examples=100, deadline=None)
-    @given(rotor_scales(), st.one_of(st.integers(1, 300), st.just(1398101)),
+    @given(rotor_scales(), st.one_of(st.integers(1, 300), st.just(3050403)),
            st.sampled_from(["csv", "json"]))
     def test_weights(self, scales, m_cut, fmt):
         """Exit 0 prints 2 m_cut + 1 finite weights in ascending m, summing to 1, with
-        R(-m) == R(m) bit for bit. m_cut 1398101 is the first the memory gate refuses."""
+        R(-m) == R(m) bit for bit. m_cut 3050403 is the first the memory gate refuses."""
         beta, inertia = scales
         out = run_contract(["rotor", "--table", "weights", "--beta", repr(beta), "--inertia",
                             repr(inertia), "--m-cut", str(m_cut), "--format", fmt])
@@ -1167,8 +1189,8 @@ class TestRotorContract:
         assert abs(math.fsum(weights) - 1.0) < 1e-12
         assert weights == weights[::-1]
 
-    # an admitted m_cut 1398100 prints 2,796,201 rows, which took 4.9 s as CSV and 9.4 s
-    # as JSON in process at 230-330 MB peak RSS; so the draws at the largest admitted
+    # an admitted m_cut 3050402 prints 6,100,805 rows, which took 9.0 s as CSV and 13.9 s
+    # as JSON in fresh processes at 776 MB peak RSS; so the draws at the largest admitted
     # m_cut take only beta/I < 1e-4, where a support over 3161 levels or the truncation
     # check refuses it. Its printed rows are those of any m_cut past the support.
     @settings(max_examples=20, deadline=None)
@@ -1178,7 +1200,7 @@ class TestRotorContract:
         beta, inertia = scales
         start = time.perf_counter()
         out = run_contract(["rotor", "--table", "weights", "--beta", repr(beta), "--inertia",
-                            repr(inertia), "--m-cut", "1398100", "--format", fmt])
+                            repr(inertia), "--m-cut", "3050402", "--format", fmt])
         assert time.perf_counter() - start < 0.5
         assert out is None
 

@@ -75,14 +75,15 @@ class TestScan:
 
     def test_rows_are_the_float_form_of_the_samples(self):
         window = (Fraction(1, 5), Fraction(3, 4))
-        rows = [parse_line(line) for line in iter_scan_lines(40, window)]
+        rows = [parse_line(line)
+                for line in "".join(iter_scan_lines(40, window)).splitlines(keepends=True)]
         assert rows == [float_row(s) for s in iter_fractal_scan(40, window)]
 
     def test_row_floats_correctly_rounded_past_2_53(self):
         # q > 2^13 puts q^4 past 2^53, where 1.0 / q**4 rounds twice
         lo = Fraction(31415, 100_000)
-        rows = [parse_line(line)
-                for line in iter_scan_lines(20_000, (lo, lo + Fraction(1, 10_000)))]
+        text = "".join(iter_scan_lines(20_000, (lo, lo + Fraction(1, 10_000))))
+        rows = [parse_line(line) for line in text.splitlines(keepends=True)]
         big = [r for r in rows if r[3] > 2 ** 13]
         assert len(big) > 5_000
         for c, d, chi, q, energy, entropy in big:
@@ -124,25 +125,36 @@ class TestScanLines:
         assert text == csv_text(20_000, window)
         assert max(int(line.split(",")[1]) for line in text.splitlines()) > 2 ** 13
 
-    def test_more_denominators_than_the_cache_holds(self):
-        # 8,928 distinct q in 30,372 rows: the cache is emptied 7 times and about
-        # 1,300 rows still hit it
-        window = (Fraction(1, 3), Fraction(1, 3) + Fraction(1, 1_000))
-        distinct = {s.q for s in iter_fractal_scan(10_000, window)}
-        assert len(distinct) > fractal._LINE_CACHE_SIZE
-        assert "".join(iter_scan_lines(10_000, window)) == csv_text(10_000, window)
+    # windows with more distinct q than fractal._LINE_CACHE_SIZE, on both sides of
+    # fractal._LINE_CACHE_ORDER: the bench's 1/60000 window (46,364 q in 50,672 rows)
+    # and order 10^4 on [1/3, 1/3 + 1/1000] (8,928 q in 30,372 rows) are formatted
+    # without the cache; order 5000 on [1/10, 11/100] (4,894 q in 76,009 rows) keeps it
+    # and empties it once
+    WIDE_WINDOWS = pytest.mark.parametrize("order, window", [
+        (100_000, (Fraction(39371, 60_000), Fraction(3281, 5_000))),
+        (10_000, (Fraction(1, 3), Fraction(1003, 3_000))),
+        (5_000, (Fraction(1, 10), Fraction(11, 100))),
+    ], ids=["bench-window", "uncached", "cached"])
 
-    def test_cache_memory_is_bounded(self):
-        # 46,364 distinct q in 50,672 rows; an unbounded cache peaks at about 9 MiB
-        lo = Fraction(39371, 60_000)
+    @WIDE_WINDOWS
+    def test_more_denominators_than_the_cache_holds(self, order, window):
+        text = csv_text(order, window)
+        assert len({line.split(",")[1] for line in text.splitlines()}) > fractal._LINE_CACHE_SIZE
+        assert "".join(iter_scan_lines(order, window)) == text
+
+    @WIDE_WINDOWS
+    def test_traced_peak_follows_the_cache_rule(self, order, window):
+        # uncached, a call holds one block of lines: 10.5-11.5 KB traced on the two
+        # windows past the cache order. 16 KiB leaves 40% over that; the cached window,
+        # whose cache fills to 4,096 q, peaked at 0.70 MB
         tracemalloc.start()
         try:
-            for _ in iter_scan_lines(100_000, (lo, lo + Fraction(1, 60_000))):
+            for _ in iter_scan_lines(order, window):
                 pass
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 2 * 2 ** 20
+        assert (peak > 16 * 2 ** 10) == (order <= fractal._LINE_CACHE_ORDER)
 
 
 def _adjacent_unimodular(pairs):
@@ -190,8 +202,8 @@ def self_similarity_check(order, window, zoom_factor):
     outer = list(farey_pairs(order, lo, hi))
     zoom_hi = lo + (hi - lo) / zoom_factor
     zoomed = list(farey_pairs(order, lo, zoom_hi)) if zoom_hi > lo else []
-    rows = [*iter_scan_lines(order, (lo, hi)),
-            *(iter_scan_lines(order, (lo, zoom_hi)) if zoomed else ())]
+    rows = "".join([*iter_scan_lines(order, (lo, hi)),
+                    *(iter_scan_lines(order, (lo, zoom_hi)) if zoomed else ())]).splitlines()
 
     descent = None
     if (lo, hi) == (0, 1) and zoom_factor > 1:

@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from ninionics import rotor
 from ninionics.errors import DomainError, TruncationError
 from ninionics.rotor import (
     TERM_BUDGET,
@@ -174,6 +175,20 @@ class TestAngularDistribution:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2 ** 20
+
+    # a full support (S = m_cut = 341 at beta 1e-2) and a support of 38 levels with a
+    # weights dict that has just resized (m_cut 87381): the peak per level is highest
+    # where the dict is least full, 158 and 134 B here
+    @pytest.mark.parametrize("m_cut, beta", [(341, 1e-2), (87_381, 1.0)])
+    def test_level_bytes_bound_the_traced_peak(self, m_cut, beta):
+        # the estimate refuses what fits by at most half: within 1x to 1.5x of the peak
+        tracemalloc.start()
+        try:
+            angular_distribution(RotorSpec(1.0, m_cut), beta)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (2 * m_cut + 1) * rotor._LEVEL_BYTES <= 1.5 * peak
 
     @pytest.mark.parametrize("call", [
         lambda: angular_distribution(RotorSpec(1.0, 100_000), 1e-6),
