@@ -1,9 +1,10 @@
-"""Exception types, the memory and row budgets, and the one gate that refuses a request
-over any budget before its work starts."""
+"""Exception types, the memory, row and term budgets, and the one gate that refuses a
+request over any budget before its work starts."""
 
 import math
 
-__all__ = ["DomainError", "PoleError", "TruncationError", "MEMORY_BUDGET", "ROW_BUDGET"]
+__all__ = ["DomainError", "PoleError", "TruncationError", "MEMORY_BUDGET", "ROW_BUDGET",
+           "TERM_BUDGET"]
 
 MEMORY_BUDGET = 2 ** 30  # bytes one request may allocate, arrays and Python results
 
@@ -19,6 +20,12 @@ well inside MEMORY_BUDGET. 5M admits a scan on [0, 1] up to order 4054. The Z/K 
 holds nothing per row; its largest, 5M angles at beta/I = 3, where ln Z has the most
 terms (about 22 an angle), took 50.5 s as CSV and 69.4 s as JSON at 16 MB peak
 (single fresh runs)."""
+
+TERM_BUDGET = 10_000_000
+"""Terms one request may sum with math.fsum: (S + 1)^2 cosine products for the rotor
+weights on a support of S levels, q streamed logarithms for one identity phase sum. At
+the edge on a 2-core Xeon VM, S = 3161 took 2.56 s in process, and a fresh identity --q
+10000000 1.5 s (bose, gamma 1) to 2.3 s (fermi, gamma 0.1) at 16 MB peak RSS."""
 
 
 class DomainError(ValueError):

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from typing import Iterator, NamedTuple
 
-from .errors import DomainError, check_budget, check_memory
+from .errors import TERM_BUDGET, DomainError, check_budget
 from .rationals import _farey_terms_bound
 
 __all__ = [
@@ -35,11 +35,6 @@ __all__ = [
 
 # Smallest accepted decay rate; the m = 0, c = +/-1 term diverges at gamma = 0.
 GAMMA_FLOOR = 1e-6
-# Bytes one phase sum holds per residue, a list slot and a float term: the tracemalloc
-# peak is 32.0-32.6 B at q = 10^4 to 10^6 in both families, 1.23-1.25x under this. The
-# budget admits q up to 26,843,545: 5.0 s (bose, gamma 1) to 8.6 s (fermi, gamma 0.1) at
-# 1.04 GB peak RSS on a 2-core Xeon (q = 10^6: 0.22-0.37 s).
-_PAIR_BYTES = 40
 _LIMIT_Q_EPS = 1e-6  # q * eps at which regularized_count_limit takes the ratio
 _LN2 = math.log(2.0)
 
@@ -69,13 +64,14 @@ def _check_gamma(gamma: float) -> None:
 
 
 def _validate(p: int, q: int, gamma: float) -> None:
-    """Check the inputs of a phase sum, and that its list fits MEMORY_BUDGET; gcd(p, q) = 1
-    makes the sum its class sum (see identity_class_sums)."""
+    """Check the inputs of a phase sum, and that its q terms fit errors.TERM_BUDGET;
+    gcd(p, q) = 1 makes the sum its class sum (see identity_class_sums)."""
     if q < 1:
         raise DomainError("q must be a positive integer")
     if math.gcd(p, q) != 1:
         raise DomainError(f"{p}/{q} is not an irreducible fraction")
-    check_memory(f"the phase sum at q = {q}", q * _PAIR_BYTES)
+    check_budget(f"the phase sum at q = {q}", q, TERM_BUDGET, "ninionics.errors.TERM_BUDGET",
+                 "terms", "sums")
     _check_gamma(gamma)
 
 
@@ -88,10 +84,10 @@ def _half_sum(sign: float, gamma: float, ks, den: int) -> float:
     z = math.exp(-gamma)
     if z < 0.5:
         two_sign, turn, cos, log1p = 2.0 * sign, 2.0 * math.pi / den, math.cos, math.log1p
-        return 0.5 * math.fsum([log1p(z * (z + two_sign * cos(turn * k))) for k in ks])
+        return 0.5 * math.fsum(log1p(z * (z + two_sign * cos(turn * k))) for k in ks)
     one_minus_z, half, log = -math.expm1(-gamma), math.pi / den, math.log
     gap, four_z, h = one_minus_z * one_minus_z, 4.0 * z, math.sin if sign < 0 else math.cos
-    return 0.5 * math.fsum([log(gap + four_z * v * v) for v in (h(half * k) for k in ks)])
+    return 0.5 * math.fsum(log(gap + four_z * v * v) for v in map(h, (half * k for k in ks)))
 
 
 def boson_phase_sum(p: int, q: int, gamma: float) -> float:

@@ -13,8 +13,8 @@ weights R(m) are the Fourier inversion of that Z on its one exact grid chi_j = -
 2 pi j / n, n = 2 S + 1, S the largest m <= m_cut with w_m > 0.0 in double precision:
 one pass of cosine sums, each exactly rounded by math.fsum, in O(S^2) time. A weights
 request whose estimated memory exceeds errors.MEMORY_BUDGET, an inversion whose
-predicted terms exceed TERM_BUDGET, or a Z/K table over ROW_BUDGET rows is refused
-before any weight is computed.
+(S + 1)^2 predicted terms exceed errors.TERM_BUDGET, or a Z/K table over
+errors.ROW_BUDGET rows is refused before any weight is computed.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from math import cos, fsum, sin
 from operator import mul
 from typing import Iterator, NamedTuple
 
-from .errors import DomainError, TruncationError, check_budget, check_memory
+from .errors import TERM_BUDGET, DomainError, TruncationError, check_budget, check_memory
 
 __all__ = [
     "RotorSpec",
@@ -37,15 +37,9 @@ __all__ = [
     "zk_table",
     "shift_eigenphase_check",
     "TAIL_BOUND",
-    "TERM_BUDGET",
 ]
 
 TAIL_BOUND = 1e-14
-# Products a_k cos(...) the weights inversion may sum: (S + 1)^2 on a support of S
-# levels, its one pass. At the budget's edge, S = 3161, the weights took 2.56 s in
-# process on a 2-core Xeon VM, 256 ns per term; at S = 38, 0.4-0.9 ms. The Z/K table
-# sums no such products: ROW_BUDGET bounds it.
-TERM_BUDGET = 10_000_000
 # Bytes per level of the weights inversion, over its tracemalloc peak per level, which
 # swings with the dict's fill: 73-134 B at a support of 38 (m_cut 1e3-1.4e6; 134 B just
 # past a resize, as at 87381) and 123-168 B on a full support (158 B at m_cut 341, 168 B
@@ -201,7 +195,7 @@ def angular_distribution(spec: RotorSpec, beta: float) -> dict[int, float]:
         support -= 1
     n = 2 * support + 1
     check_budget(f"m_cut={m_cut} on {n} grid points", (support + 1) ** 2,
-                 TERM_BUDGET, "ninionics.rotor.TERM_BUDGET", "terms", "sums")
+                 TERM_BUDGET, "ninionics.errors.TERM_BUDGET", "terms", "sums")
     # Z_j at |chi_j| = pi (n - 2 j) / n for j <= S; Z_{n-j} = Z_j, so fold j onto j <= S
     z = [math.exp(_ln_z(r, math.pi * (n - 2 * j) / n)) for j in range(support + 1)]
     paired = [z[0], *[2.0 * zj for zj in z[1:]]]

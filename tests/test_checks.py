@@ -1,6 +1,8 @@
 """Rules that every check at the library boundary keeps."""
 
 import ast
+import importlib
+import inspect
 import math
 import re
 from collections import Counter
@@ -68,7 +70,7 @@ def test_no_budget_refusal_is_written_by_hand(path):
 
 # each budget a refusal names, with the scale of the unit it shows the estimate in
 @pytest.mark.parametrize("budget,scale", [
-    (errors.ROW_BUDGET, 1), (thermo.QUADRATURE_ROW_BUDGET, 1), (rotor.TERM_BUDGET, 1),
+    (errors.ROW_BUDGET, 1), (thermo.QUADRATURE_ROW_BUDGET, 1), (errors.TERM_BUDGET, 1),
     (errors.MEMORY_BUDGET, 2 ** 20)], ids=["rows", "quadrature-rows", "terms", "MiB"])
 @given(data=st.data())
 def test_a_refusal_shows_an_estimate_over_its_budget(budget, scale, data):
@@ -151,6 +153,43 @@ def test_every_library_name_is_reached():
             if total[name] == own:
                 unreached.append(f"{path.stem}.{name}")
     assert unreached == [], f"reached by no command, acceptance criterion or bench: {unreached}"
+
+
+def defined_names(path):
+    """The names a module assigns at its top level."""
+    return {target.id for node in ast.parse(path.read_text()).body
+            if isinstance(node, (ast.Assign, ast.AnnAssign))
+            for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+            if isinstance(target, ast.Name)}
+
+
+def test_every_refusal_names_the_module_that_defines_its_budget():
+    # a refusal names its budget as "ninionics.<module>.<NAME>": that module must assign
+    # NAME itself, and NAME must be the object the call compares with, so a budget that
+    # moves to another module cannot leave a refusal naming its old home
+    gate = inspect.signature(errors.check_budget).parameters
+    named, wrong = set(), []
+    for path in LIBRARY:
+        module = importlib.import_module(f"ninionics.{path.stem}")
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not (isinstance(node, ast.Call)
+                    and getattr(node.func, "id", None) == "check_budget"):
+                continue
+            args = {**dict(zip(gate, node.args)), **{kw.arg: kw.value for kw in node.keywords}}
+            # a budget is passed by its bare name, or left to the gate's default
+            budget = (getattr(module, args["budget"].id) if "budget" in args
+                      else gate["budget"].default)
+            name = ast.literal_eval(args["name"]) if "name" in args else gate["name"].default
+            home, _, constant = name.rpartition(".")
+            owner = importlib.import_module(home)
+            if (constant not in defined_names(Path(owner.__file__))
+                    or getattr(owner, constant) is not budget):
+                wrong.append(f"{path.name}:{node.lineno} names {name}")
+            named.add(name)
+    assert wrong == [], wrong
+    assert named == {f"ninionics.{name}" for name in (
+        "errors.ROW_BUDGET", "errors.MEMORY_BUDGET", "errors.TERM_BUDGET",
+        "thermo.QUADRATURE_ROW_BUDGET")}
 
 
 @pytest.mark.parametrize("path", LIBRARY, ids=lambda p: p.name)

@@ -21,9 +21,9 @@ import pytest
 from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
-from ninionics import cli, fractal, identities, occupation, rotor, thermo
+from ninionics import cli, fractal, identities, occupation, thermo
 from ninionics.cli import main, parse_angle
-from ninionics.errors import MEMORY_BUDGET, ROW_BUDGET, DomainError, PoleError
+from ninionics.errors import MEMORY_BUDGET, ROW_BUDGET, TERM_BUDGET, DomainError, PoleError
 from ninionics.occupation import Family, occupation_from_eps
 from ninionics.rationals import _farey_terms_bound
 from test_occupation import reference  # the 800-digit defining formula
@@ -188,8 +188,11 @@ class TestIdentityCommand:
          r"an identity scan to q_max 100000 has an estimated 3\.04e\+09 rows, over the "
          r"budget of 5000000 rows \(ninionics\.errors\.ROW_BUDGET\)"),
         (["--p", "1", "--q", "10000000000000"],
-         r"the phase sum at q = 10000000000000 needs an estimated [\d.e+]+ MiB, over the "
-         r"1024 MiB memory budget \(ninionics\.errors\.MEMORY_BUDGET\)"),
+         r"the phase sum at q = 10000000000000 sums an estimated 1e\+13 terms, over the "
+         r"budget of 10000000 terms \(ninionics\.errors\.TERM_BUDGET\)"),
+        (["--p", "1", "--q", "10000001"],
+         r"the phase sum at q = 10000001 sums an estimated 10000001 terms, over the "
+         r"budget of 10000000 terms \(ninionics\.errors\.TERM_BUDGET\)"),
     ])
     def test_over_budget_is_refused_before_any_work(self, capsys, argv, message):
         start = time.perf_counter()
@@ -960,7 +963,7 @@ class TestRotorCommand:
     # S = 38603 levels, so the one cosine pass sums (S + 1)^2 terms on 2 S + 1 points
     @pytest.mark.parametrize("m_cut, message", [
         ("3050402", "m_cut=3050402 on 77207 grid points sums an estimated 1.49e+09 terms, "
-                    "over the budget of 10000000 terms (ninionics.rotor.TERM_BUDGET)"),
+                    "over the budget of 10000000 terms (ninionics.errors.TERM_BUDGET)"),
         ("3050403", "m_cut=3050403 with 6100807 grid points needs an estimated 1024.0002 MiB, "
                     "over the 1024 MiB memory budget (ninionics.errors.MEMORY_BUDGET)"),
     ], ids=["term-budget", "memory-budget"])
@@ -995,8 +998,8 @@ class TestRotorCommand:
         assert time.perf_counter() - start < 0.5
         assert (code, out) == (1, "")
         assert re.fullmatch(r"error\[DomainError\]: .* sums an estimated [\d.e+]+ terms, over "
-                            rf"the budget of {rotor.TERM_BUDGET} terms "
-                            r"\(ninionics\.rotor\.TERM_BUDGET\)\n", err)
+                            rf"the budget of {TERM_BUDGET} terms "
+                            r"\(ninionics\.errors\.TERM_BUDGET\)\n", err)
 
     def test_integer_phases_print_no_negative_zero(self, capsys):
         # Im Z is 0.0 and K = -ln(Z/Z0) is real for integer phases; -(+0.0) would be -0.0
@@ -1573,7 +1576,7 @@ IDENTITY_GAMMAS = st.one_of(
     st.sampled_from([identities.GAMMA_FLOOR, math.nextafter(identities.GAMMA_FLOOR, 0.0),
                      1e-308, 1e308]),
     POSITIVE_DOUBLES, st.floats(-6.0, 2.845).map(lambda e: 10.0 ** e))
-PAIR_MEMORY_EDGE = MEMORY_BUDGET // identities._PAIR_BYTES + 1  # the least q refused
+PAIR_TERM_EDGE = TERM_BUDGET + 1  # the least q refused: a pair sums q terms
 
 
 def identity_rows(out, fmt):
@@ -1622,7 +1625,7 @@ class TestIdentityContract:
 
     @settings(max_examples=100, deadline=2000)
     @given(st.sampled_from(["bose", "fermi"]), IDENTITY_GAMMAS,
-           st.one_of(st.integers(1, 10 ** 4), st.sampled_from([PAIR_MEMORY_EDGE, int(NINES)]))
+           st.one_of(st.integers(1, 10 ** 4), st.sampled_from([PAIR_TERM_EDGE, int(NINES)]))
            .flatmap(lambda q: st.tuples(st.one_of(st.integers(-3 * q, 3 * q),
                                                   st.integers(-10 ** 6, 10 ** 6)), st.just(q))),
            st.sampled_from(["csv", "json"]))
@@ -1631,7 +1634,7 @@ class TestIdentityContract:
         got = run_contract(["identity", "--family", family, "--gamma", repr(gamma),
                             f"--p={p}", f"--q={q}", "--format", fmt],
                            kinds=("DomainError",), with_err=True)
-        if math.gcd(p, q) != 1 or q >= PAIR_MEMORY_EDGE:
+        if math.gcd(p, q) != 1 or q >= PAIR_TERM_EDGE:
             assert got is None
         if got is not None:
             self.check_table(*got, fmt, family, gamma, [(p, q)])

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -13,7 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ninionics import identities
-from ninionics.errors import DomainError
+from ninionics.errors import TERM_BUDGET, DomainError
 from ninionics.occupation import Family
 from ninionics.rationals import residue_phases
 from ninionics.identities import (
@@ -101,24 +102,33 @@ class TestBosonIdentity:
         with pytest.raises(DomainError):
             fermion_phase_sum(1, 2, float("nan"))
 
+    @pytest.mark.parametrize("q", [TERM_BUDGET + 1, 10 ** 13])
     @pytest.mark.parametrize("phase_sum", [boson_phase_sum, fermion_phase_sum])
-    def test_memory_refusal_before_allocation(self, phase_sum):
-        # a q the allocator would refuse outright; the budget check comes first
-        with pytest.raises(DomainError, match=r"needs an estimated [\d.e+]+ MiB, over the "
-                                              r"1024 MiB memory budget"):
-            phase_sum(1, 10 ** 13, 1.0)
+    def test_term_refusal_before_any_term(self, phase_sum, q):
+        # q terms; the least q over the budget, and one no sum could finish
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match=rf"^the phase sum at q = {q} sums an estimated "
+                                              rf"[\d.e+]+ terms, over the budget of "
+                                              rf"{TERM_BUDGET} terms \(ninionics\.errors\."
+                                              rf"TERM_BUDGET\)$"):
+            phase_sum(1, q, 1.0)
+        assert time.perf_counter() - start < 0.5
 
-    @pytest.mark.parametrize("q", [10 ** 4, 10 ** 5])
+    @pytest.mark.parametrize("gamma", [0.1, 1.0])  # the two forms of a term, z >= 1/2 and < 1/2
     @pytest.mark.parametrize("phase_sum", [boson_phase_sum, fermion_phase_sum])
-    def test_pair_bytes_bound_the_traced_peak(self, phase_sum, q):
-        # the estimate refuses what fits by at most half: within 1x to 1.5x of the peak
+    def test_phase_sum_streams_in_constant_memory(self, phase_sum, gamma):
+        # the terms stream into fsum: the traced peak does not grow with q
+        small, large = (self.traced_peak(phase_sum, q, gamma) for q in (10 ** 4, 10 ** 5))
+        assert large < small + 4 * 2 ** 10
+
+    @staticmethod
+    def traced_peak(phase_sum, q, gamma):
         tracemalloc.start()
         try:
-            phase_sum(q - 1, q, 0.1)
-            peak = tracemalloc.get_traced_memory()[1]
+            phase_sum(q - 1, q, gamma)
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= q * identities._PAIR_BYTES <= 1.5 * peak
 
     def test_checks_survive_optimize_flag(self):
         code = ("from ninionics.identities import boson_phase_sum\n"

@@ -158,15 +158,18 @@ def reference(family, xi, eps):
         return n, (g + w * t) / den, den
 
 
+NEAR_POLE_CASES = [
+    (Family.BOSE, 0.0, 4e-8), (Family.BOSE, 1e-8, 4e-8), (Family.BOSE, 0.0, 1e-6),
+    (Family.FERMI, math.pi, 4e-8), (Family.FERMI, math.pi, 1e-6)]
+
+
 class TestNearThePoles:
     """The gap form keeps full precision next to the Bose pole (xi = 0) and the Fermi
     pole (xi = pi), where 1 -+ 2 w cos(xi) + w^2 cancels."""
 
     # n is 2.5e7, 2.3529e7, 1e6 and the two Fermi mirrors; 1 -+ 2 w cos(xi) + w^2 printed
     # 2.5735e7 for the first two (2.9% and 9.4% off)
-    @pytest.mark.parametrize("family,xi,eps", [
-        (Family.BOSE, 0.0, 4e-8), (Family.BOSE, 1e-8, 4e-8), (Family.BOSE, 0.0, 1e-6),
-        (Family.FERMI, math.pi, 4e-8), (Family.FERMI, math.pi, 1e-6)])
+    @pytest.mark.parametrize("family,xi,eps", NEAR_POLE_CASES)
     def test_cases_against_mpmath(self, family, xi, eps):
         want = float(reference(family, xi, eps)[0])
         assert occupation_from_eps(family, xi, eps) == pytest.approx(want, rel=1e-13)
@@ -202,6 +205,68 @@ class TestNearThePoles:
         assert occupation_from_eps(Family.BOSE, xi, eps) == pytest.approx(n, rel=1e-15)
         with pytest.raises(PoleError, match="Bose-Einstein pole"):
             occupation_from_eps(Family.BOSE, *refused)
+
+
+# pi as _PI_1 + _PI_2 + _PI_3: _PI_1 holds the top 30 bits of math.pi and _PI_2 its other
+# 23, so m _PI_1 and m _PI_2 are exact for a half-integer |m| < 2^12; _PI_3 = pi - math.pi
+_PI_1 = math.ldexp(math.floor(math.ldexp(math.pi, 28)), -28)
+_PI_2 = math.pi - _PI_1
+_PI_3 = 1.2246467991473532e-16
+# the bound's c: 20,000 draws as in the property below read at most 2.9, and 5,000
+# within 1e-12 to 0.1 of a pole at most 3.3, whatever n
+MATSUBARA_C = 8
+
+
+def matsubara(family, xi, eps, n):
+    """n at the doubles xi and eps as the twisted Matsubara sum on n imaginary-time slices,
+
+        n_B(xi, eps) = (1/n) sum_k sinh a / (4 sinh^2(a/2) + 4 sin^2(theta_k/2)) - 1/2,
+
+    a = eps/n, theta_k = (2 pi k + xi)/n, k = 0..n-1, and n_F(xi, eps) = -n_B(xi + pi, eps).
+    Each half angle theta_k/2 = (m pi + xi/2)/n, m = k or k + 1/2, is shifted by whole
+    turns of its own to the one nearest 0 and summed exactly from the three parts of pi,
+    so sin^2 keeps its digits beside a pole, whatever n."""
+    shift = 0.0 if family is Family.BOSE else 0.5
+    a = eps / n
+    h = 2.0 * math.sinh(0.5 * a)
+    terms = []
+    for k in range(n):
+        m = k + shift
+        m -= n * round((m + xi / (2.0 * math.pi)) / n)
+        g = 2.0 * math.sin(math.fsum((m * _PI_1, m * _PI_2, m * _PI_3, 0.5 * xi)) / n)
+        terms.append(math.sinh(a) / (h * h + g * g))
+    n_b = math.fsum(terms) / n - 0.5
+    return n_b if family is Family.BOSE else -n_b
+
+
+class TestMatsubaraOracle:
+    """The closed form against the lattice sum that defines it: the twisted propagator on
+    n slices of imaginary time, summed over its n Matsubara phases."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(list(Family)),
+           st.one_of(st.floats(-7.0, 7.0),  # two turns, and 1e-12 to 0.1 off a pole
+                     st.builds(lambda pole, side, e: pole + side * 10.0 ** e,
+                               st.sampled_from([-2 * math.pi, -math.pi, 0.0, math.pi,
+                                                2 * math.pi]),
+                               st.sampled_from([-1.0, 1.0]), st.floats(-12.0, -1.0))),
+           st.floats(-3.0, math.log10(16.0)).map(lambda e: 10.0 ** e),
+           st.sampled_from([-1.0, 1.0]), st.sampled_from([1, 2, 3, 64, 1024]))
+    def test_closed_form_is_the_lattice_sum(self, family, xi, size, sign, n):
+        """|n - sum| <= c eps_mach (|n| + 1/2) with c = MATSUBARA_C at every N: the half
+        angles keep their digits, so the sum's error does not grow with N."""
+        eps = sign * size
+        got = occupation_from_eps(family, xi, eps)
+        assert abs(got - matsubara(family, xi, eps, n)) <= (
+            MATSUBARA_C * sys.float_info.epsilon * (abs(got) + 0.5))
+
+    @pytest.mark.parametrize("n", [1, 64])
+    @pytest.mark.parametrize("family,xi,eps", NEAR_POLE_CASES)
+    def test_near_pole_cases(self, family, xi, eps, n):
+        # n up to 2.5e7, beside the Bose pole and its Fermi mirror
+        got = occupation_from_eps(family, xi, eps)
+        assert abs(got - matsubara(family, xi, eps, n)) <= (
+            MATSUBARA_C * sys.float_info.epsilon * (abs(got) + 0.5))
 
 
 LEVEL_EPS = (0.3, 1.0, 4.0)

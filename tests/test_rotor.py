@@ -9,9 +9,8 @@ import numpy as np
 import pytest
 
 from ninionics import rotor
-from ninionics.errors import DomainError, TruncationError
+from ninionics.errors import TERM_BUDGET, DomainError, TruncationError
 from ninionics.rotor import (
-    TERM_BUDGET,
     RotorSpec,
     angular_distribution,
     generating_function,
@@ -199,7 +198,8 @@ class TestAngularDistribution:
         tracemalloc.start()
         try:
             with pytest.raises(DomainError, match=rf"sums an estimated [\d.e+]+ terms, over the "
-                                                  rf"budget of {TERM_BUDGET} terms"):
+                                                  rf"budget of {TERM_BUDGET} terms "
+                                                  rf"\(ninionics\.errors\.TERM_BUDGET\)$"):
                 call()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
