@@ -274,8 +274,9 @@ def _cmd_thermo(args) -> tuple[list[str], list[tuple], dict]:
     # no closed scaling law away from the massless case; at mu != 0 the entropy
     # beta (E + P - mu n) needs the density n, which neither method computes
     massless = args.mass == 0.0
-    derived = ((-3.0 * f * beta ** 4, -f * beta ** 4) if massless else (None, None))
-    entropy = -4.0 * f * eff_beta * beta ** 3 if massless and args.mu == 0.0 else None
+    tq = thermo._massless_quantities(f, eff_beta)
+    derived = (tq.energy * beta ** 4, tq.pressure * beta ** 4) if massless else (None, None)
+    entropy = tq.entropy * beta ** 3 if massless and args.mu == 0.0 else None
     row = (spec.family.value, args.method, turns.numerator, turns.denominator,
            angle.denominator, mapped.out_family.value, mapped.multiplicity, beta,
            eff_beta, f * beta ** 4, *derived, entropy)
@@ -360,9 +361,11 @@ def _cmd_scan(args) -> tuple[list[str], Iterable[str], dict]:
     return list(fractal.SCAN_FIELDS), fractal.iter_scan_lines(n, args.window), {"order": n}
 
 
-# Budgeted per nogo row; its peak RSS grew 156 B a row (fixed, growing) and 163 B (near,
-# whose sieve grows with the count too) from 100,000 to 300,000 rows in fresh processes
-# on a 2-core Xeon. 1024 B keeps the largest admitted --count at 1,048,576.
+# Budgeted per nogo row, about 6x the 147-163 B of peak RSS a row costs in fresh processes
+# on a 2-core Xeon. This gate and the sieve's are each checked alone, so the over-count
+# leaves room for the sieve: with no gate here, near at --count 5000000 --min-denominator
+# 100000000 peaked at 1,080 MiB, over MEMORY_BUDGET; the worst admitted, --count 1048576
+# --min-denominator 180000000, peaks at 807 MB.
 _NOGO_ROW_BYTES = 1024
 
 

@@ -6,20 +6,21 @@ import math
 __all__ = ["DomainError", "PoleError", "TruncationError", "MEMORY_BUDGET", "ROW_BUDGET",
            "TERM_BUDGET"]
 
-MEMORY_BUDGET = 2 ** 30  # bytes one request may allocate, arrays and Python results
+MEMORY_BUDGET = 2 ** 30  # bytes one request may allocate; gates nogo's table and sieve
 
 ROW_BUDGET = 5_000_000
-"""Rows one table may hold (a scan in either format, an occupation table, an identity
-scan, a rotor Z/K table). Medians of three fresh launches on a 2-core Xeon VM: a scan row costs about 1.6 us
-as CSV and 3.9 us as JSON (order 4054, 7.9 and 19.3 s). The largest identity scan
-admitted, to q_max 4054 (4,996,542 rows), took 8.4-11.1 s as CSV and 21.3 s as JSON, at
-19 MB peak. An occupation table holds 8 B per row until it is written, plus the omega
-columns' text when more than one angle reads it: 1M rows over two angles took 3.5 s as
-CSV and 6.3 s as JSON, both at 34 MB peak (19 B per row, the most), so 5M rows stay
-well inside MEMORY_BUDGET. 5M admits a scan on [0, 1] up to order 4054. The Z/K table
-holds nothing per row; its largest, 5M angles at beta/I = 3, where ln Z has the most
-terms (about 22 an angle), took 50.5 s as CSV and 69.4 s as JSON at 16 MB peak
-(single fresh runs)."""
+"""Rows one table may hold (a scan in either format, an occupation table, an identity scan,
+a rotor Z/K or weights table). Medians of three fresh launches on a 2-core Xeon VM: a
+scan row costs about 1.6 us as CSV and 3.9 us as JSON (order 4054, 7.9 and 19.3 s). The
+largest identity scan admitted, to q_max 4054 (4,996,542 rows), took 8.4-11.1 s as CSV
+and 21.3 s as JSON, at 19 MB peak. An occupation table holds 8 B per row until it is
+written, plus the omega columns' text when more than one angle reads it: 1M rows over
+two angles took 3.5 s as CSV and 6.3 s as JSON, both at 34 MB peak (19 B per row, the
+most), so 5M rows stay well inside MEMORY_BUDGET. 5M admits a scan on [0, 1] up to order
+4054. The Z/K table holds nothing per row; its largest, 5M angles at beta/I = 3, where
+ln Z has the most terms (about 22 an angle), took 50.5 s as CSV and 69.4 s as JSON at 16
+MB peak (single fresh runs). The weights table holds at most about 161 B a row (768 MiB
+at 5M); its largest, m_cut 2,499,999, took 5.9 s as CSV and 7.2 s as JSON at 418 MB."""
 
 TERM_BUDGET = 10_000_000
 """Terms one request may sum with math.fsum: (S + 1)^2 cosine products for the rotor

@@ -49,12 +49,11 @@ _BOSE = Family.BOSE  # a module global: faster to read per call than Family.BOSE
 
 
 class StatLabel(str, Enum):
-    """Effective statistics of a mapped ensemble: a classical form or its ghost."""
+    """Effective statistics of a mapped ensemble: a classical form or the bosonic ghost."""
 
     BOSON = "boson"
     FERMION = "fermion"
     BOSON_GHOST = "boson_ghost"
-    FERMION_GHOST = "fermion_ghost"
 
 
 class NinionParams(NamedTuple):

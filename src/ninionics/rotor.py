@@ -12,9 +12,9 @@ and K = -ln(Z(chi)/Z(0)) is ln Z(0) - ln Z(chi): finite where Z underflows to 0.
 weights R(m) are the Fourier inversion of that Z on its one exact grid chi_j = -pi +
 2 pi j / n, n = 2 S + 1, S the largest m <= m_cut with w_m > 0.0 in double precision:
 one pass of cosine sums, each exactly rounded by math.fsum, in O(S^2) time. A weights
-request whose estimated memory exceeds errors.MEMORY_BUDGET, an inversion whose
-(S + 1)^2 predicted terms exceed errors.TERM_BUDGET, or a Z/K table over
-errors.ROW_BUDGET rows is refused before any weight is computed.
+table of 2 m_cut + 1 rows or a Z/K table over errors.ROW_BUDGET rows, or an inversion
+whose (S + 1)^2 predicted terms exceed errors.TERM_BUDGET, is refused before any weight
+is computed.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from math import cos, fsum, sin
 from operator import mul
 from typing import Iterator, NamedTuple
 
-from .errors import TERM_BUDGET, DomainError, TruncationError, check_budget, check_memory
+from .errors import TERM_BUDGET, DomainError, TruncationError, check_budget
 
 __all__ = [
     "RotorSpec",
@@ -40,11 +40,6 @@ __all__ = [
 ]
 
 TAIL_BOUND = 1e-14
-# Bytes per level of the weights inversion, over its tracemalloc peak per level, which
-# swings with the dict's fill: 73-134 B at a support of 38 (m_cut 1e3-1.4e6; 134 B just
-# past a resize, as at 87381) and 123-168 B on a full support (158 B at m_cut 341, 168 B
-# at 2731). 176 B, 1.05-1.31x the worst of each, admits m_cut up to 3050402.
-_LEVEL_BYTES = 176
 _MAX_M_CUT = 2 ** 22 - 1  # the largest m_cut accepted; _check_request says why
 # e^{-x} is 0.0 in double precision for every x above about 745.13, so beta E_m < 746
 # holds on the whole support
@@ -186,8 +181,7 @@ def angular_distribution(spec: RotorSpec, beta: float) -> dict[int, float]:
     the inversion strips.
     """
     m_cut = spec.m_cut
-    check_memory(f"m_cut={m_cut} with {2 * m_cut + 1} grid points",
-                 _LEVEL_BYTES * (2 * m_cut + 1))
+    check_budget(f"a weights table to m_cut {m_cut}", 2 * m_cut + 1)
     r = _check_request(spec, beta)
     support_sq = 2.0 * _EXP_UNDERFLOW / r  # w_m is 0.0 past its root
     support = m_cut if support_sq >= m_cut * m_cut else math.isqrt(int(support_sq))

@@ -138,6 +138,11 @@ def _rational_quantities(f_coeff: Fraction, beta: float) -> ThermoQuantities:
     )
 
 
+def _massless_quantities(f: float, beta: float) -> ThermoQuantities:
+    """The beta^-4 law's full set from f at its anchor beta: E = 3P = -3 f, s = -4 f beta."""
+    return ThermoQuantities(f, -3.0 * f, -f, -4.0 * f * beta, beta)
+
+
 def blackbody_scalar(beta: float) -> ThermoQuantities:
     """Massless neutral scalar: f = -pi^2/(90 b^4), energy = 3P = pi^2/(30 b^4), s = 2 pi^2/(45 b^3)."""
     _check_beta(beta)
@@ -203,7 +208,7 @@ def ensemble_thermo(mapped: MappedEnsemble) -> ThermoQuantities:
     branch per Dirac fermion and its ghost branch per two states; rotated_ensemble, both
     per unit degeneracy.
     """
-    if mapped.out_family in (StatLabel.FERMION, StatLabel.FERMION_GHOST):
+    if mapped.out_family is StatLabel.FERMION:
         base = blackbody_fermion(mapped.effective_beta)
     else:
         base = blackbody_scalar(mapped.effective_beta)
@@ -418,10 +423,10 @@ def free_energy_extrapolated(spec: GasSpec, beta: float, chi: StatAngle,
     Every residue-class weight tends to the regularized count 1/q (the largest
     deviation at small q * reg_eps is (q^2 - 1) reg_eps^2 / (12 q)), so the
     limit is the mean of the q per-residue momentum integrals, each averaged
-    over the two branches at mu != 0. This is the module's independent oracle: it
-    shares only the residue phases with identities: no polylogarithm, no phase-sum identity.
-    Where a node of the rule lands on a row's logarithmic singularity, the result is
-    not finite; it is returned, not raised.
+    over the two branches at mu != 0. This is the module's independent oracle: it shares
+    no code with identities, and uses no polylogarithm and no phase-sum identity. Where
+    a node of the rule lands on a row's logarithmic singularity, the result is not
+    finite; it is returned, not raised.
     """
     table, _ = _mode_table(spec, beta, chi.turns, inner_tol)
     return _SIGN[spec.family] * spec.degeneracy / beta * math.fsum(table) / len(table)
@@ -456,16 +461,15 @@ def odd_count_limit() -> float:
 class WallsOracle(NamedTuple):
     """Independent per-mode evaluation of the rotating crossed-wall system.
 
-    ``oracle`` composes the per-mode integral with the regularized odd-m
-    count and the ghost sign at the original inverse temperature.
-    ``reported`` holds the closed-form values quoted for this system. The two
-    differ by a convention, and their ratio is exact:
-    oracle/reported = 14 = (7/8)/(1/16). On the odd m that the walls keep, a
-    half turn gives e^{i pi m} = -1, so every mode's logarithm takes the
-    fermionic form at beta and the oracle carries the fermionic 7/8 of the
-    scalar blackbody. The quoted -pi^2/1920 instead carries the 2^-4 of the
-    half-turn map to 2*beta. Both carry the odd-m count 1/4 and the ghost
-    sign, so ``relative_deviation`` is 13 up to the quadrature error.
+    ``oracle`` composes the per-mode integral with the regularized odd-m count and the
+    ghost sign at the original inverse temperature. It differs from the quoted
+    closed-form values, ``CrossedWalls.quantities``, by a convention, and their ratio is
+    exact: oracle/reported = 14 = (7/8)/(1/16). On the odd m that the walls keep, a half
+    turn gives e^{i pi m} = -1, so every mode's logarithm takes the fermionic form at
+    beta and the oracle carries the fermionic 7/8 of the scalar blackbody. The quoted
+    -pi^2/1920 instead carries the 2^-4 of the half-turn map to 2*beta. Both carry the
+    odd-m count 1/4 and the ghost sign, so ``relative_deviation`` is 13 up to the
+    quadrature error.
     """
 
     per_mode_quadrature: float
@@ -473,7 +477,6 @@ class WallsOracle(NamedTuple):
     per_mode_relative_error: float
     count_factor: float
     oracle: ThermoQuantities
-    reported: ThermoQuantities
     relative_deviation: float
 
 
@@ -500,17 +503,13 @@ def crossed_walls_thermo(beta: float, rotating: bool,
     per_mode = float(_mode_table(GasSpec(Family.FERMI), beta, Fraction(0), inner_tol)[0][0])
     closed = (7.0 / 8.0) * (math.pi ** 4 / 90.0) / (PI_SQ * beta ** 3)
     count = odd_count_limit()
-    f_oracle = per_mode * count / beta
-    oracle_q = ThermoQuantities(
-        f=f_oracle, energy=-3.0 * f_oracle, pressure=-f_oracle,
-        entropy=-4.0 * f_oracle * beta, beta=beta)
+    oracle_q = _massless_quantities(per_mode * count / beta, beta)
     report = WallsOracle(
         per_mode_quadrature=per_mode,
         per_mode_closed_form=closed,
         per_mode_relative_error=abs(per_mode / closed - 1.0),
         count_factor=count,
         oracle=oracle_q,
-        reported=reported,
         relative_deviation=abs(oracle_q.energy - reported.energy) / abs(reported.energy),
     )
     return CrossedWalls(reported, report)

@@ -26,6 +26,7 @@ from ninionics.cli import main, parse_angle
 from ninionics.errors import MEMORY_BUDGET, ROW_BUDGET, TERM_BUDGET, DomainError, PoleError
 from ninionics.occupation import Family, occupation_from_eps
 from ninionics.rationals import _farey_terms_bound
+from test_occupation import MATSUBARA_C, matsubara  # the twisted Matsubara lattice sum
 from test_occupation import reference  # the 800-digit defining formula
 from test_rationals import brute_force_best_rational  # exhaustive over denominators
 
@@ -958,16 +959,17 @@ class TestRotorCommand:
             "2.356194490192345,0.157280953603328,0.0,2.7686600980635223,0.0\n"
             "3.141592653589793,0.0360547563351249,0.0,4.2416550253353105,0.0\n")
 
-    # the weights' memory gate admits m_cut 3050402 and refuses 3050403; at beta 1e-6
-    # the term budget then refuses the admitted one, before any weight: its support is
-    # S = 38603 levels, so the one cosine pass sums (S + 1)^2 terms on 2 S + 1 points
+    # the weights' row gate admits m_cut 2499999 (4,999,999 rows) and refuses 2500000;
+    # at beta 1e-6 the term budget then refuses the admitted one, before any weight: its
+    # support is S = 38603 levels, so the one cosine pass sums (S + 1)^2 terms on
+    # 2 S + 1 points
     @pytest.mark.parametrize("m_cut, message", [
-        ("3050402", "m_cut=3050402 on 77207 grid points sums an estimated 1.49e+09 terms, "
+        ("2499999", "m_cut=2499999 on 77207 grid points sums an estimated 1.49e+09 terms, "
                     "over the budget of 10000000 terms (ninionics.errors.TERM_BUDGET)"),
-        ("3050403", "m_cut=3050403 with 6100807 grid points needs an estimated 1024.0002 MiB, "
-                    "over the 1024 MiB memory budget (ninionics.errors.MEMORY_BUDGET)"),
-    ], ids=["term-budget", "memory-budget"])
-    def test_weights_memory_gate_edge(self, capsys, m_cut, message):
+        ("2500000", "a weights table to m_cut 2500000 has an estimated 5000001 rows, "
+                    "over the budget of 5000000 rows (ninionics.errors.ROW_BUDGET)"),
+    ], ids=["term-budget", "row-budget"])
+    def test_weights_row_gate_edge(self, capsys, m_cut, message):
         start = time.perf_counter()
         code, out, err = run_cli(["rotor", "--table", "weights", "--beta", "1e-6",
                                   "--m-cut", m_cut], capsys)
@@ -1172,11 +1174,11 @@ class TestRotorContract:
         assert all(math.isfinite(k) and k >= 0.0 for k in ks)
 
     @settings(max_examples=100, deadline=None)
-    @given(rotor_scales(), st.one_of(st.integers(1, 300), st.just(3050403)),
+    @given(rotor_scales(), st.one_of(st.integers(1, 300), st.just(2500000)),
            st.sampled_from(["csv", "json"]))
     def test_weights(self, scales, m_cut, fmt):
         """Exit 0 prints 2 m_cut + 1 finite weights in ascending m, summing to 1, with
-        R(-m) == R(m) bit for bit. m_cut 3050403 is the first the memory gate refuses."""
+        R(-m) == R(m) bit for bit. m_cut 2500000 is the first the row gate refuses."""
         beta, inertia = scales
         out = run_contract(["rotor", "--table", "weights", "--beta", repr(beta), "--inertia",
                             repr(inertia), "--m-cut", str(m_cut), "--format", fmt])
@@ -1192,10 +1194,12 @@ class TestRotorContract:
         assert abs(math.fsum(weights) - 1.0) < 1e-12
         assert weights == weights[::-1]
 
-    # an admitted m_cut 3050402 prints 6,100,805 rows, which took 9.0 s as CSV and 13.9 s
-    # as JSON in fresh processes at 776 MB peak RSS; so the draws at the largest admitted
-    # m_cut take only beta/I < 1e-4, where a support over 3161 levels or the truncation
-    # check refuses it. Its printed rows are those of any m_cut past the support.
+    # an admitted m_cut 2499999 prints 4,999,999 rows, which took 5.9 s as CSV and 7.2 s
+    # as JSON in single fresh launches on a 2-core VM at 418 MB peak RSS (9.7 s at
+    # beta 1.5e-4, whose support is near the term edge); so the draws at the largest
+    # admitted m_cut take only beta/I < 1e-4, where a support over 3161 levels or the
+    # truncation check refuses it. Its printed rows are those of any m_cut past the
+    # support.
     @settings(max_examples=20, deadline=None)
     @given(rotor_scales().filter(lambda scales: scales[0] / scales[1] < 1e-4),
            st.sampled_from(["csv", "json"]))
@@ -1203,7 +1207,7 @@ class TestRotorContract:
         beta, inertia = scales
         start = time.perf_counter()
         out = run_contract(["rotor", "--table", "weights", "--beta", repr(beta), "--inertia",
-                            repr(inertia), "--m-cut", "3050402", "--format", fmt])
+                            repr(inertia), "--m-cut", "2499999", "--format", fmt])
         assert time.perf_counter() - start < 0.5
         assert out is None
 
@@ -1319,11 +1323,14 @@ def occupation_requests(draw):
 class TestOccupationContract:
     """Every occupation request exits 0 with each n within 1e-13 S of the 800-digit
     defining formula at the printed xi and the eps the CLI formed, S = (g + w t) / den
-    of the gap form, or 1 with one PoleError or DomainError line and nothing on stdout."""
+    of the gap form, or 1 with one PoleError or DomainError line and nothing on stdout.
+    Where the twisted Matsubara sum on N slices holds, each n is also within
+    MATSUBARA_C eps_mach (|n| + 1/2) of it."""
 
     @settings(max_examples=150, deadline=None)
-    @given(occupation_requests(), st.sampled_from(["csv", "json"]))
-    def test_rows_match_the_reference(self, request, fmt):
+    @given(occupation_requests(), st.sampled_from(["csv", "json"]),
+           st.sampled_from([1, 2, 3, 64, 1024]))
+    def test_rows_match_the_reference(self, request, fmt, slices):
         family, xis, beta, mu, lo, hi, count = request
         out = run_contract(["occupation", "--family", family, f"--xi={','.join(xis)}",
                             f"--beta={beta!r}", f"--mu={mu!r}", f"--omega-min={lo!r}",
@@ -1335,8 +1342,14 @@ class TestOccupationContract:
         assert len(cells) == 4 * len(xis) * count and all(map(math.isfinite, cells))
         for xi, omega, beta_omega, n in zip(*[iter(cells)] * 4):
             assert beta_omega == beta * omega
-            want, scale, _ = reference(Family(family), xi, beta * (omega - mu))
+            eps = beta * (omega - mu)
+            want, scale, _ = reference(Family(family), xi, eps)
             assert abs(n - want) <= 1e-13 * scale
+            # the sum's domain: sinh a and 4 sinh^2(a/2) stay finite at N = 1, and each
+            # half angle's multiple of pi stays exact
+            if abs(eps) <= 700.0 and abs(xi) <= 1e3:
+                assert abs(n - matsubara(Family(family), xi, eps, slices)) <= (
+                    MATSUBARA_C * sys.float_info.epsilon * (abs(n) + 0.5))
 
 
 # chi as p/q with 400-digit terms, or as a decimal: the edges and log-uniform doubles

@@ -8,8 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ninionics import rotor
-from ninionics.errors import TERM_BUDGET, DomainError, TruncationError
+from ninionics.errors import MEMORY_BUDGET, ROW_BUDGET, TERM_BUDGET, DomainError, TruncationError
 from ninionics.rotor import (
     RotorSpec,
     angular_distribution,
@@ -177,17 +176,17 @@ class TestAngularDistribution:
 
     # a full support (S = m_cut = 341 at beta 1e-2) and a support of 38 levels with a
     # weights dict that has just resized (m_cut 87381): the peak per level is highest
-    # where the dict is least full, 158 and 134 B here
+    # where the dict is least full, 159-161 and 134 B here
     @pytest.mark.parametrize("m_cut, beta", [(341, 1e-2), (87_381, 1.0)])
-    def test_level_bytes_bound_the_traced_peak(self, m_cut, beta):
-        # the estimate refuses what fits by at most half: within 1x to 1.5x of the peak
+    def test_a_table_at_the_row_budget_fits_the_memory_budget(self, m_cut, beta):
+        # ROW_BUDGET rows at that traced peak per level take at most 768 and 639 MiB
         tracemalloc.start()
         try:
             angular_distribution(RotorSpec(1.0, m_cut), beta)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= (2 * m_cut + 1) * rotor._LEVEL_BYTES <= 1.5 * peak
+        assert peak / (2 * m_cut + 1) * ROW_BUDGET <= MEMORY_BUDGET
 
     @pytest.mark.parametrize("call", [
         lambda: angular_distribution(RotorSpec(1.0, 100_000), 1e-6),
@@ -211,7 +210,8 @@ class TestAngularDistribution:
         spec = RotorSpec(1.0, 10 ** 9)  # hundreds of GiB for the weights dict alone
         tracemalloc.start()
         try:
-            with pytest.raises(DomainError, match=r"needs an estimated [\d.e+]+ MiB"):
+            with pytest.raises(DomainError, match=r"has an estimated [\d.e+]+ rows, over the "
+                               r"budget of 5000000 rows \(ninionics\.errors\.ROW_BUDGET\)"):
                 angular_distribution(spec, 1.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
