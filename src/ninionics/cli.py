@@ -19,7 +19,6 @@ from fractions import Fraction
 from itertools import islice
 from typing import Iterable
 
-from . import fractal
 from .errors import DomainError, check_budget, check_memory
 from .rationals import StatAngle, _farey_terms_bound, parse_turns, thomae
 
@@ -341,6 +340,7 @@ def _occupation_lines(family: str, xis: list[float], omegas: Iterable[float], be
     """The CSV lines of the occupation table, each n read from its column as its line is
     written. Each omega's text is formatted once, into newline-joined blocks of
     fractal._LINE_BLOCK lines that each xi splits in turn, kept only for more than one xi."""
+    from . import fractal
     def omega_text(omega: float) -> str:
         text, scaled = repr(omega), beta * omega
         # beta > 0 keeps the sign, so a product equal to omega has its repr
@@ -358,6 +358,7 @@ def _occupation_lines(family: str, xis: list[float], omegas: Iterable[float], be
 def _cmd_scan(args) -> tuple[list[str], Iterable[str], dict]:
     n, (lo, hi) = args.order, args.window
     check_budget(f"a scan of order {n}", _farey_terms_bound(n, float(hi - lo)))
+    from . import fractal
     return list(fractal.SCAN_FIELDS), fractal.iter_scan_lines(n, args.window), {"order": n}
 
 
@@ -374,7 +375,7 @@ def _cmd_nogo(args) -> tuple[list[str], Iterable[str], dict]:
     # table that would not fit
     rows = len(args.m_indices) if args.m_indices and args.mode != "near" else args.count
     check_memory(f"a nogo table of {rows} rows", rows * _NOGO_ROW_BYTES)
-    from . import thermo
+    from . import fractal, thermo
     if args.mode == "near":
         probe = fractal.prime_ratio_sequence_near(args.target, args.count, args.min_denominator)
     else:
@@ -397,7 +398,7 @@ def _cmd_rotor(args) -> tuple[list[str], list[tuple], dict]:
     from . import rotor
     spec = rotor.RotorSpec(args.inertia, args.m_cut)
     if args.table == "weights":
-        fields, rows = ["m", "weight"], rotor.angular_distribution(spec, args.beta).items()
+        fields, rows = ["m", "weight"], rotor._weight_rows(spec, args.beta)
     else:
         fields = ["chi", "z_real", "z_imag", "k_real", "k_imag"]
         rows = rotor.zk_table(spec, args.beta, args.chi_points, args.half_shift)

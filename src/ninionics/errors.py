@@ -19,8 +19,10 @@ two angles took 3.5 s as CSV and 6.3 s as JSON, both at 34 MB peak (19 B per row
 most), so 5M rows stay well inside MEMORY_BUDGET. 5M admits a scan on [0, 1] up to order
 4054. The Z/K table holds nothing per row; its largest, 5M angles at beta/I = 3, where
 ln Z has the most terms (about 22 an angle), took 50.5 s as CSV and 69.4 s as JSON at 16
-MB peak (single fresh runs). The weights table holds at most about 161 B a row (768 MiB
-at 5M); its largest, m_cut 2,499,999, took 5.9 s as CSV and 7.2 s as JSON at 418 MB."""
+MB peak (single fresh runs). The weights table holds only its 2S + 1 nonzero rows and
+streams the zeros past S; its largest, m_cut 2,499,999, took 6.7 s as CSV and 11.8 s as
+JSON at 16 MB peak (single fresh runs). The library's angular_distribution dict holds
+every level, at most about 161 B each (768 MiB at 5M)."""
 
 TERM_BUDGET = 10_000_000
 """Terms one request may sum with math.fsum: (S + 1)^2 cosine products for the rotor

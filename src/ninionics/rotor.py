@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from itertools import pairwise
+from itertools import chain, pairwise, repeat
 from math import cos, fsum, sin
 from operator import mul
 from typing import Iterator, NamedTuple
@@ -180,6 +180,12 @@ def angular_distribution(spec: RotorSpec, beta: float) -> dict[int, float]:
     same under the half-integer phases, whose shift multiplies Z by e^{i chi/2}, which
     the inversion strips.
     """
+    return dict(_weight_rows(spec, beta))
+
+
+def _weight_rows(spec: RotorSpec, beta: float) -> Iterator[tuple[int, float]]:
+    """The (m, R(m)) pairs of angular_distribution, in its order, the zeros past S yielded
+    rather than stored. Every refusal, ROW_BUDGET's included, comes before it returns."""
     m_cut = spec.m_cut
     check_budget(f"a weights table to m_cut {m_cut}", 2 * m_cut + 1)
     r = _check_request(spec, beta)
@@ -195,8 +201,9 @@ def angular_distribution(spec: RotorSpec, beta: float) -> dict[int, float]:
     paired = [z[0], *[2.0 * zj for zj in z[1:]]]
     z0 = math.exp(_ln_z(r, 0.0))
     right = [(-s if m % 2 else s) / n / z0 for m, s in enumerate(_cosine_sums(paired, n))]
-    right += [0.0] * (m_cut - support)
-    return dict(zip(range(-m_cut, m_cut + 1), right[:0:-1] + right))
+    return chain(zip(range(-m_cut, -support), repeat(0.0)),
+                 zip(range(-support, support + 1), right[:0:-1] + right),
+                 zip(range(support + 1, m_cut + 1), repeat(0.0)))
 
 
 def generating_function(spec: RotorSpec, beta: float, chi: float,

@@ -17,6 +17,7 @@ per unit degeneracy and the fermionic one is 7/8 of that.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import sys
 from fractions import Fraction
@@ -247,7 +248,8 @@ _SIGN = {Family.BOSE: 1.0, Family.FERMI: -1.0}  # f = sign degeneracy / beta * m
 # Exp-sinh double-exponential rule (Takahasi-Mori 1974) on [0, inf): the map
 # x = x0 exp(pi/2 sinh t), then the trapezoid rule in t on [-_DE_SPAN, _DE_SPAN],
 # which lies past every row's double-exponential tails. The step is halved
-# from _DE_FIRST_STEP; each halving adds only the new odd nodes.
+# from _DE_FIRST_STEP; each halving adds only the new odd nodes, and each level's
+# nodes are built once per process, when a row first reaches that level.
 _DE_SPAN = 4.5
 _DE_FIRST_STEP = 0.125
 _DE_MAX_HALVINGS = 5  # h = 1/256 at the cap; massless rows reach rounding by 1/128
@@ -263,17 +265,12 @@ def _node(t: float) -> tuple[float, float]:
     return u, 0.5 * u ** 3 * (_HALF_PI * math.cosh(t))
 
 
-def _node_levels() -> tuple[tuple[tuple[float, float], ...], ...]:
-    """The nodes of the first step, then the new odd nodes of each halving, ascending in t."""
-    h, n = _DE_FIRST_STEP, round(_DE_SPAN / _DE_FIRST_STEP)
-    levels = [(h, range(-n, n + 1))]
-    for _ in range(_DE_MAX_HALVINGS):
-        h, n = h / 2, 2 * n
-        levels.append((h, range(1 - n, n, 2)))
-    return tuple(tuple(_node(k * h) for k in ks) for h, ks in levels)
-
-
-_NODES = _node_levels()  # depends on the level alone, so it is built once per process
+@functools.cache
+def _nodes(level: int) -> tuple[tuple[float, float], ...]:
+    """The nodes of the first step at level 0, else the new odd nodes of halving level,
+    ascending in t."""
+    h, n = _DE_FIRST_STEP / 2 ** level, round(_DE_SPAN / _DE_FIRST_STEP) * 2 ** level
+    return tuple(_node(k * h) for k in (range(1 - n, n, 2) if level else range(-n, n + 1)))
 
 
 def _log_terms(nodes, x0: float, cos_phi: float, one_minus_cos: float, mass: float,
@@ -320,11 +317,11 @@ def _exp_sinh(tol: float, x0: float, *row: float) -> tuple[float, float]:
     """
     scale = x0 ** 3
     h = _DE_FIRST_STEP
-    total, magnitude = _log_terms(_NODES[0], x0, *row)
+    total, magnitude = _log_terms(_nodes(0), x0, *row)
     value = scale * h * total
-    for nodes in _NODES[1:]:
+    for level in range(1, _DE_MAX_HALVINGS + 1):
         h /= 2
-        new_total, new_magnitude = _log_terms(nodes, x0, *row)
+        new_total, new_magnitude = _log_terms(_nodes(level), x0, *row)
         total += new_total
         magnitude += new_magnitude
         new_value = scale * h * total

@@ -1887,14 +1887,14 @@ def fresh_python(code, *argv):
 
 
 def test_cli_import_loads_only_what_parsing_needs():
-    # thermo and occupation load in the commands that use them, so a scan does not
-    # carry them
+    # every subsystem, fractal included, loads in the commands that use it, so parsing
+    # loads only the budgets and the angle parsers
     code = ("import sys, ninionics.cli\n"
             "print(sorted(m for m in sys.modules if m.startswith('ninionics')))\n"
             "print('csv' in sys.modules, 'json' in sys.modules)\n")
     out = fresh_python(code)
     assert out.stdout == str(["ninionics", "ninionics.cli", "ninionics.errors",
-                              "ninionics.fractal", "ninionics.rationals"]) + "\nFalse False\n"
+                              "ninionics.rationals"]) + "\nFalse False\n"
 
 
 def loaded_after(argv, extra=""):

@@ -4,6 +4,7 @@ import random
 from decimal import Decimal, localcontext
 import time
 import tracemalloc
+from collections import deque
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from ninionics.rotor import (
     partition_rotwisted,
     shift_eigenphase_check,
     zk_table,
+    _weight_rows,
 )
 
 
@@ -174,12 +176,14 @@ class TestAngularDistribution:
             tracemalloc.stop()
         assert peak < 16 * 2 ** 20
 
-    # a full support (S = m_cut = 341 at beta 1e-2) and a support of 38 levels with a
-    # weights dict that has just resized (m_cut 87381): the peak per level is highest
-    # where the dict is least full, 159-161 and 134 B here
+    # the library's dict holds every level (the CLI streams the rows, below): a full
+    # support (S = m_cut = 341 at beta 1e-2) and a support of 38 levels with a dict that
+    # has just resized (m_cut 87381); the peak per level is highest where the dict is
+    # least full, 159-161 and 134 B here
     @pytest.mark.parametrize("m_cut, beta", [(341, 1e-2), (87_381, 1.0)])
     def test_a_table_at_the_row_budget_fits_the_memory_budget(self, m_cut, beta):
-        # ROW_BUDGET rows at that traced peak per level take at most 768 and 639 MiB
+        # a dict of ROW_BUDGET levels at that traced peak per level takes at most 768 and
+        # 639 MiB
         tracemalloc.start()
         try:
             angular_distribution(RotorSpec(1.0, m_cut), beta)
@@ -187,6 +191,31 @@ class TestAngularDistribution:
         finally:
             tracemalloc.stop()
         assert peak / (2 * m_cut + 1) * ROW_BUDGET <= MEMORY_BUDGET
+
+    @pytest.mark.parametrize("beta", [0.01, 1.0, 3.0])
+    def test_cli_rows_are_the_dict_items(self, beta):
+        # bit for bit where the inversion is admitted, and the same refusal where it is not
+        def outcome(rows):
+            try:
+                return [(m, w.hex()) for m, w in rows()]
+            except TruncationError as exc:
+                return str(exc)
+        for m_cut in [*range(1, 60), 1000]:
+            spec = RotorSpec(1.0, m_cut)
+            assert outcome(lambda: _weight_rows(spec, beta)) == outcome(
+                lambda: angular_distribution(spec, beta).items())
+
+    def test_cli_rows_stream_in_constant_memory(self):
+        # only the 2 S + 1 = 77 nonzero weights are stored; the zeros past S are yielded
+        def traced_peak(m_cut):
+            tracemalloc.start()
+            try:
+                deque(_weight_rows(RotorSpec(1.0, m_cut), 1.0), maxlen=0)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        small, large = traced_peak(10 ** 4), traced_peak(10 ** 5)
+        assert large < small + 4 * 2 ** 10
 
     @pytest.mark.parametrize("call", [
         lambda: angular_distribution(RotorSpec(1.0, 100_000), 1e-6),

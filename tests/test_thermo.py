@@ -404,6 +404,44 @@ class TestQuadratureOracle:
                                     + mu ** 4 / (48.0 * PI_SQ)), rel=1e-12)
 
 
+def eager_node_levels():
+    """Every node level from one eager halving loop: the first step's nodes, then the
+    new odd nodes of each halving, ascending in t."""
+    h, n = thermo._DE_FIRST_STEP, round(thermo._DE_SPAN / thermo._DE_FIRST_STEP)
+    levels = [(h, range(-n, n + 1))]
+    for _ in range(thermo._DE_MAX_HALVINGS):
+        h, n = h / 2, 2 * n
+        levels.append((h, range(1 - n, n, 2)))
+    return [tuple(thermo._node(k * h) for k in ks) for h, ks in levels]
+
+
+class TestNodeLevels:
+    """Each exp-sinh node level is built when a row first reaches it, and only then."""
+
+    def test_levels_match_the_eager_halving_loop_bit_for_bit(self):
+        built = [thermo._nodes(level) for level in range(thermo._DE_MAX_HALVINGS + 1)]
+        assert [[(u.hex(), c.hex()) for u, c in level] for level in built] == [
+            [(u.hex(), c.hex()) for u, c in level] for level in eager_node_levels()]
+
+    def test_closed_forms_build_no_level(self):
+        thermo._nodes.cache_clear()
+        for family in Family:
+            ensemble_thermo(rotated_ensemble(GasSpec(family), 1.0,
+                                             StatAngle.from_fraction(1, 3)))
+        crossed_walls_thermo(1.0, rotating=False)
+        fermion_equivalence(1, 3)
+        assert thermo._nodes.cache_info().currsize == 0
+
+    def test_the_oracle_builds_levels_in_order(self):
+        thermo._nodes.cache_clear()
+        free_energy_extrapolated(GasSpec(Family.BOSE), 1.0, StatAngle.from_fraction(1, 3))
+        built = thermo._nodes.cache_info().currsize
+        assert 1 <= built <= thermo._DE_MAX_HALVINGS + 1
+        for level in range(built):  # each a hit, so no level past built - 1 is cached
+            thermo._nodes(level)
+        assert thermo._nodes.cache_info().misses == built
+
+
 def _bessel_free_energy(family, beta, mass, mu, terms=40):
     """Non-rotating per-dof f(beta) = -(M^2 / 2 pi^2 beta^2) sum_n (+-1)^(n+1) K_2(n beta M)
     cosh(n beta mu) / n^2, the branch-averaged Boltzmann series; no quadrature."""
